@@ -7,7 +7,8 @@
 //!   shape (near-future timers plus a far-future tail);
 //! * **packet path** — simulated packets per wall second through the
 //!   bare-metal case-study topology (MoonGen → Linux router → back) at
-//!   64 B and 1500 B.
+//!   64 B and 1500 B, and through the vpos topology (the same behind two
+//!   Linux bridges) at 64 B.
 //!
 //! Emits `BENCH_kernel.json`.
 //!
@@ -19,6 +20,7 @@
 //!      binary exits nonzero if a measurement falls below its floor).
 
 use pos_bench::{env_f64, kernel};
+use pos_loadgen::scenario::Platform;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -52,24 +54,31 @@ fn main() {
     );
 
     // 64 B just below the bare-metal CPU saturation point; 1500 B at the
-    // 10 GbE line rate — the paper's two sweep endpoints.
-    let rows: Vec<kernel::PacketPathReport> = [(64usize, 1_500_000.0), (1500, 800_000.0)]
-        .iter()
-        .map(|&(size, rate)| {
-            let r = kernel::packet_path(size, rate, run_secs);
-            println!(
-                "packet path {size:>5} B @ {:.2} Mpps: {} pkts, {} events, {:.1} ms \
-                 -> {:.2} M pkts/s, {:.2} M events/s",
-                r.offered_pps / 1e6,
-                r.sim_packets,
-                r.sim_events,
-                r.wall_ms,
-                r.sim_packets_per_sec / 1e6,
-                r.sim_events_per_sec / 1e6
-            );
-            r
-        })
-        .collect();
+    // 10 GbE line rate — the paper's two sweep endpoints. The vpos row
+    // offers the case study's top rate, so both bridges carry 300 kpps
+    // while the virtualized router saturates.
+    let rows: Vec<kernel::PacketPathReport> = [
+        (Platform::Pos, 64usize, 1_500_000.0),
+        (Platform::Pos, 1500, 800_000.0),
+        (Platform::Vpos, 64, 300_000.0),
+    ]
+    .iter()
+    .map(|&(platform, size, rate)| {
+        let r = kernel::packet_path(platform, size, rate, run_secs);
+        println!(
+            "packet path {:>4} {size:>5} B @ {:.2} Mpps: {} pkts, {} events, {:.1} ms \
+             -> {:.2} M pkts/s, {:.2} M events/s",
+            r.platform,
+            r.offered_pps / 1e6,
+            r.sim_packets,
+            r.sim_events,
+            r.wall_ms,
+            r.sim_packets_per_sec / 1e6,
+            r.sim_events_per_sec / 1e6
+        );
+        r
+    })
+    .collect();
 
     let ok = floor_ok("POS_KERNEL_FLOOR_EPS", churn.events_per_sec)
         & floor_ok("POS_KERNEL_FLOOR_PPS64", rows[0].sim_packets_per_sec)

@@ -1073,6 +1073,8 @@ pub mod kernel {
     /// One packet-path row: the case-study topology at a fixed size.
     #[derive(Debug, Clone, Serialize)]
     pub struct PacketPathReport {
+        /// Testbed platform (`pos` or `vpos`).
+        pub platform: &'static str,
         /// Frame wire size in bytes.
         pub pkt_size: usize,
         /// Offered rate in packets per second (virtual time).
@@ -1126,16 +1128,23 @@ pub mod kernel {
         }
     }
 
-    /// Runs the bare-metal case-study forwarding topology (MoonGen → Linux
-    /// router → back) for `run_secs` of virtual time and measures simulated
-    /// packets per wall second.
-    pub fn packet_path(pkt_size: usize, rate_pps: f64, run_secs: f64) -> PacketPathReport {
-        let mut s = ForwardingScenario::new(Platform::Pos, pkt_size, rate_pps);
+    /// Runs the case-study forwarding topology of `platform` (MoonGen →
+    /// Linux router → back; on vpos through two Linux bridges) for
+    /// `run_secs` of virtual time and measures simulated packets per wall
+    /// second.
+    pub fn packet_path(
+        platform: Platform,
+        pkt_size: usize,
+        rate_pps: f64,
+        run_secs: f64,
+    ) -> PacketPathReport {
+        let mut s = ForwardingScenario::new(platform, pkt_size, rate_pps);
         s.duration = SimDuration::from_secs_f64(run_secs);
         let start = Instant::now();
         let r = run_forwarding_experiment(&s);
         let wall = start.elapsed();
         PacketPathReport {
+            platform: platform.name(),
             pkt_size,
             offered_pps: rate_pps,
             sim_packets: r.report.tx_attempted,
@@ -1160,13 +1169,28 @@ pub mod kernel {
 
         #[test]
         fn packet_path_forwards_below_saturation() {
-            let r = packet_path(64, 200_000.0, 0.05);
+            let r = packet_path(Platform::Pos, 64, 200_000.0, 0.05);
             assert!(r.sim_packets >= 9_999, "got {}", r.sim_packets);
             assert_eq!(r.forwarded, r.sim_packets);
             // Inline delivery + burst pacing amortize the event queue far
             // below one event per packet on the clean-path topology.
             assert!(r.sim_events > 0);
             assert!(r.sim_events < r.sim_packets);
+        }
+
+        #[test]
+        fn vpos_packet_path_folds_the_bridges() {
+            let r = packet_path(Platform::Vpos, 64, 300_000.0, 0.05);
+            assert_eq!(r.platform, "vpos");
+            assert!(r.sim_packets >= 14_999, "got {}", r.sim_packets);
+            // Folded bridges leave about one queue event per packet: the
+            // FrameArrival at the eventful (preempted) vpos router.
+            assert!(
+                r.sim_events < r.sim_packets * 13 / 10,
+                "{} events for {} packets",
+                r.sim_events,
+                r.sim_packets
+            );
         }
     }
 }

@@ -108,7 +108,7 @@ impl ForwardingScenario {
 /// Everything a run produces: the generator's report plus DuT-side
 /// statistics (which a real experiment captures from the DuT's setup
 /// script output).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The MoonGen measurement report.
     pub report: MoonGenReport,
@@ -241,6 +241,17 @@ pub fn build(s: &ForwardingScenario) -> (NetSim, NodeId, NodeId) {
 /// Runs one measurement and returns the results.
 pub fn run_forwarding_experiment(s: &ForwardingScenario) -> ScenarioResult {
     let (mut sim, gen, dut) = build(s);
+    measure(s, &mut sim, gen, dut)
+}
+
+/// Runs a simulation built by [`build`] for the scenario's measurement and
+/// collects the results; the simulation stays available for inspection.
+pub fn measure(
+    s: &ForwardingScenario,
+    sim: &mut NetSim,
+    gen: NodeId,
+    dut: NodeId,
+) -> ScenarioResult {
     // Run for the measurement duration plus drain time for in-flight
     // packets (generous for the slow virtualized path).
     let drain = SimDuration::from_millis(200);

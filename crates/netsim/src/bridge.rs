@@ -7,8 +7,15 @@
 //! per-packet CPU cost. The cost is small compared to the virtualized
 //! router's, so — as the paper observes — the generator's rate remains
 //! stable in vpos while the DuT VM is the bottleneck.
+//!
+//! The bridge is a FIFO single server, so on all-cut-through ports it runs
+//! timeline-folded (see the `fold` module): learning, the forward/flood
+//! decision and the service draw happen at the arrival, and the outputs
+//! leave future-dated at the service completion — no per-packet events.
+//! With a faulty port it keeps the service-timer path.
 
 use crate::engine::{Element, SimCtx};
+use crate::fold::Fold;
 use pos_packet::builder::Frame;
 use pos_packet::ethernet::EthernetHeader;
 use pos_packet::MacAddr;
@@ -41,6 +48,8 @@ pub struct LinuxBridge {
     queue: VecDeque<(usize, Frame)>,
     queue_cap: usize,
     serving: bool,
+    /// The folded service timeline, used on all-cut-through ports.
+    fold: Fold,
     rng: SimRng,
     /// Observable statistics.
     pub stats: BridgeStats,
@@ -62,6 +71,7 @@ impl LinuxBridge {
             queue: VecDeque::new(),
             queue_cap: 1_000,
             serving: false,
+            fold: Fold::default(),
             rng,
             stats: BridgeStats::default(),
         }
@@ -72,6 +82,14 @@ impl LinuxBridge {
         self.fdb.len()
     }
 
+    /// Samples the service time of a frame of `len` bytes.
+    fn sample_service(&mut self, len: usize) -> SimDuration {
+        // ±10% uniform jitter on the service time.
+        let jitter = 0.9 + 0.2 * self.rng.uniform_f64();
+        let ns = (self.base.as_nanos() as f64 + self.per_byte_ns * len as f64) * jitter;
+        SimDuration::from_secs_f64(ns * 1e-9)
+    }
+
     fn begin_service(&mut self, ctx: &mut SimCtx<'_>) {
         if self.serving {
             return;
@@ -79,12 +97,9 @@ impl LinuxBridge {
         let Some((_, frame)) = self.queue.front() else {
             return;
         };
-        let len = frame.bytes().len() as f64;
-        // ±10% uniform jitter on the service time.
-        let jitter = 0.9 + 0.2 * self.rng.uniform_f64();
-        let ns = (self.base.as_nanos() as f64 + self.per_byte_ns * len) * jitter;
+        let service = self.sample_service(frame.bytes().len());
         self.serving = true;
-        ctx.set_timer(SimDuration::from_secs_f64(ns * 1e-9), TOKEN_SERVICE_DONE);
+        ctx.set_timer(service, TOKEN_SERVICE_DONE);
     }
 
     fn finish_service(&mut self, ctx: &mut SimCtx<'_>) {
@@ -92,7 +107,12 @@ impl LinuxBridge {
         let Some((in_port, frame)) = self.queue.pop_front() else {
             return;
         };
-        // Learn the source MAC.
+        self.switch(in_port, frame, ctx);
+        self.begin_service(ctx);
+    }
+
+    /// Learns the source MAC, then forwards, floods or hairpin-drops.
+    fn switch(&mut self, in_port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
         if let Ok((eth, _)) = EthernetHeader::parse(frame.bytes()) {
             self.fdb.insert(eth.src, in_port);
             match self.fdb.get(&eth.dst) {
@@ -101,7 +121,7 @@ impl LinuxBridge {
                         self.stats.hairpin_drops += 1;
                     } else {
                         self.stats.unicast_forwarded += 1;
-                        ctx.transmit(out, frame);
+                        self.fold.transmit(out, frame, ctx);
                     }
                 }
                 _ => {
@@ -110,24 +130,44 @@ impl LinuxBridge {
                     self.stats.flooded += 1;
                     for port in 0..ctx.port_count() {
                         if port != in_port {
-                            ctx.transmit(port, frame.clone());
+                            self.fold.transmit(port, frame.clone(), ctx);
                         }
                     }
                 }
             }
         }
-        self.begin_service(ctx);
     }
 }
 
 impl Element for LinuxBridge {
     fn on_frame(&mut self, port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
-        if self.queue.len() >= self.queue_cap {
+        if !self.fold.engaged(true, ctx) {
+            if self.queue.len() >= self.queue_cap {
+                self.stats.queue_drops += 1;
+                return;
+            }
+            self.queue.push_back((port, frame));
+            self.begin_service(ctx);
+            return;
+        }
+        // Folded path: FIFO service in arrival order means learning and
+        // the forwarding decision see the same table state here as at the
+        // service completion on the timer path.
+        if !self.fold.admit("LinuxBridge", self.queue_cap, ctx) {
             self.stats.queue_drops += 1;
             return;
         }
-        self.queue.push_back((port, frame));
-        self.begin_service(ctx);
+        let service = self.sample_service(frame.bytes().len());
+        self.fold.begin(ctx.now(), service);
+        self.switch(port, frame, ctx);
+        self.fold.end();
+    }
+
+    /// On all-cut-through ports the bridge runs folded: it consumes every
+    /// arrival into timestamp arithmetic and future-dated transmissions,
+    /// so it may receive ahead of global event order.
+    fn inline_rx(&self, _port: usize, all_ports_cut_through: bool) -> bool {
+        all_ports_cut_through
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
@@ -274,6 +314,37 @@ mod tests {
             (0.9..1.4).contains(&per_frame_us),
             "per-frame bridge cost {per_frame_us:.2} µs out of range"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "folded LinuxBridge `br0`: arrival at")]
+    fn folded_bridge_rejects_reordered_arrivals() {
+        // h1 queues two frames back to back, h2 one frame at the same
+        // instant: inline delivery hands the bridge h1's second frame
+        // before h2's earlier one, and the fold refuses to go backwards.
+        let mut sim = NetSim::new(5);
+        let h1 = sim.add_element(
+            "h1",
+            Box::new(Script {
+                frames: vec![frame(1, 2), frame(1, 2)],
+            }),
+            &[PortConfig::virtio()],
+        );
+        let h2 = sim.add_element(
+            "h2",
+            Box::new(Script {
+                frames: vec![frame(2, 1)],
+            }),
+            &[PortConfig::virtio()],
+        );
+        let br = sim.add_element(
+            "br0",
+            Box::new(LinuxBridge::new(SimRng::new(5).derive("br0"))),
+            &[PortConfig::virtio(), PortConfig::virtio()],
+        );
+        sim.connect((h1, 0), (br, 0), LinkConfig::memory_hop());
+        sim.connect((h2, 0), (br, 1), LinkConfig::memory_hop());
+        sim.run_to_idle();
     }
 
     #[test]

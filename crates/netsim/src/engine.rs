@@ -164,16 +164,25 @@ impl SimCtx<'_> {
     }
 
     /// Schedules [`Element::on_timer`] with `token` after `delay`
-    /// (relative to the element's view of the current instant).
+    /// (relative to the element's view of the current instant). The timer
+    /// counts as scheduled at that view, so a timer set from an inline
+    /// delivery ties with other events exactly as if it had been set by an
+    /// event at the delivery instant.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.vnow + delay;
-        self.shared.queue.schedule(
+        self.shared.queue.schedule_keyed(
             at,
+            self.vnow,
             Event::Timer {
                 node: self.node,
                 token,
             },
         );
+    }
+
+    /// The name this element was added under (for diagnostics).
+    pub fn name(&self) -> &str {
+        &self.shared.names[self.node]
     }
 
     /// Appends a line to the simulation trace. Below the active minimum
@@ -322,8 +331,12 @@ impl Shared {
                     at: done + propagation,
                 });
             } else {
-                self.queue.schedule(
+                // Keyed with the submission instant: a future-dated
+                // transmission ties at the receiver exactly as if it had
+                // been submitted by an event at `at`.
+                self.queue.schedule_keyed(
                     done + propagation,
+                    at,
                     Event::FrameArrival {
                         node: peer.0,
                         port: peer.1,
@@ -429,6 +442,8 @@ pub struct NetSim {
     elements: Vec<Option<Box<dyn Element>>>,
     shared: Shared,
     started: bool,
+    /// Set by [`Self::force_eventful`]: every link takes the eventful path.
+    eventful: bool,
     /// Reusable buffer for batch-draining one instant of the event queue.
     batch_buf: Vec<Event>,
     /// Scratch for inline deliveries due after the current run deadline;
@@ -452,6 +467,7 @@ impl NetSim {
                 trace: Trace::default(),
             },
             started: false,
+            eventful: false,
             batch_buf: Vec::new(),
             deferred_inline: std::collections::VecDeque::new(),
         }
@@ -495,7 +511,7 @@ impl NetSim {
             );
         }
         let idx = self.shared.links.len();
-        let cut_through = config.fault.is_none();
+        let cut_through = config.fault.is_none() && !self.eventful;
         self.shared.links.push(Link {
             a,
             b,
@@ -507,6 +523,37 @@ impl NetSim {
         });
         self.shared.ports[a.0][a.1].link = Some(idx);
         self.shared.ports[b.0][b.1].link = Some(idx);
+    }
+
+    /// Puts every link, wired or still to be wired, on the eventful path
+    /// (`TxComplete` and `FrameArrival` events), as if each carried a fault
+    /// injector that never fires. This one switch turns off every fast
+    /// path built on cut-through links: inline RX, timeline-folded
+    /// elements and burst sending. A correct fast path produces the same
+    /// simulation output either way, which makes the eventful run its
+    /// reference.
+    ///
+    /// # Panics
+    /// Panics once the simulation has started.
+    pub fn force_eventful(&mut self) {
+        assert!(
+            !self.started,
+            "force_eventful must be called before the simulation starts"
+        );
+        self.eventful = true;
+        for link in &mut self.shared.links {
+            link.cut_through = false;
+        }
+    }
+
+    /// Number of elements in the simulation.
+    pub fn node_count(&self) -> usize {
+        self.elements.len()
+    }
+
+    /// Number of ports of `node`.
+    pub fn port_count(&self, node: NodeId) -> usize {
+        self.shared.ports[node].len()
     }
 
     /// Current virtual time: the latest instant any callback has observed.

@@ -32,6 +32,7 @@ pub mod bridge;
 pub mod chaos;
 pub mod engine;
 pub mod fault;
+mod fold;
 pub mod netem;
 pub mod ping;
 pub mod port;

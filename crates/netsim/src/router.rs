@@ -24,13 +24,14 @@
 //! | virtualized | ≈ 0.04 Mpps | ≈ 0.04 Mpps | vCPU, packet-size independent |
 
 use crate::engine::{Element, SimCtx};
+use crate::fold::Fold;
 use pos_packet::arp::ArpPacket;
 use pos_packet::builder::Frame;
 use pos_packet::ethernet::{EtherType, EthernetHeader};
 use pos_packet::icmp::IcmpMessage;
 use pos_packet::ipv4::{Ipv4Header, Protocol};
 use pos_packet::MacAddr;
-use pos_simkernel::{SimDuration, SimRng, SimTime, TraceLevel};
+use pos_simkernel::{SimDuration, SimRng, TraceLevel};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -208,21 +209,9 @@ pub struct LinuxRouter {
     /// Set while preempted: a service completion that fired during the
     /// pause is deferred until the vCPU resumes.
     deferred_completion: bool,
-    /// Whether the service timeline is folded into arrival processing
-    /// (no per-packet service timer). Decided on the first frame: only
-    /// profiles without preemption, and only when every egress port
-    /// supports future-dated cut-through transmission. `None` until then.
-    folded: Option<bool>,
-    /// Folded mode: completion instants of packets accepted but not yet
-    /// fully serviced. Entries at or before the current instant are
-    /// drained lazily; the length is the ring occupancy for tail-drop.
-    completions: VecDeque<SimTime>,
-    /// Folded mode: completion instant of the most recently accepted
-    /// packet — the earliest time the next service can start.
-    last_completion: SimTime,
-    /// Folded mode: while processing a packet, the instant its outputs
-    /// must leave the router (its service completion).
-    tx_at: Option<SimTime>,
+    /// The folded service timeline (no per-packet service timer), used
+    /// only by profiles without preemption on all-cut-through ports.
+    fold: Fold,
     rng: SimRng,
     /// Observable statistics.
     pub stats: RouterStats,
@@ -241,10 +230,7 @@ impl LinuxRouter {
             serving: false,
             preempted: false,
             deferred_completion: false,
-            folded: None,
-            completions: VecDeque::new(),
-            last_completion: SimTime::ZERO,
-            tx_at: None,
+            fold: Fold::default(),
             rng,
             stats: RouterStats::default(),
         }
@@ -267,16 +253,6 @@ impl LinuxRouter {
     /// The active service profile.
     pub fn profile(&self) -> &ServiceProfile {
         &self.profile
-    }
-
-    /// Transmits a frame produced by the forwarding path. In folded mode
-    /// the frame leaves at the packet's service completion instant; in
-    /// timer mode the caller already runs at that instant.
-    fn emit(&self, port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
-        match self.tx_at {
-            Some(at) => ctx.transmit_at(port, frame, at),
-            None => ctx.transmit(port, frame),
-        };
     }
 
     fn lookup(&self, dst: Ipv4Addr) -> Option<RouteEntry> {
@@ -349,7 +325,7 @@ impl LinuxRouter {
         if out.len() < 60 {
             out.resize(60, 0); // Ethernet minimum frame padding
         }
-        self.emit(route.port, Frame::from_bytes(out), ctx);
+        self.fold.transmit(route.port, Frame::from_bytes(out), ctx);
     }
 
     /// Answers a who-has for one of the router's addresses with is-at.
@@ -379,7 +355,7 @@ impl LinuxRouter {
         .emit(&mut out);
         reply.emit(&mut out);
         out.resize(out.len().max(60), 0);
-        self.emit(in_port, Frame::from_bytes(out), ctx);
+        self.fold.transmit(in_port, Frame::from_bytes(out), ctx);
     }
 
     fn forward(&mut self, in_port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
@@ -461,7 +437,7 @@ impl LinuxRouter {
         bytes[csum_off..csum_off + 2].copy_from_slice(&csum.to_be_bytes());
 
         self.stats.forwarded += 1;
-        self.emit(route.port, frame, ctx);
+        self.fold.transmit(route.port, frame, ctx);
     }
 
     fn schedule_next_preemption(&mut self, ctx: &mut SimCtx<'_>) {
@@ -484,16 +460,7 @@ impl Element for LinuxRouter {
         // whole timeline is computable the moment a packet arrives —
         // no per-packet service timer needed, as long as every egress
         // port accepts future-dated (cut-through) transmissions.
-        let folded = match self.folded {
-            Some(f) => f,
-            None => {
-                let f = self.profile.preemption.is_none()
-                    && (0..ctx.port_count()).all(|p| ctx.future_tx_capable(p));
-                self.folded = Some(f);
-                f
-            }
-        };
-        if !folded {
+        if !self.fold.engaged(self.profile.preemption.is_none(), ctx) {
             if self.ring.len() >= self.profile.ring_size {
                 self.stats.ring_drops += 1;
                 return;
@@ -503,31 +470,18 @@ impl Element for LinuxRouter {
             return;
         }
 
-        // Folded path: drain completions that are in the past — those
-        // packets have left the ring — then tail-drop on occupancy,
-        // exactly like the eventful path does.
-        let now = ctx.now();
-        while self.completions.front().is_some_and(|&c| c <= now) {
-            self.completions.pop_front();
-        }
-        if self.completions.len() >= self.profile.ring_size {
+        // Folded path: tail-drop on ring occupancy exactly like the
+        // eventful path does, then forward at the service completion.
+        if !self.fold.admit("LinuxRouter", self.profile.ring_size, ctx) {
             self.stats.ring_drops += 1;
             return;
         }
         let service = self
             .profile
             .sample_service(frame.bytes().len(), &mut self.rng);
-        let start = if self.last_completion > now {
-            self.last_completion
-        } else {
-            now
-        };
-        let completion = start + service;
-        self.completions.push_back(completion);
-        self.last_completion = completion;
-        self.tx_at = Some(completion);
+        self.fold.begin(ctx.now(), service);
         self.forward(port, frame, ctx);
-        self.tx_at = None;
+        self.fold.end();
     }
 
     /// With no preemption process and an all-cut-through node, the router
@@ -847,6 +801,35 @@ mod tests {
         assert_eq!(stats.ttl_expired, 1);
         assert_eq!(stats.forwarded, 0);
         assert_eq!(sim.port_counters(sink, 0).rx_frames, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "folded LinuxRouter `dut`: arrival at")]
+    fn folded_router_rejects_reordered_arrivals() {
+        /// Queues `n` frames back to back at start.
+        struct Burst(usize);
+        impl Element for Burst {
+            fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
+                for _ in 0..self.0 {
+                    ctx.transmit(0, frame_spec().build_with_wire_size(64, &[]).unwrap());
+                }
+            }
+            fn on_frame(&mut self, _: usize, _: Frame, _: &mut SimCtx<'_>) {}
+        }
+        // Two frames on port 0 and one on port 1, all sent at zero: the
+        // inline deliveries reach the router as 0, 0, 1 while the arrival
+        // instants run t, 2t, t.
+        let mut sim = NetSim::new(1);
+        let a = sim.add_element("a", Box::new(Burst(2)), &[PortConfig::ten_gbe()]);
+        let b = sim.add_element("b", Box::new(Burst(1)), &[PortConfig::ten_gbe()]);
+        let dut = sim.add_element(
+            "dut",
+            Box::new(router(ServiceProfile::bare_metal(), 1)),
+            &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
+        );
+        sim.connect((a, 0), (dut, 0), LinkConfig::direct_cable());
+        sim.connect((b, 0), (dut, 1), LinkConfig::direct_cable());
+        sim.run_to_idle();
     }
 
     #[test]

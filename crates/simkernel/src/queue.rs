@@ -5,10 +5,19 @@
 //!
 //! 1. **Monotonicity** — events cannot be scheduled in the past; the clock
 //!    only moves forward.
-//! 2. **Deterministic tie-breaking** — events scheduled for the same instant
-//!    pop in insertion order (FIFO), independent of container internals.
-//!    Without this, equal-time events would be ordered arbitrarily and two
-//!    runs of the same experiment could diverge.
+//! 2. **Deterministic tie-breaking** — events for the same instant pop in
+//!    order of their *scheduling instant*, then insertion order (FIFO),
+//!    independent of container internals. Without this, equal-time events
+//!    would be ordered arbitrarily and two runs of the same experiment
+//!    could diverge.
+//!
+//! The scheduling instant is the virtual time at which the event was
+//! logically created: [`EventQueue::schedule`] stamps `now`, and
+//! [`EventQueue::schedule_keyed`] lets a caller that runs ahead of the
+//! clock (a future-dated transmission, an inline callback) stamp the
+//! instant it stands for. A purely clock-driven caller stamps a
+//! nondecreasing `now` alongside an increasing sequence number, so for it
+//! the order is exactly (time, insertion).
 //!
 //! # Structure
 //!
@@ -18,10 +27,10 @@
 //! the horizon wait in a binary-heap overflow level and are promoted when
 //! the cursor's window reaches them. Level-0 slots have 1 ns granularity,
 //! so every event in one L0 slot fires at the *same* instant — draining a
-//! slot and sorting it by insertion sequence number restores exact
-//! (time, seq) order even when cascades deliver entries out of insertion
-//! order. Schedule and pop are O(1) amortized: each event is touched at
-//! most once per level on its way down.
+//! slot and sorting it by (scheduling instant, sequence number) restores
+//! exact (time, sched, seq) order even when cascades deliver entries out
+//! of insertion order. Schedule and pop are O(1) amortized: each event is
+//! touched at most once per level on its way down.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -43,7 +52,10 @@ const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
-    /// Insertion sequence number; breaks ties between equal instants.
+    /// Virtual instant the event was scheduled at (nanoseconds); breaks
+    /// ties between equal firing instants.
+    sched: u64,
+    /// Insertion sequence number; breaks the remaining ties.
     seq: u64,
     /// The event payload.
     pub event: E,
@@ -51,7 +63,7 @@ pub struct ScheduledEvent<E> {
 
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.sched == other.sched && self.seq == other.seq
     }
 }
 impl<E> Eq for ScheduledEvent<E> {}
@@ -59,10 +71,11 @@ impl<E> Eq for ScheduledEvent<E> {}
 impl<E> Ord for ScheduledEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest event is on top,
-        // and the lowest sequence number among equal instants.
+        // and the lowest (sched, seq) among equal instants.
         other
             .at
             .cmp(&self.at)
+            .then_with(|| other.sched.cmp(&self.sched))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -84,9 +97,9 @@ pub struct EventQueue<E> {
     slots: Vec<Vec<ScheduledEvent<E>>>,
     /// Per-level occupancy bitmap: bit `s` set ⇔ slot `s` non-empty.
     occupied: [u64; LEVELS],
-    /// Events beyond the wheel horizon, ordered (at, seq).
+    /// Events beyond the wheel horizon, ordered (at, sched, seq).
     overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Drained earliest-instant events in exact (at, seq) order.
+    /// Drained earliest-instant events in exact (at, sched, seq) order.
     ready: VecDeque<ScheduledEvent<E>>,
     /// Wheel reference point; equals `now` between operations.
     cursor: SimTime,
@@ -151,9 +164,26 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than [`Self::now`]: an event cannot be
     /// scheduled in the past.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.schedule_keyed(at, self.now, event);
+    }
+
+    /// Schedules `event` to fire at `at` as if it had been scheduled at the
+    /// virtual instant `sched`: among events firing at the same instant it
+    /// pops after every event with an earlier scheduling instant and
+    /// before every event with a later one, whatever the insertion order.
+    ///
+    /// # Panics
+    /// Panics unless `now <= sched <= at`: an event cannot be scheduled in
+    /// the past, nor claim to be scheduled before the present.
+    pub fn schedule_keyed(&mut self, at: SimTime, sched: SimTime, event: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at} < now={}",
+            self.now
+        );
+        assert!(
+            sched >= self.now && sched <= at,
+            "scheduling instant {sched} outside [now={}, at={at}]",
             self.now
         );
         let seq = self.next_seq;
@@ -166,7 +196,12 @@ impl<E> EventQueue<E> {
         } else if self.len == 1 {
             self.next_at = Some(at);
         }
-        self.insert(ScheduledEvent { at, seq, event });
+        self.insert(ScheduledEvent {
+            at,
+            sched: sched.as_nanos(),
+            seq,
+            event,
+        });
     }
 
     /// Places an event into its wheel level relative to the cursor, or the
@@ -286,9 +321,9 @@ impl<E> EventQueue<E> {
             return;
         }
         let slot = self.cascade_to_l0();
-        // Sorting by seq restores exact FIFO order even for entries that
-        // cascaded in after later-scheduled direct inserts.
-        self.slots[slot].sort_unstable_by_key(|e| e.seq);
+        // Sorting by (sched, seq) restores exact order even for entries
+        // that cascaded in after later-scheduled direct inserts.
+        self.slots[slot].sort_unstable_by_key(|e| (e.sched, e.seq));
         debug_assert!(self.slots[slot].iter().all(|e| e.at == self.cursor));
         self.ready.extend(self.slots[slot].drain(..));
     }
@@ -324,11 +359,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains *all* events of the earliest pending instant into `buf`
-    /// (in exact FIFO order), provided that instant is at or before
+    /// (in exact (sched, seq) order), provided that instant is at or before
     /// `deadline`. Advances the clock to the drained instant and returns
     /// it. Events scheduled for the same instant while the caller processes
-    /// the batch are delivered by the next call, in seq order — identical
-    /// to popping one event at a time.
+    /// the batch are delivered by the next call (their scheduling instant
+    /// is the drained one, so they sort after the batch) — identical to
+    /// popping one event at a time.
     pub fn pop_instant_until(&mut self, deadline: SimTime, buf: &mut Vec<E>) -> Option<SimTime> {
         if self.ready.is_empty() {
             // Fast path: the whole instant lives in exactly one L0 slot
@@ -349,7 +385,7 @@ impl<E> EventQueue<E> {
             let slot = self.cascade_to_l0();
             debug_assert_eq!(self.cursor, t);
             let entries = &mut self.slots[slot];
-            entries.sort_unstable_by_key(|e| e.seq);
+            entries.sort_unstable_by_key(|e| (e.sched, e.seq));
             debug_assert!(entries.iter().all(|e| e.at == t));
             let n = entries.len();
             buf.extend(entries.drain(..).map(|e| e.event));
@@ -362,9 +398,12 @@ impl<E> EventQueue<E> {
         // Slow path: a partial per-event pop left the head of an instant in
         // `ready` while a later same-instant schedule may have landed in
         // the L0 slot, so keep refilling until nothing pending fires at
-        // `t`. Slot entries always carry higher seqs than `ready` leftovers
-        // (inserts while `ready` is non-empty never cascade), so the drain
-        // order stays FIFO.
+        // `t`. Slot entries always sort after `ready` leftovers: inserts
+        // while `ready` is non-empty never cascade, so a slot entry firing
+        // at `t` was scheduled while the clock already stood at `t`, and
+        // `schedule_keyed` pins its scheduling instant to `[now, at]` =
+        // `{t}`. Every leftover has sched <= t and a lower seq, so the
+        // drain order stays (sched, seq).
         let t = match self.next_time() {
             Some(t) if t <= deadline => t,
             _ => return None,
@@ -557,6 +596,25 @@ mod tests {
         buf.clear();
         assert_eq!(q.pop_instant_until(SimTime::MAX, &mut buf), Some(t));
         assert_eq!(buf, vec![3]);
+    }
+
+    #[test]
+    fn keyed_ties_pop_by_scheduling_instant() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule_keyed(t, SimTime::from_nanos(60), "late");
+        q.schedule_keyed(t, SimTime::from_nanos(20), "early");
+        q.schedule(t, "now"); // scheduling instant 0
+        q.schedule_keyed(t, SimTime::from_nanos(60), "late2");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["now", "early", "late", "late2"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [now")]
+    fn scheduling_instant_after_firing_instant_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_keyed(SimTime::from_nanos(5), SimTime::from_nanos(6), ());
     }
 
     proptest! {

@@ -26,6 +26,14 @@ cargo build --release --workspace
 echo "==> tests (workspace)"
 cargo test -q --workspace
 
+# The simulation's own contract: every netsim fast path (cut-through TX,
+# inline RX, the folded router and bridges, MoonGen bursting) must
+# reproduce the all-eventful reference run exactly on the pos and vpos
+# case studies. Like the crash matrix below, it is repeated by name so the
+# gate stays loud if someone filters tests.
+echo "==> fast-vs-eventful oracle (crates/loadgen/tests/fast_vs_eventful.rs)"
+cargo test -q -p pos-loadgen --test fast_vs_eventful
+
 # The crash matrix is the durability contract: kill the controller at every
 # journal record boundary (cleanly and with torn tails), resume, and demand a
 # byte-identical result tree. It runs as part of the workspace suite above;

@@ -21,6 +21,7 @@ use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec, ExecutionTarg
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0x5EED;
 
@@ -35,7 +36,11 @@ fn dag() -> DagSpec {
 }
 
 fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-dag-{name}-{}", std::process::id()));
+    // Unique per call: sibling tests run in parallel threads of one
+    // process, and several ask for the same name.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("pos-dag-{name}-{}-{n}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir

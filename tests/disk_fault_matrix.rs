@@ -22,11 +22,16 @@ use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0xD15C;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-diskfault-{name}-{}", std::process::id()));
+    // Unique per call: sibling tests run in parallel threads of one
+    // process, and several ask for the same name.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("pos-diskfault-{name}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
