@@ -183,7 +183,7 @@ pub mod chaos_campaign {
     pub struct ResumeOverhead {
         /// Complete journal records replayed.
         pub journal_records: usize,
-        /// `RunCompleted` records whose digests were re-verified.
+        /// Journaled runs (last completion per index) re-verified.
         pub runs_verified: usize,
         /// Wall-clock cost of the journal replay, microseconds.
         pub journal_replay_us: u64,
@@ -191,36 +191,25 @@ pub mod chaos_campaign {
         pub digest_verify_us: u64,
     }
 
-    /// Measures [`ResumeOverhead`] against a finished campaign tree.
+    /// Measures [`ResumeOverhead`] against a finished campaign tree,
+    /// timing the same journal fold and run verifier `pos resume` runs.
     pub fn measure_resume_overhead(result_dir: &std::path::Path) -> ResumeOverhead {
-        use pos_core::journal::{Journal, JournalRecord, JOURNAL_FILE};
-        use pos_core::resultstore::ResultStore;
+        use pos_core::recovery::CampaignJournals;
         use std::time::Instant;
 
         let t = Instant::now();
-        let replay = Journal::replay(&result_dir.join(JOURNAL_FILE)).expect("journal replays");
+        let mut journals = CampaignJournals::read(result_dir).expect("journals replay");
         let journal_replay_us = t.elapsed().as_micros() as u64;
 
         let t = Instant::now();
-        let mut runs_verified = 0;
-        for rec in &replay.records {
-            if let JournalRecord::RunCompleted { index, digest, .. } = rec {
-                let run_dir = result_dir.join(format!("run-{index:04}"));
-                let on_disk = ResultStore::run_digest(&run_dir).expect("manifest readable");
-                assert_eq!(&on_disk, digest, "run {index} digest must verify");
-                assert!(
-                    ResultStore::verify_run(&run_dir)
-                        .expect("manifest parses")
-                        .is_clean(),
-                    "run {index} artifacts must verify"
-                );
-                runs_verified += 1;
-            }
-        }
+        let journaled = journals.completed.len();
+        journals.retain_verified(result_dir);
+        let runs_verified = journals.completed.len();
         let digest_verify_us = t.elapsed().as_micros() as u64;
+        assert_eq!(runs_verified, journaled, "every journaled run must verify");
 
         ResumeOverhead {
-            journal_records: replay.records.len(),
+            journal_records: journals.journal.records.len(),
             runs_verified,
             journal_replay_us,
             digest_verify_us,
@@ -794,7 +783,7 @@ pub mod storage {
     use pos_core::commands::register_all;
     use pos_core::controller::{Controller, RunOptions};
     use pos_core::experiment::linux_router_experiment;
-    use pos_core::journal::{Journal, JOURNAL_FILE};
+    use pos_core::journal::JOURNAL_FILE;
     use pos_core::resultstore::MANIFEST_FILE;
     use pos_core::scrub::scrub;
     use pos_core::vfs::{DiskFault, FaultPlan, Vfs};
@@ -992,13 +981,9 @@ pub mod storage {
             }
             found.expect("faulted campaign left a journal")
         };
-        let replay =
-            Journal::replay(&result_dir.join(JOURNAL_FILE)).expect("checkpoint journal replays");
-        let runs_at_checkpoint = replay
-            .records
-            .iter()
-            .filter(|r| matches!(r, pos_core::journal::JournalRecord::RunCompleted { .. }))
-            .count();
+        let checkpoint = pos_core::recovery::CampaignJournals::read(&result_dir)
+            .expect("checkpoint journal replays");
+        let runs_at_checkpoint = checkpoint.completed.len();
 
         // Space is back: time what `pos resume` pays to finish.
         let t = Instant::now();
@@ -1018,7 +1003,7 @@ pub mod storage {
             journal_bytes_total,
             fault_after_bytes,
             runs_total: reference.runs.len(),
-            records_at_checkpoint: replay.records.len(),
+            records_at_checkpoint: checkpoint.journal.records.len(),
             runs_at_checkpoint,
             runs_after_resume: resumed.successes(),
             resume_us,

@@ -32,6 +32,7 @@
 use crate::experiment::{ExperimentSpec, SpecError};
 use crate::journal::{Journal, JournalError, JournalRecord, JOURNAL_FILE};
 use crate::loopvars::{cross_product_size, expand_cross_product, RunParams};
+use crate::recovery::CampaignJournals;
 use crate::resultstore::{run_metadata, ResultStore};
 use crate::script::Step;
 use crate::vars::Variables;
@@ -1070,16 +1071,17 @@ impl<'t> Controller<'t> {
             testbed: opts.testbed_flavor.clone(),
             started_ns: started.as_nanos(),
         })?;
-        self.execute_campaign(&spec, opts, store, journal, runs, ResumeState::default())
+        let fresh = CampaignJournals::default();
+        self.execute_campaign(&spec, opts, store, journal, runs, &fresh)
     }
 
     /// Resumes an interrupted campaign from its result tree.
     ///
-    /// The journal is replayed (a torn tail from a crash mid-append is
-    /// tolerated; corruption is not), the campaign's identity is checked
-    /// — same testbed flavor and seed, same spec digest, same
-    /// cross-product size —
-    /// and every journaled-complete run is verified on disk against its
+    /// The tree's journals are folded ([`CampaignJournals`]; a torn tail
+    /// from a crash mid-append is tolerated, corruption is not), the
+    /// campaign's identity is checked — same testbed flavor and seed,
+    /// same spec digest, same cross-product size — and every
+    /// journaled-complete run is verified on disk against its
     /// recorded digest. Verified runs are skipped; everything else
     /// (incomplete runs, runs whose artifacts fail verification) is wiped
     /// and re-executed.
@@ -1104,144 +1106,33 @@ impl<'t> Controller<'t> {
         self.tb.set_command_timeout(opts.command_timeout);
 
         let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
-        let journal_path = store.dir().join(JOURNAL_FILE);
-        let replay = Journal::replay(&journal_path).map_err(ControllerError::Journal)?;
-        let (seed, spec_digest, total_runs, testbed) = match replay.campaign_start() {
-            Some(JournalRecord::CampaignStarted {
-                seed,
-                spec_digest,
-                total_runs,
-                testbed,
-                ..
-            }) => (*seed, spec_digest.clone(), *total_runs, testbed.clone()),
-            _ => {
-                return Err(ControllerError::Resume {
-                    reason: "journal has no CampaignStarted record".into(),
-                })
-            }
-        };
-        if testbed != opts.testbed_flavor {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign ran on the `{testbed}` testbed, resume is using `{}`",
-                    opts.testbed_flavor
-                ),
-            });
-        }
-        if seed != self.tb.seed() {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign ran on testbed seed {seed:#x}, this testbed uses {:#x}",
-                    self.tb.seed()
-                ),
-            });
-        }
-        if spec_digest != spec.digest() {
-            return Err(ControllerError::Resume {
-                reason: "experiment spec changed since the campaign started \
-                         (digest mismatch)"
-                    .into(),
-            });
-        }
-        if total_runs != runs.len() {
-            return Err(ControllerError::Resume {
-                reason: format!(
-                    "campaign planned {total_runs} runs, spec now expands to {}",
-                    runs.len()
-                ),
-            });
-        }
-        if replay.torn_tail {
+        let mut journals = CampaignJournals::read_for_resume(store.dir())?;
+        journals.identity()?.check(
+            &opts.testbed_flavor,
+            self.tb.seed(),
+            &spec.digest(),
+            runs.len(),
+        )?;
+        if journals.journal.torn_tail {
             self.log_now(
                 TraceLevel::Debug,
                 "controller",
                 format!(
                     "resume: journal has a torn tail ({} bytes), discarded",
-                    replay.torn_bytes
+                    journals.journal.torn_bytes
                 ),
             );
         }
+        journals.retain_verified(store.dir());
 
-        // Last RunCompleted record wins per index (a run re-executed by an
-        // earlier resume appends a fresh record).
-        let mut last_completed: BTreeMap<usize, usize> = BTreeMap::new();
-        for (pos, rec) in replay.records.iter().enumerate() {
-            if let JournalRecord::RunCompleted { index, .. } = rec {
-                last_completed.insert(*index, pos);
-            }
-        }
-        let last_completed_pos = last_completed.values().copied().max();
-
-        let mut state = ResumeState::default();
-        for (&index, &pos) in &last_completed {
-            let JournalRecord::RunCompleted {
-                success,
-                attempts,
-                recoveries,
-                recovery_time_ns,
-                finished_ns,
-                rng_cursor,
-                digest,
-                fault_trace,
-                ..
-            } = &replay.records[pos]
-            else {
-                unreachable!("positions index RunCompleted records");
-            };
-            // Two-level verification: journaled digest → manifest bytes →
-            // per-file hashes. Anything off demotes the run to incomplete
-            // and it is re-executed from scratch.
-            let run_dir = store.dir().join(format!("run-{index:04}"));
-            let digest_ok = ResultStore::run_digest(&run_dir)
-                .map(|d| &d == digest)
-                .unwrap_or(false);
-            let files_ok = digest_ok
-                && ResultStore::verify_run(&run_dir)
-                    .map(|v| v.is_clean())
-                    .unwrap_or(false);
-            if files_ok {
-                state.completed.insert(
-                    index,
-                    CompletedRun {
-                        success: *success,
-                        attempts: *attempts,
-                        recoveries: *recoveries,
-                        recovery_time_ns: *recovery_time_ns,
-                        finished_ns: *finished_ns,
-                        rng_cursor: *rng_cursor,
-                        fault_trace: fault_trace.clone(),
-                    },
-                );
-            } else {
-                self.log_now(
-                    TraceLevel::Debug,
-                    "controller",
-                    format!("resume: run {index} failed verification, re-executing"),
-                );
-            }
-        }
-
-        // Quarantines recorded before the last durable run are part of
-        // history the skipped runs already depend on; later ones belong
-        // to the trailing incomplete run and are re-derived by
-        // re-executing it.
-        if let Some(limit) = last_completed_pos {
-            for rec in &replay.records[..limit] {
-                if let JournalRecord::HostQuarantined { host, .. } = rec {
-                    if !state.quarantined.contains(host) {
-                        state.quarantined.push(host.clone());
-                    }
-                }
-            }
-        }
-
-        let mut journal = Journal::open_append_with(&journal_path, opts.vfs.clone())?;
+        let mut journal =
+            Journal::open_append_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
         journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
         journal.append(&JournalRecord::CampaignResumed {
             resumed_ns: self.tb.now().as_nanos(),
-            verified_runs: state.completed.len(),
+            verified_runs: journals.completed.len(),
         })?;
-        self.execute_campaign(&spec, opts, store, journal, runs, state)
+        self.execute_campaign(&spec, opts, store, journal, runs, &journals)
     }
 
     /// The §4.4 setup phase alone: calendar allocation, publishable
@@ -1372,7 +1263,9 @@ impl<'t> Controller<'t> {
     }
 
     /// The shared campaign body: setup phase, measurement loop (skipping
-    /// resume-verified runs), wrap-up. `resume` is empty for a fresh run.
+    /// resume-verified runs), wrap-up. `resume` is a resumed campaign's
+    /// fold after [`CampaignJournals::retain_verified`]; empty for a
+    /// fresh run.
     fn execute_campaign(
         &mut self,
         spec: &ExperimentSpec,
@@ -1380,7 +1273,7 @@ impl<'t> Controller<'t> {
         store: ResultStore,
         mut journal: Journal,
         runs: Vec<RunParams>,
-        resume: ResumeState,
+        resume: &CampaignJournals,
     ) -> Result<ExperimentOutcome, ControllerError> {
         // -------------------------------------------------- setup phase
         let setup = self.setup_campaign(spec, opts, Some(&store), runs.len())?;
@@ -1400,7 +1293,7 @@ impl<'t> Controller<'t> {
         // the skipped runs executed under; restore them silently (no Info
         // log — the uninterrupted session logged the transition at fault
         // time, and resumed controller.log must stay byte-stable).
-        for host in &resume.quarantined {
+        for host in &resume.quarantined_hosts {
             self.health.insert(host.clone(), HostHealth::Quarantined);
             self.log_now(
                 TraceLevel::Debug,
@@ -1845,28 +1738,6 @@ pub struct RunStep {
     pub finished: SimTime,
     /// The sealed run's digest, as journaled in `RunCompleted`.
     pub digest: String,
-}
-
-/// What a resume session learned from the journal: runs it may skip and
-/// host state it must restore. Empty for a fresh campaign.
-#[derive(Debug, Default)]
-struct ResumeState {
-    /// Verified-complete runs by index.
-    completed: BTreeMap<usize, CompletedRun>,
-    /// Hosts quarantined before the last durable run, in journal order.
-    quarantined: Vec<String>,
-}
-
-/// The journaled post-state of one verified-complete run.
-#[derive(Debug)]
-struct CompletedRun {
-    success: bool,
-    attempts: u32,
-    recoveries: u32,
-    recovery_time_ns: u64,
-    finished_ns: u64,
-    rng_cursor: u64,
-    fault_trace: Vec<String>,
 }
 
 /// Internal: a script step failed.

@@ -14,9 +14,10 @@
 //! journal claims durable — bit rot or tampering).
 
 use crate::journal::{
-    campaign_disk_state, lane_journal_file, CampaignDiskState, Journal, JournalError,
-    JournalRecord, JOURNAL_FILE, LEDGER_FILE,
+    campaign_disk_state, CampaignDiskState, Journal, JournalError, JournalRecord, JOURNAL_FILE,
+    LEDGER_FILE,
 };
+use crate::recovery::{is_not_found, verify_run, CampaignJournals};
 use crate::resultstore::{tree_digest, ResultStore, RunVerification};
 use std::collections::BTreeMap;
 use std::io;
@@ -65,28 +66,9 @@ pub struct RunFsck {
 pub struct FsckReport {
     /// The checked tree.
     pub result_dir: PathBuf,
-    /// Complete journal records replayed (scheduler-level `journal.log`).
-    pub journal_records: usize,
-    /// Per-lane journals found (`journal-lane*.log`); 0 for a sequential
-    /// tree.
-    pub lane_journals: usize,
-    /// Complete records replayed across all per-lane journals.
-    pub lane_records: usize,
-    /// True when any journal (scheduler-level or per-lane) ends in a
-    /// torn (partially written) record.
-    pub torn_tail: bool,
-    /// True when a `CampaignFinished` record is present.
-    pub campaign_finished: bool,
-    /// Runs the expanded campaign planned, per the journal.
-    pub planned_runs: Option<usize>,
-    /// Lanes a supervisor retired, as `(lane, reason)` in journal order.
-    pub retired_lanes: Vec<(usize, String)>,
-    /// Replacement lanes the supervisor replanned (`LaneReplanned`).
-    pub replanned_lanes: usize,
-    /// Retry-ladder steps journaled (`RunRetry`).
-    pub run_retries: usize,
-    /// Runs quarantined as poison (`RunQuarantined`), in index order.
-    pub quarantined_runs: Vec<usize>,
+    /// The tree's folded journals; `None` when `journal.log` itself
+    /// cannot be replayed (the reason is in [`Self::errors`]).
+    pub journals: Option<CampaignJournals>,
     /// Per-run findings, in index order.
     pub runs: Vec<RunFsck>,
     /// Tree-level problems (unreadable journal, no start record, ...).
@@ -97,8 +79,10 @@ impl FsckReport {
     /// True when the tree is complete and every artifact verifies.
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty()
-            && !self.torn_tail
-            && self.campaign_finished
+            && self
+                .journals
+                .as_ref()
+                .is_some_and(|j| !j.torn_tail && j.journal.finished())
             && self.runs.iter().all(|r| !r.status.is_problem())
     }
 
@@ -115,43 +99,48 @@ impl FsckReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("fsck {}\n", self.result_dir.display()));
+        let (records, torn, finished) = self.journals.as_ref().map_or((0, false, false), |j| {
+            (j.journal.records.len(), j.torn_tail, j.journal.finished())
+        });
         out.push_str(&format!(
-            "journal: {} records{}{}\n",
-            self.journal_records,
-            if self.torn_tail { ", torn tail" } else { "" },
-            if self.campaign_finished {
+            "journal: {records} records{}{}\n",
+            if torn { ", torn tail" } else { "" },
+            if finished {
                 ", campaign finished"
             } else {
                 ", campaign INCOMPLETE"
             },
         ));
-        if self.lane_journals > 0 {
-            out.push_str(&format!(
-                "lanes: {} lane journals, {} records\n",
-                self.lane_journals, self.lane_records,
-            ));
-        }
-        if !self.retired_lanes.is_empty() || self.replanned_lanes > 0 || self.run_retries > 0 {
-            out.push_str(&format!(
-                "failover: {} lane(s) retired, {} replacement lane(s), {} run retry step(s)\n",
-                self.retired_lanes.len(),
-                self.replanned_lanes,
-                self.run_retries,
-            ));
-            for (lane, reason) in &self.retired_lanes {
-                out.push_str(&format!("  lane {lane} retired: {reason}\n"));
+        if let Some(j) = &self.journals {
+            if j.lane_journals > 0 {
+                out.push_str(&format!(
+                    "lanes: {} lane journals, {} records\n",
+                    j.lane_journals, j.lane_records,
+                ));
             }
-        }
-        if !self.quarantined_runs.is_empty() {
-            out.push_str(&format!("quarantined runs: {:?}\n", self.quarantined_runs));
-        }
-        if let Some(planned) = self.planned_runs {
-            let verified = self
-                .runs
-                .iter()
-                .filter(|r| r.status == RunStatus::Verified)
-                .count();
-            out.push_str(&format!("runs: {verified}/{planned} verified\n"));
+            let f = &j.failover;
+            if !f.retired.is_empty() || !f.replanned.is_empty() || f.retries > 0 {
+                out.push_str(&format!(
+                    "failover: {} lane(s) retired, {} replacement lane(s), {} run retry step(s)\n",
+                    f.retired.len(),
+                    f.replanned.len(),
+                    f.retries,
+                ));
+                for r in &f.retired {
+                    out.push_str(&format!("  lane {} retired: {}\n", r.lane, r.reason));
+                }
+            }
+            if !f.quarantined_runs.is_empty() {
+                out.push_str(&format!("quarantined runs: {:?}\n", f.quarantined_runs));
+            }
+            if let Some(id) = &j.identity {
+                let verified = self
+                    .runs
+                    .iter()
+                    .filter(|r| r.status == RunStatus::Verified)
+                    .count();
+                out.push_str(&format!("runs: {verified}/{} verified\n", id.total_runs));
+            }
         }
         for e in &self.errors {
             out.push_str(&format!("error: {e}\n"));
@@ -208,146 +197,55 @@ impl FsckReport {
     }
 }
 
-/// Checks a result tree: replays its journal, verifies every journaled
+/// Checks a result tree: folds its journals, verifies every journaled
 /// run against its digest and manifest, and reports run directories the
-/// journal does not account for.
+/// journals do not account for.
 pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
-    let store = ResultStore::open(result_dir);
-    let mut report = FsckReport {
-        result_dir: result_dir.to_path_buf(),
-        journal_records: 0,
-        lane_journals: 0,
-        lane_records: 0,
-        torn_tail: false,
-        campaign_finished: false,
-        planned_runs: None,
-        retired_lanes: Vec::new(),
-        replanned_lanes: 0,
-        run_retries: 0,
-        quarantined_runs: Vec::new(),
-        runs: Vec::new(),
-        errors: Vec::new(),
-    };
-
-    let journal_path = result_dir.join(JOURNAL_FILE);
-    let replay = match Journal::replay(&journal_path) {
-        Ok(r) => Some(r),
+    let mut errors = Vec::new();
+    let journals = match CampaignJournals::read(result_dir) {
+        Ok(journals) => Some(journals),
         Err(JournalError::Io(e)) => {
-            report.errors.push(format!("journal unreadable: {e}"));
+            errors.push(format!("journal unreadable: {e}"));
             None
         }
-        Err(e @ JournalError::Corrupt { .. }) => {
-            report.errors.push(e.to_string());
+        Err(e) => {
+            errors.push(e.to_string());
             None
         }
     };
-
-    // Journaled completion per run index, last record wins.
-    let mut completed: BTreeMap<usize, String> = BTreeMap::new();
-    let mut lane_plan: Option<usize> = None;
-    // Runs a retired lane was holding when it died — the journal must
-    // later account for each (reassigned completion or quarantine).
-    let mut held_by_dead_lane: Vec<(usize, usize)> = Vec::new();
-    if let Some(replay) = &replay {
-        report.journal_records = replay.records.len();
-        report.torn_tail = replay.torn_tail;
-        report.campaign_finished = replay.finished();
-        match replay.campaign_start() {
-            Some(JournalRecord::CampaignStarted { total_runs, .. }) => {
-                report.planned_runs = Some(*total_runs);
-            }
-            _ => report
-                .errors
-                .push("journal has no CampaignStarted record".into()),
+    let no_runs = BTreeMap::new();
+    let completed = journals.as_ref().map_or(&no_runs, |j| &j.completed);
+    if let Some(j) = &journals {
+        if j.identity.is_none() {
+            errors.push("journal has no CampaignStarted record".into());
         }
-        for rec in &replay.records {
-            match rec {
-                JournalRecord::RunCompleted { index, digest, .. } => {
-                    completed.insert(*index, digest.clone());
+        for (lane, e) in &j.lane_errors {
+            errors.push(match e {
+                JournalError::Io(io) if is_not_found(e) => {
+                    format!("lane {lane}: journal missing ({io})")
                 }
-                JournalRecord::LanePlan { lanes, .. } => {
-                    lane_plan = Some(*lanes);
-                }
-                JournalRecord::LaneRetired {
-                    lane, reason, run, ..
-                } => {
-                    report.retired_lanes.push((*lane, reason.clone()));
-                    if let Some(index) = run {
-                        held_by_dead_lane.push((*lane, *index));
-                    }
-                }
-                JournalRecord::LaneReplanned { .. } => {
-                    report.replanned_lanes += 1;
-                }
-                JournalRecord::RunRetry { .. } => {
-                    report.run_retries += 1;
-                }
-                JournalRecord::RunQuarantined { index, .. }
-                    if !report.quarantined_runs.contains(index) =>
-                {
-                    report.quarantined_runs.push(*index);
-                }
-                _ => {}
-            }
+                e => format!("lane {lane}: {e}"),
+            });
         }
-        report.quarantined_runs.sort_unstable();
-    }
-
-    // A LanePlan record marks a parallel tree: every worker lane kept its
-    // own journal (`journal-lane{k}.log`), and a run's completion lives in
-    // whichever lane executed it. Replacement lanes replanned after a
-    // retirement (`LaneReplanned`) keep journals beyond the original
-    // plan. Merge them all; a run is accounted for if *any* lane
-    // journaled it complete. Torn lane tails are ordinary crash
-    // artifacts, like a torn scheduler journal.
-    if let Some(lanes) = lane_plan {
-        let total_lanes = lanes + report.replanned_lanes;
-        for lane in 0..total_lanes {
-            let lane_path = result_dir.join(lane_journal_file(lane));
-            match Journal::replay(&lane_path) {
-                Ok(lane_replay) => {
-                    report.lane_journals += 1;
-                    report.lane_records += lane_replay.records.len();
-                    report.torn_tail |= lane_replay.torn_tail;
-                    for rec in &lane_replay.records {
-                        if let JournalRecord::RunCompleted { index, digest, .. } = rec {
-                            completed.insert(*index, digest.clone());
-                        }
-                    }
-                }
-                Err(JournalError::Io(e))
-                    if e.kind() == io::ErrorKind::NotFound && lane >= lanes =>
-                {
-                    // A replanned lane the crash beat to its journal:
-                    // an ordinary crash artifact, resume recreates it.
-                }
-                Err(JournalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-                    report
-                        .errors
-                        .push(format!("lane {lane}: journal missing ({e})"));
-                }
-                Err(e) => {
-                    report.errors.push(format!("lane {lane}: {e}"));
-                }
+        // Failover integrity: a lane retired while holding a run obliges
+        // the journals to account for that run — a completion (reassigned
+        // to a surviving or replacement lane) or a poison quarantine. A
+        // stranded run means the failover was interrupted; resume
+        // finishes it.
+        for r in &j.failover.retired {
+            let Some(index) = r.run else { continue };
+            if !completed.contains_key(&index) && !j.failover.quarantined_runs.contains(&index) {
+                errors.push(format!(
+                    "lane {} retired holding run {index:04}: run neither reassigned nor \
+                     quarantined (stranded); run `pos resume` to repair",
+                    r.lane
+                ));
             }
-        }
-    }
-
-    // Failover integrity: a lane retired while holding a run obliges the
-    // journal to account for that run — a completion (reassigned to a
-    // surviving or replacement lane) or a poison quarantine. A stranded
-    // run means the failover was interrupted; resume finishes it.
-    for (lane, index) in &held_by_dead_lane {
-        if !completed.contains_key(index) && !report.quarantined_runs.contains(index) {
-            report.errors.push(format!(
-                "lane {lane} retired holding run {index:04}: run neither reassigned nor \
-                 quarantined (stranded); run `pos resume` to repair"
-            ));
         }
     }
 
     // Run directories actually on disk.
-    let on_disk: BTreeMap<usize, PathBuf> = store
+    let on_disk: BTreeMap<usize, PathBuf> = ResultStore::open(result_dir)
         .list_runs()?
         .into_iter()
         .filter_map(|dir| {
@@ -367,48 +265,36 @@ pub fn fsck(result_dir: &Path) -> io::Result<FsckReport> {
     }
     indices.sort_unstable();
 
+    let mut runs = Vec::new();
     for index in indices {
         let status = match (completed.get(&index), on_disk.get(&index)) {
-            (Some(journaled), Some(dir)) => {
-                let disk_digest = ResultStore::run_digest(dir).ok();
-                if disk_digest.as_ref() != Some(journaled) {
-                    RunStatus::DigestMismatch {
-                        journaled: journaled.clone(),
-                        on_disk: disk_digest,
-                    }
-                } else {
-                    match ResultStore::verify_run(dir) {
-                        Ok(v) if v.is_clean() => RunStatus::Verified,
-                        Ok(v) => RunStatus::Damaged(v),
-                        Err(e) => RunStatus::DigestMismatch {
-                            journaled: journaled.clone(),
-                            on_disk: Some(format!("unreadable: {e}")),
-                        },
-                    }
-                }
-            }
+            (Some(run), Some(dir)) => verify_run(dir, &run.digest),
             (Some(_), None) => RunStatus::Missing,
-            (None, Some(_)) => RunStatus::Incomplete,
-            (None, None) => unreachable!("index came from one of the maps"),
+            (None, _) => RunStatus::Incomplete,
         };
-        report.runs.push(RunFsck { index, status });
+        runs.push(RunFsck { index, status });
     }
 
     // Planned runs the tree has no trace of at all also count as
     // incomplete when the campaign claims to be finished.
-    if let (Some(planned), true) = (report.planned_runs, report.campaign_finished) {
-        for index in 0..planned {
+    if let Some(j) = journals.as_ref().filter(|j| j.journal.finished()) {
+        for index in 0..j.identity.as_ref().map_or(0, |id| id.total_runs) {
             if !completed.contains_key(&index) && !on_disk.contains_key(&index) {
-                report.runs.push(RunFsck {
+                runs.push(RunFsck {
                     index,
                     status: RunStatus::Incomplete,
                 });
             }
         }
-        report.runs.sort_by_key(|r| r.index);
+        runs.sort_by_key(|r| r.index);
     }
 
-    Ok(report)
+    Ok(FsckReport {
+        result_dir: result_dir.to_path_buf(),
+        journals,
+        runs,
+        errors,
+    })
 }
 
 /// One submission's fate according to the queue ledger.

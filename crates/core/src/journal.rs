@@ -19,11 +19,11 @@
 //!   checksum (bit rot, manual editing). This is never produced by a
 //!   crash and replay refuses the journal.
 //!
-//! [`crate::controller::Controller::resume_experiment`] replays the
-//! journal to skip verified-complete runs; [`crate::fsck`] replays it to
-//! audit a result tree offline.
+//! [`crate::recovery::CampaignJournals`] is the one reader that folds a
+//! campaign tree's journals for resume, fsck and the disk-state check.
 
 use crate::hash::sha256_hex;
+use crate::recovery::CampaignJournals;
 use crate::vfs::Vfs;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -410,7 +410,7 @@ impl From<io::Error> for JournalError {
 }
 
 /// Result of replaying a journal file.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Replay {
     /// All complete, validated records in append order.
     pub records: Vec<JournalRecord>,
@@ -692,11 +692,11 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<FrameStep, JournalErr
     Ok(FrameStep::Record { record, frame_len })
 }
 
-/// Disk-level lifecycle state of a campaign result tree, judged purely
-/// from its scheduler-level journal. The replay entry point `pos serve`
-/// restart recovery and the queue-ledger fsck share: both need to decide,
-/// for a tree found on disk, whether the campaign it belongs to finished,
-/// is resumable, or never got far enough to matter.
+/// Disk-level lifecycle state of a campaign result tree, judged from its
+/// journals. The replay entry point `pos serve` restart recovery and the
+/// queue-ledger fsck share: both need to decide, for a tree found on
+/// disk, whether the campaign it belongs to finished, is resumable, or
+/// never got far enough to matter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignDiskState {
     /// The directory has no journal at all (or an empty one) — the
@@ -708,7 +708,8 @@ pub enum CampaignDiskState {
     /// campaign is in flight or was interrupted, and `resume_experiment`
     /// / `resume_parallel` can complete it.
     InProgress {
-        /// Runs with a durable `RunCompleted` record so far.
+        /// Distinct runs with a durable `RunCompleted` record so far, in
+        /// any of the tree's journals (DAG trees: finished stage nodes).
         runs_completed: usize,
         /// Total runs the campaign planned, when known.
         total_runs: Option<usize>,
@@ -725,23 +726,23 @@ pub enum CampaignDiskState {
     Unreadable(String),
 }
 
-/// Classifies the campaign result tree at `dir` by replaying its
-/// scheduler-level journal (see [`CampaignDiskState`]).
+/// Classifies the campaign result tree at `dir` from its folded journals
+/// (see [`CampaignDiskState`] and [`CampaignJournals`]).
 pub fn campaign_disk_state(dir: &Path) -> CampaignDiskState {
-    let path = dir.join(JOURNAL_FILE);
-    if !path.exists() {
+    if !dir.join(JOURNAL_FILE).exists() {
         return CampaignDiskState::NoJournal;
     }
-    let replay = match Journal::replay(&path) {
-        Ok(r) => r,
+    let fold = match CampaignJournals::read(dir) {
+        Ok(fold) => fold,
         Err(e) => return CampaignDiskState::Unreadable(e.to_string()),
     };
-    if replay.records.is_empty() {
+    let records = &fold.journal.records;
+    if records.is_empty() {
         // A crash on the very first append leaves the created-but-empty
         // file (possibly with a torn partial frame): nothing durable.
         return CampaignDiskState::NoJournal;
     }
-    for record in &replay.records {
+    for record in records {
         if let JournalRecord::CampaignFinished {
             succeeded, failed, ..
         } = record
@@ -766,73 +767,20 @@ pub fn campaign_disk_state(dir: &Path) -> CampaignDiskState {
             };
         }
     }
-    let total_runs = replay.records.iter().find_map(|r| match r {
-        JournalRecord::CampaignStarted { total_runs, .. } => Some(*total_runs),
-        JournalRecord::DagStarted { nodes, .. } => Some(*nodes),
-        _ => None,
-    });
-    let runs_completed = replay
-        .records
-        .iter()
-        .filter(|r| {
-            matches!(
-                r,
-                JournalRecord::RunCompleted { .. } | JournalRecord::NodeFinished { .. }
-            )
-        })
-        .count();
-    CampaignDiskState::InProgress {
-        runs_completed,
-        total_runs,
-    }
-}
-
-/// Everything needed to bring up one worker lane's journal.
-///
-/// Shared by the three places that used to hand-roll the same
-/// create-or-reopen + crash-arming + `LaneStarted` boilerplate: the
-/// parallel scheduler's initial lane bring-up, its resume path, and the
-/// supervisor's replacement-lane replanning.
-#[derive(Debug, Clone)]
-pub struct LaneJournalSpec {
-    /// Zero-based lane index.
-    pub lane: usize,
-    /// Campaign root seed (lanes are same-seed replicas).
-    pub seed: u64,
-    /// Testbed flavor the lane runs on.
-    pub flavor: String,
-    /// Virtual time the lane became ready, nanoseconds.
-    pub started_ns: u64,
-    /// Deterministic crash injection: fail the `crash_after`-th append.
-    pub crash_after: Option<u64>,
-    /// Whether the injected crash tears the frame.
-    pub torn_write: bool,
-}
-
-/// Opens lane `spec.lane`'s journal in `dir` for appending, creating it
-/// (and writing its `LaneStarted` header record) when absent. Crash
-/// injection is armed *before* the header append so an armed lane can
-/// crash on its very first record, same as the hand-rolled code did.
-pub fn open_or_create_lane_journal(
-    vfs: &Vfs,
-    dir: &Path,
-    spec: &LaneJournalSpec,
-) -> io::Result<Journal> {
-    let path = dir.join(lane_journal_file(spec.lane));
-    if path.exists() {
-        let mut journal = Journal::open_append_with(&path, vfs.clone())?;
-        journal.arm_crash(spec.crash_after, spec.torn_write);
-        Ok(journal)
-    } else {
-        let mut journal = Journal::create_with(&path, vfs.clone())?;
-        journal.arm_crash(spec.crash_after, spec.torn_write);
-        journal.append(&JournalRecord::LaneStarted {
-            lane: spec.lane,
-            seed: spec.seed,
-            flavor: spec.flavor.clone(),
-            started_ns: spec.started_ns,
-        })?;
-        Ok(journal)
+    match fold.journal.dag_start() {
+        Some(JournalRecord::DagStarted { nodes, .. }) => CampaignDiskState::InProgress {
+            runs_completed: records
+                .iter()
+                .filter(|r| matches!(r, JournalRecord::NodeFinished { .. }))
+                .count(),
+            total_runs: Some(*nodes),
+        },
+        // Distinct runs completed across every journal of the tree — on a
+        // parallel tree most completions live in the lane journals.
+        _ => CampaignDiskState::InProgress {
+            runs_completed: fold.completed.len(),
+            total_runs: fold.identity.map(|id| id.total_runs),
+        },
     }
 }
 

@@ -27,6 +27,8 @@
 //! * [`hash`] — SHA-256, fingerprinting every artifact the store writes.
 //! * [`journal`] — the append-only campaign journal (write-ahead log)
 //!   that makes interrupted campaigns resumable.
+//! * [`recovery`] — the one reader of a campaign tree's journals (fold,
+//!   identity guard, run verifier) that resume and fsck build on.
 //! * [`fsck`] — offline integrity checking of a result tree against its
 //!   journal and per-run checksum manifests.
 //! * [`vfs`] — the durable-I/O layer all of the above write through,
@@ -44,6 +46,7 @@ pub mod fsck;
 pub mod hash;
 pub mod journal;
 pub mod loopvars;
+pub mod recovery;
 pub mod requirements;
 pub mod resultstore;
 pub mod script;

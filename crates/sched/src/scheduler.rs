@@ -42,25 +42,24 @@
 //! `RunRetry`, `RunQuarantined`, `LaneReplanned`), and
 //! `CampaignFinished`. Each lane appends `RunStarted` / `RunCompleted`
 //! records to its own `journal-lane{k}.log`. All journals are write-ahead
-//! and individually crash-consistent; [`resume_parallel`] replays all of
-//! them — failover records included, so a resume lands mid-failover with
-//! the same retired lanes, ladder positions, and replacement lanes —
-//! re-verifies every journaled run against its digest, and re-executes
-//! only what fails, at the same canonical starts. The repaired tree is
-//! byte-identical to an uninterrupted execution (journals excepted: they
-//! *are* the record of the interruption).
+//! and individually crash-consistent; [`resume_parallel`] folds all of
+//! them through `pos_core::recovery` — failover records included, so a
+//! resume lands mid-failover with the same retired lanes, ladder
+//! positions, and replacement lanes — re-verifies every journaled run
+//! against its digest, and re-executes only what fails, at the same
+//! canonical starts. The repaired tree is byte-identical to an
+//! uninterrupted execution (journals excepted: they *are* the record of
+//! the interruption).
 
 use crate::plan::{plan_lanes, site_host_sets, LaneFlavor};
-use crate::supervisor::{FailoverState, LaneSupervisor, SupervisorOptions, VerifiedRun};
+use crate::supervisor::{LaneSupervisor, SupervisorOptions};
 use pos_core::controller::{
     CampaignSetup, Controller, ControllerError, ExperimentOutcome, RunOptions,
 };
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{
-    lane_journal_file, open_or_create_lane_journal, Journal, JournalRecord, LaneJournalSpec,
-    JOURNAL_FILE,
-};
+use pos_core::journal::{Journal, JournalRecord, JOURNAL_FILE};
 use pos_core::loopvars::RunParams;
+use pos_core::recovery::{CampaignJournals, FailoverHistory, RunCompletion};
 use pos_core::resultstore::ResultStore;
 use pos_simkernel::{lane_stream_label, SimDuration, SimTime, TraceLevel};
 use pos_testbed::{Calendar, Testbed};
@@ -228,21 +227,6 @@ pub fn run_parallel(
         setups.push(lane.setup_campaign(&spec_eff, opts, lane_store, runs.len())?);
     }
 
-    let mut lane_journals = Vec::with_capacity(lanes.len());
-    for (k, lane) in lanes.iter().enumerate() {
-        // A fresh tree never has this lane's journal yet, so the shared
-        // helper always takes its create path here.
-        let spec = LaneJournalSpec {
-            lane: k,
-            seed,
-            flavor: alloc.flavors[k].label().to_string(),
-            started_ns: lane.testbed().now().as_nanos(),
-            crash_after: opts.journal_crash_after,
-            torn_write: opts.journal_torn_write,
-        };
-        lane_journals.push(open_or_create_lane_journal(&opts.vfs, store.dir(), &spec)?);
-    }
-
     let mut sup = LaneSupervisor::new(
         &spec_eff,
         opts,
@@ -250,15 +234,15 @@ pub fn run_parallel(
         popts.site_replicas,
         seed,
         runs.len(),
+        &store,
         lanes,
-        lane_journals,
         alloc.flavors,
         setups,
         site,
         alloc.reservations,
-        FailoverState::default(),
-    );
-    let result = dispatch_and_merge(
+        &FailoverHistory::default(),
+    )?;
+    dispatch_and_merge(
         &store,
         &mut sup,
         &mut sched_journal,
@@ -266,18 +250,17 @@ pub fn run_parallel(
         &BTreeMap::new(),
         started,
         make_lane,
-    )?;
-    sup.teardown();
-    Ok(result)
+    )
 }
 
 /// Resumes an interrupted parallel campaign from its result tree.
 ///
-/// Replays the scheduler journal (campaign identity, lane plan,
+/// Folds the scheduler journal (campaign identity, lane plan,
 /// supervisor plan, and the full failover history: retired lanes, retry
 /// ladders, quarantines, replacement lanes) and every per-lane journal
 /// (run completions; torn tails and missing lane journals are ordinary
-/// crash artifacts), verifies each journaled run on disk, rebuilds all
+/// crash artifacts) through [`CampaignJournals`], checks the campaign
+/// identity, verifies each journaled run on disk, rebuilds all
 /// lanes — replacements included — from `make_lane`, and re-executes
 /// only the runs that fail verification, each at its canonical start. A
 /// resume that lands mid-failover finishes the failover: journaled
@@ -290,170 +273,42 @@ pub fn resume_parallel(
     make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
 ) -> Result<ParallelOutcome, ControllerError> {
     let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
-    let sched_path = store.dir().join(JOURNAL_FILE);
-    let replay = Journal::replay(&sched_path).map_err(ControllerError::Journal)?;
-
-    let (seed, spec_digest, total_runs, testbed) = match replay.campaign_start() {
-        Some(JournalRecord::CampaignStarted {
-            seed,
-            spec_digest,
-            total_runs,
-            testbed,
-            ..
-        }) => (*seed, spec_digest.clone(), *total_runs, testbed.clone()),
-        _ => {
-            return Err(ControllerError::Resume {
-                reason: "journal has no CampaignStarted record".into(),
-            })
-        }
-    };
-    let Some(JournalRecord::LanePlan { lanes: n, flavors }) = replay
-        .records
-        .iter()
-        .find(|r| matches!(r, JournalRecord::LanePlan { .. }))
-    else {
+    let mut journals = CampaignJournals::read_for_resume(store.dir())?;
+    let identity = journals.identity()?.clone();
+    let Some(planned) = &journals.lane_plan else {
         return Err(ControllerError::Resume {
             reason: "journal has no LanePlan record (not a parallel campaign; \
                      use the sequential resume)"
                 .into(),
         });
     };
-    let n = *n;
-    let lane_flavors = flavors
+    let all_flavors = planned
         .iter()
+        .chain(&journals.failover.replanned)
         .map(|f| parse_flavor(f))
         .collect::<Result<Vec<_>, _>>()?;
-    if testbed != opts.testbed_flavor {
-        return Err(ControllerError::Resume {
-            reason: format!(
-                "campaign ran on the `{testbed}` testbed, resume is using `{}`",
-                opts.testbed_flavor
-            ),
-        });
-    }
-
-    // Reconstruct the supervision configuration and the failover history
-    // from the journal: which lanes died, how many lanes each run
-    // killed, how far each retry ladder got, which replacement lanes
-    // exist. Campaigns journaled before lane supervision existed simply
-    // get the default (empty) state.
-    let mut site_replicas = n;
-    let mut sopts = SupervisorOptions::default();
-    let mut fstate = FailoverState::default();
-    for rec in &replay.records {
-        match rec {
-            JournalRecord::SupervisorPlan { config } => {
-                let cfg: SupervisorPlanConfig =
-                    serde_json::from_str(config).map_err(|e| ControllerError::Resume {
-                        reason: format!("unreadable SupervisorPlan record: {e}"),
-                    })?;
-                site_replicas = cfg.site_replicas;
-                sopts = cfg.options;
-            }
-            JournalRecord::LaneRetired {
-                lane, reason, run, ..
-            } => {
-                fstate.retired.insert(*lane, reason.clone());
-                if let Some(i) = run {
-                    *fstate.kills.entry(*i).or_insert(0) += 1;
-                }
-            }
-            JournalRecord::RunRetry { index, attempt, .. } => {
-                let a = fstate.ladder.entry(*index).or_insert(0);
-                *a = (*a).max(*attempt);
-            }
-            JournalRecord::LaneReplanned { flavor, .. } => {
-                fstate.replanned.push(parse_flavor(flavor)?);
-            }
-            _ => {}
+    // The supervision configuration replays from the journal; campaigns
+    // journaled before lane supervision existed get the default.
+    let (site_replicas, sopts) = match &journals.supervisor_plan {
+        Some(config) => {
+            let cfg: SupervisorPlanConfig =
+                serde_json::from_str(config).map_err(|e| ControllerError::Resume {
+                    reason: format!("unreadable SupervisorPlan record: {e}"),
+                })?;
+            (cfg.site_replicas, cfg.options)
         }
-    }
-    let mut all_flavors = lane_flavors.clone();
-    all_flavors.extend(fstate.replanned.iter().copied());
+        None => (planned.len(), SupervisorOptions::default()),
+    };
 
     let mut lanes = build_lanes(&all_flavors, opts, make_lane)?;
-    if lanes[0].testbed().seed() != seed {
-        return Err(ControllerError::Resume {
-            reason: format!(
-                "campaign ran on testbed seed {seed:#x}, this testbed uses {:#x}",
-                lanes[0].testbed().seed()
-            ),
-        });
-    }
     let (spec_eff, runs) = lanes[0].prepare_campaign(spec, opts)?;
-    if spec_digest != spec_eff.digest() {
-        return Err(ControllerError::Resume {
-            reason: "experiment spec changed since the campaign started \
-                     (digest mismatch)"
-                .into(),
-        });
-    }
-    if total_runs != runs.len() {
-        return Err(ControllerError::Resume {
-            reason: format!(
-                "campaign planned {total_runs} runs, spec now expands to {}",
-                runs.len()
-            ),
-        });
-    }
-
-    // Merge run completions from every journal: the scheduler journal
-    // (sealed quarantines land there) and each lane's. Last record wins
-    // per index; re-verified below either way.
-    let mut completed: BTreeMap<usize, VerifiedRun> = BTreeMap::new();
-    let mut harvest = |records: &[JournalRecord]| {
-        for rec in records {
-            if let JournalRecord::RunCompleted {
-                index,
-                success,
-                attempts,
-                recoveries,
-                recovery_time_ns,
-                started_ns,
-                finished_ns,
-                digest,
-                fault_trace,
-                ..
-            } = rec
-            {
-                let run_dir = store.dir().join(format!("run-{index:04}"));
-                let digest_ok = ResultStore::run_digest(&run_dir)
-                    .map(|d| &d == digest)
-                    .unwrap_or(false);
-                let files_ok = digest_ok
-                    && ResultStore::verify_run(&run_dir)
-                        .map(|v| v.is_clean())
-                        .unwrap_or(false);
-                if files_ok {
-                    completed.insert(
-                        *index,
-                        VerifiedRun {
-                            success: *success,
-                            attempts: *attempts,
-                            recoveries: *recoveries,
-                            recovery_time_ns: *recovery_time_ns,
-                            started_ns: *started_ns,
-                            finished_ns: *finished_ns,
-                            fault_trace: fault_trace.clone(),
-                        },
-                    );
-                } else {
-                    completed.remove(index);
-                }
-            }
-        }
-    };
-    harvest(&replay.records);
-    for k in 0..all_flavors.len() {
-        match Journal::replay(&store.dir().join(lane_journal_file(k))) {
-            Ok(lane_replay) => harvest(&lane_replay.records),
-            // A lane journal the crash never got to create contributes
-            // nothing; its runs simply re-execute.
-            Err(pos_core::journal::JournalError::Io(e))
-                if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(ControllerError::Journal(e)),
-        }
-    }
+    identity.check(
+        &opts.testbed_flavor,
+        lanes[0].testbed().seed(),
+        &spec_eff.digest(),
+        runs.len(),
+    )?;
+    journals.retain_verified(store.dir());
 
     // Pin the journaled lane plan back onto a fresh site calendar —
     // replacement lanes included, at the replica set their index names.
@@ -481,52 +336,38 @@ pub fn resume_parallel(
     }
     let started = setups[0].started;
 
-    let mut sched_journal = Journal::open_append_with(&sched_path, opts.vfs.clone())?;
+    let mut sched_journal =
+        Journal::open_append_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
     sched_journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
     sched_journal.append(&JournalRecord::CampaignResumed {
         resumed_ns: lanes[0].testbed().now().as_nanos(),
-        verified_runs: completed.len(),
+        verified_runs: journals.completed.len(),
     })?;
-
-    let mut lane_journals = Vec::with_capacity(lanes.len());
-    for (k, lane) in lanes.iter().enumerate() {
-        let spec = LaneJournalSpec {
-            lane: k,
-            seed,
-            flavor: all_flavors[k].label().to_string(),
-            started_ns: lane.testbed().now().as_nanos(),
-            crash_after: opts.journal_crash_after,
-            torn_write: opts.journal_torn_write,
-        };
-        lane_journals.push(open_or_create_lane_journal(&opts.vfs, store.dir(), &spec)?);
-    }
 
     let mut sup = LaneSupervisor::new(
         &spec_eff,
         opts,
         &sopts,
         site_replicas,
-        seed,
+        identity.seed,
         runs.len(),
+        &store,
         lanes,
-        lane_journals,
         all_flavors,
         setups,
         site,
         site_reservations,
-        fstate,
-    );
-    let result = dispatch_and_merge(
+        &journals.failover,
+    )?;
+    dispatch_and_merge(
         &store,
         &mut sup,
         &mut sched_journal,
         &runs,
-        &completed,
+        &journals.completed,
         started,
         make_lane,
-    )?;
-    sup.teardown();
-    Ok(result)
+    )
 }
 
 /// Builds the lane controllers: replica testbeds from `make_lane`, with
@@ -552,14 +393,14 @@ fn build_lanes(
 }
 
 /// The shared back half of [`run_parallel`] and [`resume_parallel`]: the
-/// supervised dispatch loop over the lane set, followed by the merge
-/// into the canonical result tree.
+/// supervised dispatch loop over the lane set, the merge into the
+/// canonical result tree, and the release of every reservation.
 fn dispatch_and_merge(
     store: &ResultStore,
     sup: &mut LaneSupervisor<'_>,
     sched_journal: &mut Journal,
     runs: &[RunParams],
-    verified: &BTreeMap<usize, VerifiedRun>,
+    verified: &BTreeMap<usize, RunCompletion>,
     started: SimTime,
     make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
 ) -> Result<ParallelOutcome, ControllerError> {
@@ -587,6 +428,7 @@ fn dispatch_and_merge(
     let merge_wall_secs = merge_t0.elapsed().as_secs_f64();
 
     let parallel_elapsed = sup.makespan_end() - started;
+    sup.teardown();
     Ok(ParallelOutcome {
         outcome: ExperimentOutcome {
             result_dir: store.dir().to_path_buf(),

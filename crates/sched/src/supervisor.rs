@@ -63,15 +63,44 @@ use pos_core::controller::{
     CampaignSetup, Controller, ControllerError, HostHealth, RunOptions, RunRecord,
 };
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{
-    open_or_create_lane_journal, Journal, JournalRecord, LaneJournalSpec, JOURNAL_FILE,
-};
+use pos_core::journal::{lane_journal_file, Journal, JournalRecord, JOURNAL_FILE};
 use pos_core::loopvars::RunParams;
+use pos_core::recovery::{FailoverHistory, RunCompletion};
 use pos_core::resultstore::{run_metadata, ResultStore};
 use pos_simkernel::{lane_retry_rng, lane_stream_label, Backoff, LaneSet, SimDuration, SimTime};
 use pos_testbed::{Calendar, ReservationId, Testbed};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Opens lane `k`'s journal for appending, creating it with its
+/// `LaneStarted` header when absent. Crash injection is armed before the
+/// header append, so an armed lane can crash on its very first record.
+fn lane_journal(
+    opts: &RunOptions,
+    store: &ResultStore,
+    seed: u64,
+    k: usize,
+    flavor: LaneFlavor,
+    lane: &Controller<'_>,
+) -> std::io::Result<Journal> {
+    let path = store.dir().join(lane_journal_file(k));
+    let fresh = !path.exists();
+    let mut journal = if fresh {
+        Journal::create_with(&path, opts.vfs.clone())?
+    } else {
+        Journal::open_append_with(&path, opts.vfs.clone())?
+    };
+    journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
+    if fresh {
+        journal.append(&JournalRecord::LaneStarted {
+            lane: k,
+            seed,
+            flavor: flavor.label().to_string(),
+            started_ns: lane.testbed().now().as_nanos(),
+        })?;
+    }
+    Ok(journal)
+}
 
 /// What to do with a retired lane's share of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,33 +176,6 @@ impl Default for SupervisorOptions {
     }
 }
 
-/// Failover state reconstructed from journal records during a resume:
-/// which lanes were already retired, how many lanes each run killed,
-/// how far each retry ladder got, and which replacement lanes exist.
-#[derive(Debug, Default)]
-pub(crate) struct FailoverState {
-    /// Lane → retirement reason, from `LaneRetired` records.
-    pub retired: BTreeMap<usize, String>,
-    /// Run → lanes it killed, from `LaneRetired { run: Some(_) }`.
-    pub kills: BTreeMap<usize, u32>,
-    /// Run → highest journaled ladder attempt, from `RunRetry`.
-    pub ladder: BTreeMap<usize, u32>,
-    /// Flavors of replacement lanes in replanning order, from
-    /// `LaneReplanned`.
-    pub replanned: Vec<LaneFlavor>,
-}
-
-/// A run completion recovered from a journal during resume.
-pub(crate) struct VerifiedRun {
-    pub success: bool,
-    pub attempts: u32,
-    pub recoveries: u32,
-    pub recovery_time_ns: u64,
-    pub started_ns: u64,
-    pub finished_ns: u64,
-    pub fault_trace: Vec<String>,
-}
-
 /// What the supervised dispatch loop produced, for the merge step.
 pub(crate) struct DispatchStats {
     pub records: Vec<RunRecord>,
@@ -242,14 +244,20 @@ impl<'a> LaneSupervisor<'a> {
         site_replicas: usize,
         seed: u64,
         total: usize,
+        store: &ResultStore,
         lanes: Vec<Controller<'static>>,
-        lane_journals: Vec<Journal>,
         flavors: Vec<LaneFlavor>,
         setups: Vec<CampaignSetup>,
         site: Calendar,
         site_reservations: Vec<ReservationId>,
-        prior: FailoverState,
-    ) -> LaneSupervisor<'a> {
+        prior: &FailoverHistory,
+    ) -> Result<LaneSupervisor<'a>, ControllerError> {
+        let lane_journals = lanes
+            .iter()
+            .zip(&flavors)
+            .enumerate()
+            .map(|(k, (lane, &flavor))| lane_journal(opts, store, seed, k, flavor, lane))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let laneset = LaneSet::new(lanes.iter().map(|c| c.testbed().now()).collect());
         let dispatched = vec![0; lanes.len()];
         let lane_assignments = vec![Vec::new(); lanes.len()];
@@ -270,8 +278,8 @@ impl<'a> LaneSupervisor<'a> {
             laneset,
             dispatched,
             lane_assignments,
-            kills: prior.kills,
-            ladder: prior.ladder,
+            kills: BTreeMap::new(),
+            ladder: prior.ladder.clone(),
             fired,
             retired: Vec::new(),
             replanned: prior.replanned.len(),
@@ -280,9 +288,17 @@ impl<'a> LaneSupervisor<'a> {
             estimate: None,
         };
         // Journaled retirements replay before any dispatching: a dead
-        // lane stays dead across a resume. An injected death whose lane
-        // is already retired can never fire again.
-        for (lane, reason) in prior.retired {
+        // lane stays dead across a resume, and each run counts the lanes
+        // it killed. An injected death whose lane is already retired can
+        // never fire again.
+        let mut retired = BTreeMap::new();
+        for r in &prior.retired {
+            retired.insert(r.lane, r.reason.clone());
+            if let Some(run) = r.run {
+                *sup.kills.entry(run).or_insert(0) += 1;
+            }
+        }
+        for (lane, reason) in retired {
             sup.laneset.retire(lane);
             for (j, death) in sup.sopts.fault_plan.lane_deaths.iter().enumerate() {
                 if death.lane == lane {
@@ -291,7 +307,7 @@ impl<'a> LaneSupervisor<'a> {
             }
             sup.retired.push((lane, reason));
         }
-        sup
+        Ok(sup)
     }
 
     /// The instant the last lane finishes — the parallel makespan's end.
@@ -319,7 +335,7 @@ impl<'a> LaneSupervisor<'a> {
         store: &ResultStore,
         sched_journal: &mut Journal,
         runs: &[RunParams],
-        verified: &BTreeMap<usize, VerifiedRun>,
+        verified: &BTreeMap<usize, RunCompletion>,
         make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
     ) -> Result<DispatchStats, ControllerError> {
         let mut cursor = self.lanes[0].testbed().now();
@@ -657,18 +673,7 @@ impl<'a> LaneSupervisor<'a> {
             flavor: flavor.label().to_string(),
             at_ns: cursor.as_nanos(),
         })?;
-        let j = open_or_create_lane_journal(
-            &self.opts.vfs,
-            store.dir(),
-            &LaneJournalSpec {
-                lane: k,
-                seed: self.seed,
-                flavor: flavor.label().to_string(),
-                started_ns: lane.testbed().now().as_nanos(),
-                crash_after: self.opts.journal_crash_after,
-                torn_write: self.opts.journal_torn_write,
-            },
-        )?;
+        let j = lane_journal(self.opts, store, self.seed, k, flavor, &lane)?;
 
         let idx = self.laneset.add_lane(cursor + setup_elapsed);
         debug_assert_eq!(idx, k);

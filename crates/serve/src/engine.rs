@@ -53,8 +53,8 @@ use pos_dag::{
     InProcessTarget, SimBatchTarget,
 };
 use pos_sched::{
-    resume_parallel, run_parallel, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError,
-    QueueStatus, Submission, SupervisorOptions,
+    run_parallel, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError, QueueStatus,
+    ResumableTree, Resumed, Submission, SupervisorOptions,
 };
 use pos_simkernel::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -658,41 +658,10 @@ impl ServeEngine {
             return self.execute_dag(sub, &spec, recovered, referenced);
         }
         if recovered {
-            match self.unclaimed_tree(&spec.user, &spec.name, referenced) {
-                Some((dir, CampaignDiskState::Finished { failed, .. })) => {
-                    // Crash after campaign completion, before the ledger
-                    // append: the tree is done and sealed — adopt it.
-                    let outcome = if failed == 0 {
-                        CompletionOutcome::Completed
-                    } else {
-                        CompletionOutcome::CompletedDegraded
-                    };
-                    return Ok(Exec::Done {
-                        outcome,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                Some((dir, CampaignDiskState::InProgress { .. })) => {
-                    return self.resume_tree(&dir);
-                }
-                Some((dir, CampaignDiskState::NoJournal)) => {
-                    // Scaffolding husk with no durable record: wipe it so
-                    // the fresh run recreates the canonical vt-<time>
-                    // path instead of a `-1` collision sibling.
-                    std::fs::remove_dir_all(&dir)?;
-                }
-                Some((dir, CampaignDiskState::Unreadable(reason))) => {
-                    eprintln!(
-                        "pos-serve: #{}: result tree {} unreadable: {reason}",
-                        sub.id,
-                        dir.display()
-                    );
-                    return Ok(Exec::Done {
-                        outcome: CompletionOutcome::Failed,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                None => {}
+            let base = self.results_root.join(&spec.user).join(&spec.name);
+            let resume = |dir: &Path| self.resume_tree(dir);
+            if let Some(exec) = self.settle(sub, &base, "result tree", referenced, resume)? {
+                return Ok(exec);
             }
         }
         self.fresh_run(&spec)
@@ -729,36 +698,10 @@ impl ServeEngine {
             });
         }
         if recovered {
-            match self.unclaimed_tree(&spec.user, &dag.name, referenced) {
-                Some((dir, CampaignDiskState::Finished { failed, .. })) => {
-                    let outcome = if failed == 0 {
-                        CompletionOutcome::Completed
-                    } else {
-                        CompletionOutcome::CompletedDegraded
-                    };
-                    return Ok(Exec::Done {
-                        outcome,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                Some((dir, CampaignDiskState::InProgress { .. })) => {
-                    return self.resume_dag_tree(&dir);
-                }
-                Some((dir, CampaignDiskState::NoJournal)) => {
-                    std::fs::remove_dir_all(&dir)?;
-                }
-                Some((dir, CampaignDiskState::Unreadable(reason))) => {
-                    eprintln!(
-                        "pos-serve: #{}: DAG tree {} unreadable: {reason}",
-                        sub.id,
-                        dir.display()
-                    );
-                    return Ok(Exec::Done {
-                        outcome: CompletionOutcome::Failed,
-                        result_dir: dir.display().to_string(),
-                    });
-                }
-                None => {}
+            let base = self.results_root.join(&spec.user).join(&dag.name);
+            let resume = |dir: &Path| self.resume_dag_tree(dir);
+            if let Some(exec) = self.settle(sub, &base, "DAG tree", referenced, resume)? {
+                return Ok(exec);
             }
         }
         self.fresh_dag_run(spec, &dag)
@@ -853,26 +796,65 @@ impl ServeEngine {
         }
     }
 
-    /// The youngest result tree under `<root>/<user>/<name>` not yet
-    /// claimed by a finished submission — the only tree a recovered
-    /// in-flight campaign can have been writing.
-    fn unclaimed_tree(
+    /// Settles a recovered in-flight submission against the youngest
+    /// result tree under `base` (`<root>/<user>/<name>`) not yet claimed
+    /// by a finished submission — the only tree it can have been writing.
+    /// A sealed tree is adopted, an unfinished one completed by `resume`,
+    /// a husk with nothing durable wiped. `None` means there is nothing
+    /// to settle: run the submission fresh. `what` names the tree kind in
+    /// diagnostics.
+    fn settle(
         &self,
-        user: &str,
-        name: &str,
+        sub: &Submission,
+        base: &Path,
+        what: &str,
         referenced: &BTreeSet<PathBuf>,
-    ) -> Option<(PathBuf, CampaignDiskState)> {
-        let base = self.results_root.join(user).join(name);
-        let mut dirs: Vec<PathBuf> = std::fs::read_dir(&base)
-            .ok()?
+        resume: impl FnOnce(&Path) -> Result<Exec, ServeError>,
+    ) -> Result<Option<Exec>, ServeError> {
+        let Some(dir) = std::fs::read_dir(base)
+            .into_iter()
+            .flatten()
             .flatten()
             .map(|e| e.path())
             .filter(|p| p.is_dir() && !referenced.contains(p))
-            .collect();
-        dirs.sort();
-        let dir = dirs.pop()?;
-        let state = campaign_disk_state(&dir);
-        Some((dir, state))
+            .max()
+        else {
+            return Ok(None);
+        };
+        let result_dir = dir.display().to_string();
+        match campaign_disk_state(&dir) {
+            CampaignDiskState::Finished { failed, .. } => {
+                // Crash after campaign completion, before the ledger
+                // append: the tree is done and sealed — adopt it.
+                let outcome = if failed == 0 {
+                    CompletionOutcome::Completed
+                } else {
+                    CompletionOutcome::CompletedDegraded
+                };
+                Ok(Some(Exec::Done {
+                    outcome,
+                    result_dir,
+                }))
+            }
+            CampaignDiskState::InProgress { .. } => resume(&dir).map(Some),
+            CampaignDiskState::NoJournal => {
+                // Scaffolding husk with no durable record: wipe it so the
+                // fresh run recreates the canonical vt-<time> path
+                // instead of a `-1` collision sibling.
+                std::fs::remove_dir_all(&dir)?;
+                Ok(None)
+            }
+            CampaignDiskState::Unreadable(reason) => {
+                eprintln!(
+                    "pos-serve: #{}: {what} {result_dir} unreadable: {reason}",
+                    sub.id
+                );
+                Ok(Some(Exec::Done {
+                    outcome: CompletionOutcome::Failed,
+                    result_dir,
+                }))
+            }
+        }
     }
 
     /// Run options every daemon campaign shares: keep going past failed
@@ -946,38 +928,21 @@ impl ServeEngine {
                 result_dir: dir.display().to_string(),
             })
         };
-        let replay = match Journal::replay(&dir.join(JOURNAL_FILE)) {
-            Ok(replay) => replay,
+        let tree = match ResumableTree::open(dir) {
+            Ok(tree) => tree,
             Err(e) => return failed(e.to_string()),
         };
-        let Some(JournalRecord::CampaignStarted { seed, testbed, .. }) = replay.campaign_start()
-        else {
-            return failed("journal has no CampaignStarted record".into());
-        };
-        let (seed, virtualized) = (*seed, testbed == "vpos");
         // The tree's own stored spec is the authoritative one on resume.
-        let spec = match ExperimentSpec::from_dir(&dir.join("experiment")) {
+        let spec = match tree.load_spec() {
             Ok(spec) => spec,
             Err(e) => return failed(format!("stored experiment unloadable: {e}")),
         };
         let opts = self.run_options(dir, &spec);
-        if replay
-            .records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::LanePlan { .. }))
-        {
-            let res = resume_parallel(dir, &spec, &opts, &mut |_, flavor| {
-                case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
-            });
-            return self.classify(res.map(|o| o.outcome), false);
-        }
-        let tb = match case_study_testbed(&spec, seed, virtualized, true) {
-            Ok(tb) => tb,
-            Err(e) => return failed(e.to_string()),
-        };
         let counters = self.progress.clone();
-        let mut ctl = Controller::owning(tb).with_progress(move |p| counters.observe(p));
-        self.classify(ctl.resume_experiment(dir, &spec, &opts), false)
+        match tree.resume(&spec, &opts, move |p| counters.observe(p)) {
+            Err(e @ ControllerError::Topology { .. }) => failed(e.to_string()),
+            res => self.classify(res.map(Resumed::into_outcome), false),
+        }
     }
 
     /// Folds a campaign result into the daemon's vocabulary: clean or

@@ -66,6 +66,17 @@ cargo test -q --test dag_determinism
 echo "==> serve restart matrix (tests/serve_restart_matrix.rs)"
 cargo test -q --test serve_restart_matrix
 
+# Flake gate: the four matrices above are the oracle every refactor is
+# judged by, so one green pass is not enough — they must stay green under a
+# wide parallel harness, run after run.
+echo "==> matrix flake gate (4 matrices x5, --test-threads=16)"
+for i in 1 2 3 4 5; do
+    for matrix in crash_matrix disk_fault_matrix dag_determinism serve_restart_matrix; do
+        echo "    pass $i: $matrix"
+        cargo test -q --test "$matrix" -- --test-threads=16
+    done
+done
+
 # Scrub smoke, end to end through the CLI: corrupt one artifact of a real
 # result tree with dd, demand that `pos scrub` detects it (nonzero exit),
 # `pos scrub --repair` heals it, and the tree then scrubs and fscks clean.

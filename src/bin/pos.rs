@@ -33,7 +33,8 @@
 use pos::core::commands::case_study_testbed;
 use pos::core::controller::{Controller, ControllerError, ExperimentOutcome, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::{Journal, JournalRecord, JOURNAL_FILE, LEDGER_FILE};
+use pos::core::journal::{JOURNAL_FILE, LEDGER_FILE};
+use pos::core::recovery::CampaignIdentity;
 use pos::core::vfs::{FaultPlan, Vfs};
 use pos::dag::DagSpec;
 use pos::eval::loader::ResultSet;
@@ -41,8 +42,8 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    resume_parallel, run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery,
-    ParallelOptions, ParallelOutcome, SubmissionQueue,
+    run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery, OpenError,
+    ParallelOptions, ParallelOutcome, ResumableTree, Resumed, SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
@@ -509,23 +510,23 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
         None => Vfs::real(),
     };
 
-    // The campaign's identity lives in its journal: the testbed seed and
+    // The campaign's identity lives in its journals: the testbed seed and
     // flavor to rebuild with, and the spec digest resume re-checks for us.
-    let replay = Journal::replay(&result_dir.join(JOURNAL_FILE)).map_err(|e| e.to_string())?;
-    let Some(JournalRecord::CampaignStarted {
+    let tree = ResumableTree::open(result_dir).map_err(|e| match e {
+        OpenError::NoCampaignStart => format!("{dir}: {e}"),
+        e => e.to_string(),
+    })?;
+    let CampaignIdentity {
         seed,
         total_runs,
         testbed,
         ..
-    }) = replay.campaign_start()
-    else {
-        return Err(format!("{dir}: journal has no CampaignStarted record"));
-    };
-    let virtualized = match testbed.as_str() {
-        "pos" => false,
-        "vpos" => true,
-        other => return Err(format!("{dir}: journal records unknown testbed `{other}`")),
-    };
+    } = &tree.identity;
+    if !matches!(testbed.as_str(), "pos" | "vpos") {
+        return Err(format!(
+            "{dir}: journal records unknown testbed `{testbed}`"
+        ));
+    }
     if let Some(&flag) = opts.get("testbed") {
         if flag != testbed {
             return Err(format!(
@@ -533,7 +534,7 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
             ));
         }
     }
-    if replay.finished() {
+    if tree.journals.journal.finished() {
         // A finished campaign is only off-limits while it is *intact*;
         // resuming a damaged one is how bit rot gets repaired.
         let report = pos::core::fsck::fsck(result_dir).map_err(|e| e.to_string())?;
@@ -547,56 +548,38 @@ fn cmd_resume(args: &[String]) -> Result<Completion, String> {
             report.broken_runs().len()
         );
     }
-    let spec = ExperimentSpec::from_dir(&result_dir.join("experiment"))
+    let spec = tree
+        .load_spec()
         .map_err(|e| format!("cannot load stored experiment from {dir}/experiment: {e}"))?;
     spec.validate().map_err(|e| e.to_string())?;
-
-    // A LanePlan record marks a parallel campaign: route to the scheduler
-    // resume, which replays every lane journal.
-    if let Some(JournalRecord::LanePlan { lanes, .. }) = replay
-        .records
-        .iter()
-        .find(|r| matches!(r, JournalRecord::LanePlan { .. }))
-    {
-        let seed = *seed;
-        case_study_testbed(&spec, seed, false, false).map_err(|e| e.to_string())?;
-        println!(
+    // A topology the testbed cannot wire is refused before the banner.
+    case_study_testbed(&spec, *seed, false, false).map_err(|e| e.to_string())?;
+    match tree.lanes() {
+        Some(lanes) => println!(
             "resuming `{}` on {lanes} lanes (seed {seed}, {total_runs} runs planned)...",
             spec.name,
-        );
-        let mut run_opts = RunOptions::new(result_dir);
-        run_opts.testbed_flavor = testbed.clone();
-        run_opts.vfs = vfs;
-        let out = match resume_parallel(result_dir, &spec, &run_opts, &mut |_, flavor| {
-            case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
-        }) {
-            Ok(out) => out,
-            Err(e) => return checkpointed_or_error(e, dir),
-        };
-        print_parallel_outcome(&out);
-        return Ok(completion_of(&out.outcome));
+        ),
+        None => println!(
+            "resuming `{}` on the {testbed} testbed (seed {seed}, {total_runs} runs planned)...",
+            spec.name,
+        ),
     }
-
-    let mut tb = case_study_testbed(&spec, *seed, virtualized, true).map_err(|e| e.to_string())?;
-    println!(
-        "resuming `{}` on the {} testbed (seed {seed}, {total_runs} runs planned)...",
-        spec.name,
-        if virtualized { "vpos" } else { "pos" },
-    );
     // result_root is unused on resume (the tree already exists) but the
     // options still carry timeouts and failure policy.
     let mut run_opts = RunOptions::new(result_dir);
     run_opts.testbed_flavor = testbed.clone();
     run_opts.vfs = vfs;
-    let outcome = match Controller::new(&mut tb)
-        .with_progress(print_progress)
-        .resume_experiment(result_dir, &spec, &run_opts)
-    {
-        Ok(outcome) => outcome,
-        Err(e) => return checkpointed_or_error(e, dir),
-    };
-    print_outcome(&outcome);
-    Ok(completion_of(&outcome))
+    match tree.resume(&spec, &run_opts, print_progress) {
+        Ok(Resumed::Parallel(out)) => {
+            print_parallel_outcome(&out);
+            Ok(completion_of(&out.outcome))
+        }
+        Ok(Resumed::Sequential(outcome)) => {
+            print_outcome(&outcome);
+            Ok(completion_of(&outcome))
+        }
+        Err(e) => checkpointed_or_error(e, dir),
+    }
 }
 
 /// Multi-campaign admission: `pos queue submit|status|drain`.

@@ -4,6 +4,9 @@
 //! carries the finished run's directory, so an evaluator can consume each
 //! run while the next one measures.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, Progress, RunOptions};
 use pos::core::experiment::linux_router_experiment;
@@ -26,8 +29,7 @@ fn runs_are_evaluatable_the_moment_they_finish() {
         .unwrap();
     register_all(&mut tb);
 
-    let root = std::env::temp_dir().join(format!("pos-async-eval-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("async-eval");
 
     // The "asynchronous evaluation script": runs inside the progress
     // callback, i.e. between measurement runs, parsing each run's output

@@ -1,7 +1,10 @@
 //! Integration test of the `pos` CLI binary: init → run → eval → publish,
 //! exactly the Appendix-A command sequence.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::TempDir;
+use std::path::Path;
 use std::process::Command;
 
 fn pos_bin() -> &'static str {
@@ -21,16 +24,9 @@ fn run(dir: &Path, args: &[&str]) -> (bool, String, String) {
     )
 }
 
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-cli-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn full_cli_workflow() {
-    let dir = workdir("flow");
+    let dir = TempDir::new("cli-flow");
 
     // init
     let (ok, stdout, stderr) = run(&dir, &["init", "exp"]);
@@ -99,7 +95,7 @@ fn full_cli_workflow() {
 
 #[test]
 fn cli_vpos_flag_switches_testbed() {
-    let dir = workdir("vpos");
+    let dir = TempDir::new("cli-vpos");
     run(&dir, &["init", "exp"]);
     std::fs::write(
         dir.join("exp/loop-variables.yml"),
@@ -144,7 +140,7 @@ fn cli_vpos_flag_switches_testbed() {
 
 #[test]
 fn cli_errors_are_clean() {
-    let dir = workdir("errors");
+    let dir = TempDir::new("cli-errors");
     let (ok, _, stderr) = run(&dir, &["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
@@ -166,7 +162,7 @@ fn cli_errors_are_clean() {
 
 #[test]
 fn cli_table1_prints_matrix() {
-    let dir = workdir("t1");
+    let dir = TempDir::new("cli-t1");
     let (ok, stdout, _) = run(&dir, &["table1"]);
     assert!(ok);
     assert!(stdout.contains("pos"));
@@ -176,7 +172,7 @@ fn cli_table1_prints_matrix() {
 
 #[test]
 fn cli_help_shown_without_args() {
-    let dir = workdir("help");
+    let dir = TempDir::new("cli-help");
     let (ok, stdout, _) = run(&dir, &[]);
     assert!(ok);
     assert!(stdout.contains("usage:"));
@@ -184,7 +180,7 @@ fn cli_help_shown_without_args() {
 
 #[test]
 fn cli_fsck_and_resume_repair_a_damaged_tree() {
-    let dir = workdir("fsck");
+    let dir = TempDir::new("cli-fsck");
     run(&dir, &["init", "exp"]);
     std::fs::write(
         dir.join("exp/loop-variables.yml"),
@@ -271,7 +267,7 @@ fn result_dir_of(stdout: &str) -> String {
 
 #[test]
 fn cli_parallel_lanes_match_sequential_and_fsck_audits_lane_journals() {
-    let dir = workdir("lanes");
+    let dir = TempDir::new("cli-lanes");
     init_small_exp(&dir);
 
     let (ok, stdout, stderr) = run(&dir, &["run", "exp", "--results", "seq", "--seed", "9"]);
@@ -337,7 +333,7 @@ fn cli_parallel_lanes_match_sequential_and_fsck_audits_lane_journals() {
 
 #[test]
 fn cli_queue_submit_status_drain() {
-    let dir = workdir("queue");
+    let dir = TempDir::new("cli-queue");
     init_small_exp(&dir);
 
     // Two users share the queue.
@@ -394,7 +390,7 @@ fn cli_queue_submit_status_drain() {
 
 #[test]
 fn cli_queue_bounded_with_diagnostic() {
-    let dir = workdir("queue-full");
+    let dir = TempDir::new("cli-queue-full");
     init_small_exp(&dir);
     for user in ["alice", "alice", "bob"] {
         let (ok, _, stderr) = run(

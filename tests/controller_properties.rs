@@ -2,6 +2,9 @@
 //! loop-variable shapes: the result tree always mirrors the cross product
 //! exactly, whatever the sweep looks like.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{ExperimentSpec, RoleSpec};
@@ -11,13 +14,6 @@ use pos::core::vars::{VarValue, Variables};
 use pos::eval::loader::ResultSet;
 use pos::simkernel::SimRng;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-prop-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A fast experiment: no traffic, just barrier-synchronized no-ops, so we
 /// can afford many randomized shapes.
@@ -64,8 +60,9 @@ fn result_tree_always_mirrors_the_cross_product() {
 
         let mut tb = testbed(case);
         let spec = noop_spec(loop_vars);
+        let root = TempDir::new(&format!("prop-case{case}"));
         let outcome = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp(&format!("case{case}"))))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
 
         // Invariant 1: one successful run per combination, in order.

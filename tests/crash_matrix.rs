@@ -9,32 +9,30 @@
 //! metadata, checksum manifests, inputs, `controller.log` — must be
 //! identical, and `pos fsck` must call the resumed tree clean.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
-use pos::core::controller::{Controller, Progress, RunOptions};
+use pos::core::controller::{Controller, ControllerError, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::fsck::{fsck, RunStatus};
 use pos::core::journal::{Journal, JOURNAL_FILE};
+use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 const SEED: u64 = 0xC0DE;
 
-fn tmp(name: &str) -> PathBuf {
-    // Unique per call: sibling tests run in parallel threads of one
-    // process, and several ask for the same name.
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("pos-crash-{name}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn testbed() -> Testbed {
+    testbed_seeded(SEED)
 }
 
-fn testbed() -> Testbed {
-    let mut tb = Testbed::new(SEED);
+fn testbed_seeded(seed: u64) -> Testbed {
+    let mut tb = Testbed::new(seed);
     tb.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
     tb.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
     tb.topology
@@ -106,9 +104,18 @@ fn assert_trees_equal(reference: &BTreeMap<String, Vec<u8>>, resumed: &Path, con
     }
 }
 
-/// Reference tree of the uninterrupted campaign plus its journal length.
-fn reference() -> (BTreeMap<String, Vec<u8>>, u64) {
-    let root = tmp("reference");
+/// The uninterrupted reference: tree snapshot plus journal facts.
+type Reference = (BTreeMap<String, Vec<u8>>, u64);
+
+/// Reference tree of the uninterrupted campaign plus its journal length,
+/// computed once per test binary.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(reference_tree)
+}
+
+fn reference_tree() -> Reference {
+    let root = TempDir::new("crash-reference");
     let mut tb = testbed();
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec(), &RunOptions::new(&root))
@@ -128,7 +135,7 @@ fn reference() -> (BTreeMap<String, Vec<u8>>, u64) {
 
 #[test]
 fn kill_at_every_journal_boundary_then_resume_converges() {
-    let (want, total_records) = reference();
+    let &(ref want, total_records) = reference();
     assert!(
         total_records >= 6,
         "2-run campaign journals at least start + 2×(started,completed) + finish"
@@ -137,7 +144,7 @@ fn kill_at_every_journal_boundary_then_resume_converges() {
     for torn in [false, true] {
         for k in 0..total_records {
             let label = format!("crash at record {k} (torn={torn})");
-            let root = tmp(&format!("kill-{k}-{torn}"));
+            let root = TempDir::new(&format!("crash-kill-{k}-{torn}"));
             let mut opts = RunOptions::new(&root);
             opts.journal_crash_after = Some(k);
             opts.journal_torn_write = torn;
@@ -160,7 +167,7 @@ fn kill_at_every_journal_boundary_then_resume_converges() {
             }
             let outcome = resumed.unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(outcome.successes(), 2, "{label}");
-            assert_trees_equal(&want, &result_dir, &label);
+            assert_trees_equal(want, &result_dir, &label);
             let report = fsck(&result_dir).unwrap();
             assert!(
                 report.is_clean(),
@@ -176,7 +183,7 @@ fn resume_skips_verified_runs_and_reexecutes_the_rest() {
     let (want, _) = reference();
     // Crash right before the final run's RunCompleted record: run 0 is
     // durable, run 1 has artifacts on disk but no completion record.
-    let root = tmp("skipmatrix");
+    let root = TempDir::new("crash-skipmatrix");
     let mut opts = RunOptions::new(&root);
     opts.journal_crash_after = Some(4);
     let mut tb = testbed();
@@ -201,13 +208,13 @@ fn resume_skips_verified_runs_and_reexecutes_the_rest() {
         &[(true, 0), (false, 1)],
         "run 0 skipped as verified, run 1 re-executed"
     );
-    assert_trees_equal(&want, &result_dir, "skip/re-execute split");
+    assert_trees_equal(want, &result_dir, "skip/re-execute split");
 }
 
 #[test]
 fn fsck_detects_flipped_byte_and_resume_repairs_exactly_that_run() {
     let (want, _) = reference();
-    let root = tmp("bitrot");
+    let root = TempDir::new("crash-bitrot");
     let mut tb = testbed();
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec(), &RunOptions::new(&root))
@@ -244,53 +251,89 @@ fn fsck_detects_flipped_byte_and_resume_repairs_exactly_that_run() {
         .resume_experiment(&result_dir, &spec(), &RunOptions::new(&root))
         .unwrap();
     assert_eq!(events.borrow().as_slice(), &[(true, 0), (false, 1)]);
-    assert_trees_equal(&want, &result_dir, "bit-rot repair");
+    assert_trees_equal(want, &result_dir, "bit-rot repair");
     assert!(fsck(&result_dir).unwrap().is_clean());
 }
 
+/// The sequential resume, on a fresh testbed with root seed `seed`.
+fn resume_sequential(
+    dir: &Path,
+    seed: u64,
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+) -> Result<(), ControllerError> {
+    Controller::owning(testbed_seeded(seed))
+        .resume_experiment(dir, spec, opts)
+        .map(drop)
+}
+
+/// The parallel resume, every lane a fresh testbed with root seed `seed`.
+fn resume_lanes(
+    dir: &Path,
+    seed: u64,
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+) -> Result<(), ControllerError> {
+    resume_parallel(dir, spec, opts, &mut |_, _| Ok(testbed_seeded(seed))).map(drop)
+}
+
+/// One identity guard for both resumes: a crashed sequential tree and a
+/// crashed 2-lane tree are each refused, with the same messages, for a
+/// wrong seed, a mutated spec and a wrong testbed flavor.
 #[test]
 fn resume_refuses_wrong_seed_and_mutated_spec() {
-    let root = tmp("refuse");
-    let mut opts = RunOptions::new(&root);
+    let seq_root = TempDir::new("crash-refuse");
+    let mut opts = RunOptions::new(&seq_root);
     opts.journal_crash_after = Some(3);
-    let mut tb = testbed();
-    Controller::new(&mut tb)
+    Controller::owning(testbed())
         .run_experiment(&spec(), &opts)
         .expect_err("campaign must abort");
-    let result_dir = find_result_dir(&root);
+    let seq_dir = find_result_dir(&seq_root);
 
-    let mut other_seed = Testbed::new(SEED + 1);
-    other_seed.add_host("vriga", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-    other_seed.add_host("vtartu", HardwareSpec::paper_dut(), InitInterface::Ipmi);
-    other_seed
-        .topology
-        .wire(PortId::new("vriga", 0), PortId::new("vtartu", 0))
-        .unwrap();
-    other_seed
-        .topology
-        .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
-        .unwrap();
-    register_all(&mut other_seed);
-    let err = Controller::new(&mut other_seed)
-        .resume_experiment(&result_dir, &spec(), &RunOptions::new(&root))
-        .unwrap_err();
-    assert!(err.to_string().contains("seed"), "{err}");
+    let par_root = TempDir::new("crash-refuse-lanes");
+    let mut opts = RunOptions::new(&par_root);
+    opts.journal_crash_after = Some(3);
+    run_parallel(&spec(), &opts, &ParallelOptions::new(2), &mut |_, _| {
+        Ok(testbed())
+    })
+    .expect_err("2-lane campaign must abort");
+    let par_dir = find_result_dir(&par_root);
 
     let mut mutated = spec();
     mutated.roles[0].measurement = pos::core::script::Script::parse("sleep 2\npos_sync run_done");
-    let mut tb = testbed();
-    let err = Controller::new(&mut tb)
-        .resume_experiment(&result_dir, &mutated, &RunOptions::new(&root))
-        .unwrap_err();
-    assert!(err.to_string().contains("digest"), "{err}");
+    type Resume = fn(&Path, u64, &ExperimentSpec, &RunOptions) -> Result<(), ControllerError>;
+    let inputs: [(&str, &Path, Resume); 2] = [
+        ("sequential", &seq_dir, resume_sequential),
+        ("2-lane", &par_dir, resume_lanes),
+    ];
+    for (what, dir, resume) in inputs {
+        let opts = RunOptions::new(dir);
+        let err = resume(dir, SEED + 1, &spec(), &opts).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "cannot resume: campaign ran on testbed seed {SEED:#x}, this testbed uses {:#x}",
+                SEED + 1
+            ),
+            "{what}"
+        );
 
-    // Wrong testbed flavor: same seed, but a vpos testbed boots on a
-    // different timeline than the journaled bare-metal campaign.
-    let mut other_flavor = RunOptions::new(&root);
-    other_flavor.testbed_flavor = "vpos".into();
-    let mut tb = testbed();
-    let err = Controller::new(&mut tb)
-        .resume_experiment(&result_dir, &spec(), &other_flavor)
-        .unwrap_err();
-    assert!(err.to_string().contains("`pos` testbed"), "{err}");
+        let err = resume(dir, SEED, &mutated, &opts).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cannot resume: experiment spec changed since the campaign started (digest mismatch)",
+            "{what}"
+        );
+
+        // Wrong testbed flavor: same seed, but a vpos testbed boots on a
+        // different timeline than the journaled bare-metal campaign.
+        let mut other_flavor = RunOptions::new(dir);
+        other_flavor.testbed_flavor = "vpos".into();
+        let err = resume(dir, SEED, &spec(), &other_flavor).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cannot resume: campaign ran on the `pos` testbed, resume is using `vpos`",
+            "{what}"
+        );
+    }
 }

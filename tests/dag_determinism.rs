@@ -12,6 +12,9 @@
 //!   scheduler's resume and still converges;
 //! * resume refuses identity drift (wrong seed, wrong target).
 
+mod common;
+
+use common::TempDir;
 use pos::core::controller::RunOptions;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::fsck::fsck_dag;
@@ -21,7 +24,7 @@ use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec, ExecutionTarg
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 const SEED: u64 = 0x5EED;
 
@@ -33,17 +36,6 @@ fn small_spec() -> ExperimentSpec {
 
 fn dag() -> DagSpec {
     linux_router_dag()
-}
-
-fn workdir(name: &str) -> PathBuf {
-    // Unique per call: sibling tests run in parallel threads of one
-    // process, and several ask for the same name.
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("pos-dag-{name}-{}-{n}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn in_process() -> InProcessTarget {
@@ -91,10 +83,18 @@ fn assert_matches_reference(reference: &BTreeMap<String, Vec<u8>>, dag_dir: &Pat
     }
 }
 
+/// The uninterrupted reference: tree snapshot plus journal facts.
+type Reference = (BTreeMap<String, Vec<u8>>, u64);
+
 /// The sequential (1-lane, in-process) reference tree and the number of
-/// records its DAG journal holds.
-fn reference() -> (BTreeMap<String, Vec<u8>>, u64) {
-    let root = workdir("reference");
+/// records its DAG journal holds, computed once per test binary.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(reference_tree)
+}
+
+fn reference_tree() -> Reference {
+    let root = TempDir::new("dag-reference");
     let out = run_dag(
         &dag(),
         &small_spec(),
@@ -123,7 +123,7 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
     let (want, _) = reference();
 
     for lanes in [2usize, 4] {
-        let root = workdir(&format!("lanes{lanes}"));
+        let root = TempDir::new(&format!("dag-lanes{lanes}"));
         let out = run_dag(
             &dag(),
             &small_spec(),
@@ -132,12 +132,12 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
             &mut in_process(),
         )
         .unwrap_or_else(|e| panic!("--lanes {lanes} failed: {e}"));
-        assert_matches_reference(&want, &out.dag_dir, &format!("--lanes {lanes}"));
+        assert_matches_reference(want, &out.dag_dir, &format!("--lanes {lanes}"));
     }
 
     // The simulated batch target queues jobs and clamps lanes to its
     // partition width, but the merged artifacts must not know that.
-    let root = workdir("batch");
+    let root = TempDir::new("dag-batch");
     let mut batch = SimBatchTarget::new(SEED, true, 2);
     let out = run_dag(
         &dag(),
@@ -147,7 +147,7 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
         &mut batch,
     )
     .expect("batch target DAG succeeds");
-    assert_matches_reference(&want, &out.dag_dir, "sim-batch target");
+    assert_matches_reference(want, &out.dag_dir, "sim-batch target");
     let report = batch.report();
     assert_eq!(report.target, "sim-batch");
     assert!(
@@ -174,7 +174,7 @@ fn find_dag_dir(root: &Path) -> PathBuf {
 
 #[test]
 fn kill_at_every_dag_journal_boundary_then_resume_converges() {
-    let (want, total_records) = reference();
+    let &(ref want, total_records) = reference();
     assert!(
         total_records >= 8,
         "3-stage DAG journals at least start + 3x(started,finished) + finish, got {total_records}"
@@ -183,7 +183,7 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
     for torn in [false, true] {
         for k in 0..total_records {
             let label = format!("crash at DAG record {k} (torn={torn})");
-            let root = workdir(&format!("kill-{k}-{torn}"));
+            let root = TempDir::new(&format!("dag-kill-{k}-{torn}"));
             let mut dopts = DagOptions::new(2, SEED);
             dopts.dag_crash_after = Some(k);
             dopts.dag_torn_write = torn;
@@ -209,7 +209,7 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
             )
             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(out.nodes.len(), 3, "{label}");
-            assert_matches_reference(&want, &out.dag_dir, &label);
+            assert_matches_reference(want, &out.dag_dir, &label);
             let report = fsck_dag(&out.dag_dir).unwrap();
             assert!(
                 report.is_clean(),
@@ -222,10 +222,10 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
 
 #[test]
 fn resume_fast_forwards_digest_verified_nodes() {
-    let (want, total_records) = reference();
+    let &(ref want, total_records) = reference();
     // Crash on the final DagFinished append: every node is durable and
     // digest-verified, resume re-executes nothing.
-    let root = workdir("ff");
+    let root = TempDir::new("dag-ff");
     let mut dopts = DagOptions::new(1, SEED);
     dopts.dag_crash_after = Some(total_records - 1);
     run_dag(
@@ -246,13 +246,13 @@ fn resume_fast_forwards_digest_verified_nodes() {
     .expect("resume completes");
     assert_eq!(out.verified_nodes, 3, "all nodes fast-forwarded");
     assert!(out.nodes.iter().all(|n| n.verified));
-    assert_matches_reference(&want, &out.dag_dir, "fast-forward resume");
+    assert_matches_reference(want, &out.dag_dir, "fast-forward resume");
 }
 
 #[test]
 fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
     let (want, _) = reference();
-    let root = workdir("inner");
+    let root = TempDir::new("dag-inner");
     let mut opts = RunOptions::new(&root);
     // Crash the *sweep stage's own* campaign journal mid-flight; the
     // DAG journal stays healthy at the NodeStarted(rate-sweep) record.
@@ -278,14 +278,14 @@ fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
         &mut in_process(),
     )
     .expect("DAG resume routes through the scheduler's resume");
-    assert_matches_reference(&want, &out.dag_dir, "inner-crash resume");
+    assert_matches_reference(want, &out.dag_dir, "inner-crash resume");
     let report = fsck_dag(&out.dag_dir).unwrap();
     assert!(report.is_clean(), "fsck not clean:\n{}", report.render());
 }
 
 #[test]
 fn resume_refuses_identity_drift() {
-    let root = workdir("drift");
+    let root = TempDir::new("dag-drift");
     let mut dopts = DagOptions::new(1, SEED);
     dopts.dag_crash_after = Some(3);
     run_dag(

@@ -1,18 +1,14 @@
 //! Repeatability made literal: the same experiment on the same (seeded)
 //! testbed produces byte-identical published artifacts.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
 use pos::publish::bundle::Bundle;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-det-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn full_pipeline(seed: u64, root: &str) -> Vec<u8> {
     let mut tb = Testbed::new(seed);
@@ -26,8 +22,9 @@ fn full_pipeline(seed: u64, root: &str) -> Vec<u8> {
         .unwrap();
     register_all(&mut tb);
     let spec = linux_router_experiment("vriga", "vtartu", 3, 1);
+    let root = TempDir::new(&format!("det-{root}"));
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp(root)))
+        .run_experiment(&spec, &RunOptions::new(&root))
         .expect("experiment runs");
 
     let mut bundle = Bundle::new(&spec.name);

@@ -11,6 +11,9 @@
 //! excluded from the byte comparison as usual — they record the
 //! interruption itself.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
@@ -22,19 +25,9 @@ use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 const SEED: u64 = 0xD15C;
-
-fn tmp(name: &str) -> PathBuf {
-    // Unique per call: sibling tests run in parallel threads of one
-    // process, and several ask for the same name.
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("pos-diskfault-{name}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn testbed() -> Testbed {
     let mut tb = Testbed::new(SEED);
@@ -130,9 +123,18 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     boundaries
 }
 
-/// Reference tree of the uninterrupted campaign plus its journal image.
-fn reference() -> (BTreeMap<String, Vec<u8>>, Vec<u8>) {
-    let root = tmp("reference");
+/// The uninterrupted reference: tree snapshot plus journal facts.
+type Reference = (BTreeMap<String, Vec<u8>>, Vec<u8>);
+
+/// Reference tree of the uninterrupted campaign plus its journal image,
+/// computed once per test binary.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(reference_tree)
+}
+
+fn reference_tree() -> Reference {
+    let root = TempDir::new("diskfault-reference");
     let mut tb = testbed();
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec(), &RunOptions::new(&root))
@@ -194,7 +196,7 @@ fn crash_then_resume_converges(
 #[test]
 fn enospc_at_every_journal_boundary_then_resume_converges() {
     let (want, journal) = reference();
-    let boundaries = frame_boundaries(&journal);
+    let boundaries = frame_boundaries(journal);
     let total_records = boundaries.len() - 1;
     assert!(total_records >= 6);
 
@@ -204,7 +206,7 @@ fn enospc_at_every_journal_boundary_then_resume_converges() {
     for mid in [0usize, 7] {
         for (k, &boundary) in boundaries.iter().enumerate().take(total_records) {
             let label = format!("ENOSPC after record {k} + {mid} bytes");
-            let root = tmp(&format!("enospc-{k}-{mid}"));
+            let root = TempDir::new(&format!("diskfault-enospc-{k}-{mid}"));
             let opts = journal_fault_opts(
                 &root,
                 DiskFault::Enospc {
@@ -237,7 +239,7 @@ fn enospc_at_every_journal_boundary_then_resume_converges() {
             }
             let outcome = resumed.unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(outcome.successes(), 2, "{label}");
-            assert_trees_equal(&want, &result_dir, &label);
+            assert_trees_equal(want, &result_dir, &label);
             assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
         }
     }
@@ -246,11 +248,11 @@ fn enospc_at_every_journal_boundary_then_resume_converges() {
 #[test]
 fn torn_write_at_every_journal_boundary_then_resume_converges() {
     let (want, journal) = reference();
-    let total_records = frame_boundaries(&journal).len() - 1;
+    let total_records = frame_boundaries(journal).len() - 1;
 
     for k in 0..total_records {
         let label = format!("torn write at record {k}");
-        let root = tmp(&format!("tornwrite-{k}"));
+        let root = TempDir::new(&format!("diskfault-tornwrite-{k}"));
         // 40 bytes is less than a frame header: replay must classify the
         // remnant as a torn tail, and resume must truncate it away.
         let opts = journal_fault_opts(
@@ -261,18 +263,18 @@ fn torn_write_at_every_journal_boundary_then_resume_converges() {
                 file: Some(JOURNAL_FILE.into()),
             },
         );
-        crash_then_resume_converges(&want, &root, &opts, k, &label);
+        crash_then_resume_converges(want, &root, &opts, k, &label);
     }
 }
 
 #[test]
 fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
     let (want, journal) = reference();
-    let total_records = frame_boundaries(&journal).len() - 1;
+    let total_records = frame_boundaries(journal).len() - 1;
 
     for k in 0..total_records {
         let label = format!("fsync failure at record {k}");
-        let root = tmp(&format!("fsyncfail-{k}"));
+        let root = TempDir::new(&format!("diskfault-fsyncfail-{k}"));
         // Fsync index k+1: the journal's create_sync burns index 0.
         let opts = journal_fault_opts(
             &root,
@@ -296,7 +298,7 @@ fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
         if replay.finished() {
             // The unpromised record was CampaignFinished itself: the
             // tree is already complete and verifiable as-is.
-            assert_trees_equal(&want, &result_dir, &label);
+            assert_trees_equal(want, &result_dir, &label);
             assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
             continue;
         }
@@ -306,14 +308,14 @@ fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
             .resume_experiment(&result_dir, &spec(), &RunOptions::new(&root))
             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
         assert_eq!(outcome.successes(), 2, "{label}");
-        assert_trees_equal(&want, &result_dir, &label);
+        assert_trees_equal(want, &result_dir, &label);
         assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
     }
 }
 
 #[test]
 fn scrub_reports_zero_findings_on_undamaged_tree() {
-    let root = tmp("scrub-clean");
+    let root = TempDir::new("diskfault-scrub-clean");
     let mut tb = testbed();
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec(), &RunOptions::new(&root))
@@ -328,7 +330,7 @@ fn scrub_reports_zero_findings_on_undamaged_tree() {
 #[test]
 fn bit_flips_detected_by_scrub_and_healed_to_byte_identity() {
     let (want, _) = reference();
-    let root = tmp("bitflip");
+    let root = TempDir::new("diskfault-bitflip");
     let mut tb = testbed();
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec(), &RunOptions::new(&root))
@@ -374,7 +376,7 @@ fn bit_flips_detected_by_scrub_and_healed_to_byte_identity() {
     }
     let confirm = scrub(&result_dir, false).unwrap();
     assert!(confirm.clean, "after repair:\n{}", confirm.render());
-    assert_trees_equal(&want, &result_dir, "bit-flip heal");
+    assert_trees_equal(want, &result_dir, "bit-flip heal");
     assert!(fsck(&result_dir).unwrap().is_clean());
 }
 
@@ -386,7 +388,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
     // deterministic frame boundaries (lane journals have different
     // names and are not matched by the `journal.log` suffix filter).
     let popts = ParallelOptions::new(2);
-    let clean_root = tmp("par-clean");
+    let clean_root = TempDir::new("diskfault-par-clean");
     let out = run_parallel(
         &spec(),
         &RunOptions::new(&clean_root),
@@ -394,14 +396,14 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
         &mut |_, _| Ok(testbed()),
     )
     .expect("clean parallel campaign succeeds");
-    assert_trees_equal(&want, &out.outcome.result_dir, "parallel clean");
+    assert_trees_equal(want, &out.outcome.result_dir, "parallel clean");
     let sched_journal = std::fs::read(out.outcome.result_dir.join(JOURNAL_FILE)).unwrap();
     let boundaries = frame_boundaries(&sched_journal);
     assert!(boundaries.len() > 4, "scheduler journal too short to cut");
 
     // Fill the disk for the scheduler journal mid-campaign.
     let cut = boundaries[boundaries.len() / 2];
-    let root = tmp("par-enospc");
+    let root = TempDir::new("diskfault-par-enospc");
     let opts = journal_fault_opts(
         &root,
         DiskFault::Enospc {
@@ -422,7 +424,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
     )
     .expect("parallel resume completes once space returns");
     assert_eq!(out.outcome.successes(), 2);
-    assert_trees_equal(&want, &result_dir, "parallel ENOSPC resume");
+    assert_trees_equal(want, &result_dir, "parallel ENOSPC resume");
     assert!(fsck(&result_dir).unwrap().is_clean());
 }
 
@@ -433,8 +435,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
 fn cli_enospc_exits_degraded_then_resume_and_scrub_succeed() {
     use std::process::Command;
     let bin = env!("CARGO_BIN_EXE_pos");
-    let base = tmp("cli");
-    std::fs::create_dir_all(&base).unwrap();
+    let base = TempDir::new("diskfault-cli");
     let exp = base.join("exp");
     spec().to_dir(&exp).unwrap();
     let results = base.join("results");

@@ -11,15 +11,19 @@
 //!   `--lanes 1` under the same fault plan, crashes mid-failover
 //!   included.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, ControllerError, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
+use pos::core::journal::{campaign_disk_state, CampaignDiskState, Journal, JournalRecord};
 use pos::sched::{
     resume_parallel, run_parallel, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery,
     ParallelOptions, ParallelOutcome,
 };
 use pos::testbed::{clone_virtual, CloneOptions, HardwareSpec, InitInterface, PortId, Testbed};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -59,13 +63,6 @@ fn lane_testbed(flavor: LaneFlavor) -> Testbed {
 
 fn small_spec() -> ExperimentSpec {
     linux_router_experiment("vriga", "vtartu", 3, 1)
-}
-
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-par-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Every file under `root` (relative path → bytes), excluding the
@@ -130,8 +127,8 @@ fn run_with_lanes(root: &Path, lanes: usize) -> PathBuf {
 
 #[test]
 fn four_lanes_match_one_lane_byte_for_byte() {
-    let root1 = workdir("lanes1");
-    let root4 = workdir("lanes4");
+    let root1 = TempDir::new("par-lanes1");
+    let root4 = TempDir::new("par-lanes4");
     let dir1 = run_with_lanes(&root1, 1);
     let dir4 = run_with_lanes(&root4, 4);
     assert_trees_identical(&dir1, &dir4, "lanes=4 vs lanes=1");
@@ -139,8 +136,8 @@ fn four_lanes_match_one_lane_byte_for_byte() {
 
 #[test]
 fn parallel_tree_matches_sequential_controller() {
-    let root_seq = workdir("seq");
-    let root_par = workdir("par2");
+    let root_seq = TempDir::new("par-seq");
+    let root_par = TempDir::new("par-par2");
     let spec = small_spec();
 
     let mut tb = case_study_testbed();
@@ -154,7 +151,7 @@ fn parallel_tree_matches_sequential_controller() {
 
 #[test]
 fn parallel_speedup_is_real() {
-    let root = workdir("speedup");
+    let root = TempDir::new("par-speedup");
     let spec = small_spec();
     let opts = RunOptions::new(&root);
     let out = run_parallel(&spec, &opts, &ParallelOptions::new(4), &mut make_lane).unwrap();
@@ -173,12 +170,12 @@ fn parallel_speedup_is_real() {
 #[test]
 fn crashed_parallel_campaign_resumes_to_identical_tree() {
     // Reference: an uninterrupted 4-lane execution.
-    let root_ok = workdir("crash-ref");
+    let root_ok = TempDir::new("par-crash-ref");
     let dir_ok = run_with_lanes(&root_ok, 4);
 
     // Crash: the first lane journal to reach its third append (its first
     // run's RunCompleted record) fails mid-campaign.
-    let root = workdir("crash");
+    let root = TempDir::new("par-crash");
     let spec = small_spec();
     let mut opts = RunOptions::new(&root);
     opts.journal_crash_after = Some(2);
@@ -198,6 +195,47 @@ fn crashed_parallel_campaign_resumes_to_identical_tree() {
     let out = resume_parallel(&dir, &spec, &resume_opts, &mut make_lane).unwrap();
     assert_eq!(out.outcome.successes(), 6);
     assert_trees_identical(&dir_ok, &dir, "resumed vs uninterrupted 4-lane tree");
+}
+
+#[test]
+fn disk_state_counts_runs_completed_in_lane_journals() {
+    // Interrupt a 2-lane campaign after some runs: each lane journal
+    // fails its fourth append (the RunStarted of the lane's second run),
+    // so the completed runs live only in the lane journals.
+    let root = TempDir::new("par-disk-state");
+    let mut opts = RunOptions::new(&root);
+    opts.journal_crash_after = Some(3);
+    run_parallel(
+        &small_spec(),
+        &opts,
+        &ParallelOptions::new(2),
+        &mut make_lane,
+    )
+    .expect_err("campaign must abort");
+    let dir = find_result_dir(&root);
+
+    // Distinct run indices completed across all of the tree's journals.
+    let mut completed = BTreeSet::new();
+    for entry in fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !name.starts_with("journal") {
+            continue;
+        }
+        for rec in Journal::replay(&path).unwrap().records {
+            if let JournalRecord::RunCompleted { index, .. } = rec {
+                completed.insert(index);
+            }
+        }
+    }
+    assert!(!completed.is_empty(), "some runs must have completed");
+    assert_eq!(
+        campaign_disk_state(&dir),
+        CampaignDiskState::InProgress {
+            runs_completed: completed.len(),
+            total_runs: Some(6),
+        }
+    );
 }
 
 /// Descends `<root>/<user>/<exp>/vt-*/` to the single result dir.
@@ -243,11 +281,11 @@ fn lane_death_at_every_boundary_matches_one_lane() {
     // Lane deaths change which replica executes later runs, never what
     // those runs write: every (boundary, recovery policy) combination
     // must reproduce the clean 1-lane tree.
-    let ref_root = workdir("death-ref");
+    let ref_root = TempDir::new("par-death-ref");
     let ref_dir = run_with_lanes(&ref_root, 1);
     for recovery in [LaneRecovery::Redistribute, LaneRecovery::Replacement] {
         for boundary in 0..=2 {
-            let root = workdir(&format!("death-{recovery:?}-{boundary}"));
+            let root = TempDir::new(&format!("par-death-{recovery:?}-{boundary}"));
             let plan = LaneFaultPlan {
                 lane_deaths: vec![LaneDeath {
                     lane: 1,
@@ -289,7 +327,7 @@ fn poison_run_quarantine_is_identical_across_lane_counts() {
         lane_deaths: vec![],
         poison_runs: vec![2],
     };
-    let ref_root = workdir("poison-ref");
+    let ref_root = TempDir::new("par-poison-ref");
     let ref_out = run_faulted(
         &faulted_popts(1, plan.clone(), LaneRecovery::Redistribute),
         &RunOptions::new(&ref_root),
@@ -304,7 +342,7 @@ fn poison_run_quarantine_is_identical_across_lane_counts() {
     assert!(report.exists(), "missing forensic report {report:?}");
 
     for recovery in [LaneRecovery::Redistribute, LaneRecovery::Replacement] {
-        let root = workdir(&format!("poison-{recovery:?}"));
+        let root = TempDir::new(&format!("par-poison-{recovery:?}"));
         let out = run_faulted(
             &faulted_popts(4, plan.clone(), recovery),
             &RunOptions::new(&root),
@@ -337,7 +375,7 @@ fn crash_mid_failover_resumes_to_identical_tree() {
         poison_runs: vec![2],
     };
     let popts = faulted_popts(4, plan, LaneRecovery::Redistribute);
-    let ref_root = workdir("failover-crash-ref");
+    let ref_root = TempDir::new("par-failover-crash-ref");
     let ref_out = run_faulted(&popts, &RunOptions::new(&ref_root));
     assert_eq!(ref_out.outcome.successes(), 5);
 
@@ -348,7 +386,7 @@ fn crash_mid_failover_resumes_to_identical_tree() {
     // continues from its journaled attempt, unsealed quarantines re-seal.
     for crash_after in 3..=8u64 {
         for torn in [false, true] {
-            let root = workdir(&format!("failover-crash-{crash_after}-{torn}"));
+            let root = TempDir::new(&format!("par-failover-crash-{crash_after}-{torn}"));
             let mut opts = RunOptions::new(&root);
             opts.journal_crash_after = Some(crash_after);
             opts.journal_torn_write = torn;
@@ -393,10 +431,10 @@ fn watchdog_retirements_preserve_identity() {
     // A pathologically tight watchdog budget retires a lane after nearly
     // every completed run; the campaign limps across replacement lanes
     // and still reproduces the clean 1-lane tree.
-    let ref_root = workdir("watchdog-ref");
+    let ref_root = TempDir::new("par-watchdog-ref");
     let ref_dir = run_with_lanes(&ref_root, 1);
 
-    let root = workdir("watchdog");
+    let root = TempDir::new("par-watchdog");
     let mut popts = ParallelOptions::new(4);
     popts.site_replicas = 8;
     popts.supervisor.grace_factor = 1e-6;
@@ -431,7 +469,7 @@ fn replacement_exhausts_site_and_falls_back_to_clone_pool() {
     let mut popts = ParallelOptions::new(4);
     popts.supervisor.fault_plan = plan;
     popts.supervisor.recovery = LaneRecovery::Replacement;
-    let root = workdir("clone-fallback");
+    let root = TempDir::new("par-clone-fallback");
     let out = run_faulted(&popts, &RunOptions::new(&root));
     assert_eq!(out.outcome.successes(), 6);
     assert_eq!(out.replanned_lanes, 1);
@@ -454,7 +492,7 @@ fn interrupted_failover_strands_run_and_fsck_flags_it() {
         poison_runs: vec![2],
     };
     let popts = faulted_popts(4, plan, LaneRecovery::Redistribute);
-    let root = workdir("stranded");
+    let root = TempDir::new("par-stranded");
     let mut opts = RunOptions::new(&root);
     opts.journal_crash_after = Some(4);
     let err = run_parallel(&small_spec(), &opts, &popts, &mut |_, flavor| {

@@ -2,18 +2,14 @@
 //! testbed (pos) and on its virtual clone (vpos); raw numbers differ by
 //! up to 44×, but the tendencies agree.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::eval::loader::ResultSet;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-vv-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Builds either testbed flavor with identical host names and wiring —
 /// only the hardware (and thus init interface) differs.
@@ -44,8 +40,9 @@ fn experiment() -> ExperimentSpec {
 
 fn run_on(virtualized: bool, name: &str) -> ResultSet {
     let mut tb = testbed(virtualized);
+    let root = TempDir::new(&format!("vv-{name}"));
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&experiment(), &RunOptions::new(tmp(name)))
+        .run_experiment(&experiment(), &RunOptions::new(&root))
         .expect("experiment runs");
     assert_eq!(outcome.successes(), 10);
     ResultSet::load(&outcome.result_dir).expect("loadable")
@@ -124,11 +121,15 @@ fn vpos_boots_much_faster_than_pos() {
     let mut tb_pos = testbed(false);
     let mut tb_vpos = testbed(true);
     let spec = linux_router_experiment("vriga", "vtartu", 1, 1);
+    let (root_pos, root_vpos) = (
+        TempDir::new("vv-bootcmp-pos"),
+        TempDir::new("vv-bootcmp-vpos"),
+    );
     let o1 = Controller::new(&mut tb_pos)
-        .run_experiment(&spec, &RunOptions::new(tmp("bootcmp-pos")))
+        .run_experiment(&spec, &RunOptions::new(&root_pos))
         .unwrap();
     let o2 = Controller::new(&mut tb_vpos)
-        .run_experiment(&spec, &RunOptions::new(tmp("bootcmp-vpos")))
+        .run_experiment(&spec, &RunOptions::new(&root_vpos))
         .unwrap();
     let pos_total = (o1.finished - o1.started).as_secs_f64();
     let vpos_total = (o2.finished - o2.started).as_secs_f64();

@@ -6,6 +6,9 @@
 //! hangs and lossy-link windows, each replayed twice to pin down that
 //! degraded experiments are byte-for-byte reproducible.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, HostHealth, Progress, RunOptions};
 use pos::core::experiment::linux_router_experiment;
@@ -17,12 +20,6 @@ use pos::testbed::{CommandResult, HardwareSpec, InitInterface, PortId, Testbed};
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::rc::Rc;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-rec-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn testbed_with_init(init: InitInterface) -> Testbed {
     let mut tb = Testbed::new(0xFEED);
@@ -69,8 +66,9 @@ fn crash_spec() -> pos::core::experiment::ExperimentSpec {
 fn recovery_via_ipmi_reset() {
     let mut tb = testbed_with_init(InitInterface::Ipmi);
     let calls = register_crash_once(&mut tb);
+    let root = TempDir::new("rec-ipmi");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&crash_spec(), &RunOptions::new(tmp("ipmi")))
+        .run_experiment(&crash_spec(), &RunOptions::new(&root))
         .expect("recovers and completes");
     assert_eq!(outcome.successes(), 2);
     assert_eq!(outcome.recoveries, 1);
@@ -88,8 +86,9 @@ fn recovery_via_power_plug_cycle() {
     // (off + mandatory dwell + on).
     let mut tb = testbed_with_init(InitInterface::PowerPlug);
     let _calls = register_crash_once(&mut tb);
+    let root = TempDir::new("rec-plug");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&crash_spec(), &RunOptions::new(tmp("plug")))
+        .run_experiment(&crash_spec(), &RunOptions::new(&root))
         .expect("power-cycle recovery works too");
     assert_eq!(outcome.successes(), 2);
     assert_eq!(outcome.recoveries, 1);
@@ -109,8 +108,9 @@ fn recovery_via_hypervisor() {
         .unwrap();
     register_all(&mut tb);
     let _calls = register_crash_once(&mut tb);
+    let root = TempDir::new("rec-hv");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&crash_spec(), &RunOptions::new(tmp("hv")))
+        .run_experiment(&crash_spec(), &RunOptions::new(&root))
         .expect("vm recovery");
     assert_eq!(outcome.successes(), 2);
     assert_eq!(outcome.recoveries, 1);
@@ -122,8 +122,9 @@ fn run_results_after_recovery_are_complete() {
     // artifacts are indistinguishable from an undisturbed run's.
     let mut tb = testbed_with_init(InitInterface::Ipmi);
     let _calls = register_crash_once(&mut tb);
+    let root = TempDir::new("rec-complete");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&crash_spec(), &RunOptions::new(tmp("complete")))
+        .run_experiment(&crash_spec(), &RunOptions::new(&root))
         .expect("completes");
     let set = pos::eval::loader::ResultSet::load(&outcome.result_dir).unwrap();
     assert_eq!(set.len(), 2);
@@ -180,7 +181,8 @@ fn run_chaos_scenario(
     } else {
         testbed_with_init(init)
     };
-    let mut opts = RunOptions::new(tmp(tag));
+    let root = TempDir::new(&format!("rec-{tag}"));
+    let mut opts = RunOptions::new(&root);
     opts.continue_on_run_failure = true;
     tune(&mut opts);
     let events = Rc::new(RefCell::new(Vec::new()));
@@ -198,6 +200,7 @@ fn run_chaos_scenario(
         events: seen,
         vtartu_boots: tb.host("vtartu").unwrap().boots,
         vtartu_health,
+        _root: root,
     }
 }
 
@@ -207,6 +210,8 @@ struct ChaosScenarioResult {
     events: Vec<Progress>,
     vtartu_boots: u64,
     vtartu_health: HostHealth,
+    /// Keeps the result tree on disk as long as the result lives.
+    _root: TempDir,
 }
 
 impl ChaosScenarioResult {
@@ -422,7 +427,7 @@ fn chaos_campaign_interrupted_mid_quarantine_resumes_identically() {
     // from the journal instead — both paths must converge.
     for k in [7u64, 9] {
         let tag = format!("chaos-resume-k{k}");
-        let root = tmp(&tag);
+        let root = TempDir::new(&format!("rec-{tag}"));
         let mut tb = testbed_with_init(InitInterface::Ipmi);
         let mut opts = RunOptions::new(&root);
         opts.continue_on_run_failure = true;
@@ -434,7 +439,7 @@ fn chaos_campaign_interrupted_mid_quarantine_resumes_identically() {
         drop(ctl);
 
         // Find the interrupted tree (root/user/experiment/vt-*).
-        let mut result_dir = root.clone();
+        let mut result_dir = root.to_path_buf();
         while !result_dir.join("journal.log").exists() {
             let mut entries: Vec<PathBuf> = std::fs::read_dir(&result_dir)
                 .unwrap()

@@ -2,19 +2,15 @@
 //! aggregating across runs — the statistical-confidence workflow that the
 //! robustness discussion (§2, Zilberman's NDP evaluation) calls for.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-rep2-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn vpos_testbed() -> Testbed {
     let mut tb = Testbed::new(0xEE);
@@ -39,7 +35,8 @@ fn repetitions_multiply_runs_and_aggregate() {
     let mut spec = linux_router_experiment("vriga", "vtartu", 2, 1);
     spec.loop_vars = pos::core::vars::Variables::new().with("pkt_rate", vec![20_000i64, 100_000]);
     spec.global_vars.set("pkt_sz", 64i64);
-    let mut opts = RunOptions::new(tmp("agg"));
+    let root = TempDir::new("rep-agg");
+    let mut opts = RunOptions::new(&root);
     opts.repetitions = 4;
     let outcome = Controller::new(&mut tb)
         .run_experiment(&spec, &opts)
@@ -97,8 +94,9 @@ fn single_repetition_adds_no_synthetic_variable() {
     let mut spec = linux_router_experiment("vriga", "vtartu", 1, 1);
     spec.loop_vars = pos::core::vars::Variables::new().with("pkt_rate", vec![10_000i64]);
     spec.global_vars.set("pkt_sz", 64i64);
+    let root = TempDir::new("rep-single");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp("single")))
+        .run_experiment(&spec, &RunOptions::new(&root))
         .unwrap();
     let set = ResultSet::load(&outcome.result_dir).unwrap();
     assert_eq!(set.len(), 1);

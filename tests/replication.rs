@@ -3,6 +3,9 @@
 //! testbed instance (different seed, different host names), and obtains
 //! the same scientific conclusions — the paper's replicability story.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
@@ -10,13 +13,7 @@ use pos::eval::loader::ResultSet;
 use pos::publish::bundle::Bundle;
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::{Path, PathBuf};
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-rep-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use std::path::Path;
 
 fn testbed(seed: u64, a: &str, b: &str) -> Testbed {
     let mut tb = Testbed::new(seed);
@@ -45,8 +42,9 @@ fn a_stranger_can_replicate_from_the_bundle_alone() {
     // ---------------------------------------------- original researcher
     let mut tb = testbed(111, "vriga", "vtartu");
     let spec = linux_router_experiment("vriga", "vtartu", 4, 1);
+    let orig = TempDir::new("rep-orig");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp("orig")))
+        .run_experiment(&spec, &RunOptions::new(&orig))
         .expect("original experiment");
     let orig_set = ResultSet::load(&outcome.result_dir).unwrap();
 
@@ -60,7 +58,7 @@ fn a_stranger_can_replicate_from_the_bundle_alone() {
             repo_url: String::new(),
         },
     );
-    let release = tmp("release");
+    let release = TempDir::new("rep-release");
     bundle.write_dir(&release).expect("published");
 
     // ------------------------------------------------ replicating party
@@ -74,8 +72,9 @@ fn a_stranger_can_replicate_from_the_bundle_alone() {
     spec2.roles[1].host = "nodeB".into();
     spec2.user = "replicator".into();
     let mut tb2 = testbed(999, "nodeA", "nodeB");
+    let replica = TempDir::new("rep-replica");
     let outcome2 = Controller::new(&mut tb2)
-        .run_experiment(&spec2, &RunOptions::new(tmp("replica")))
+        .run_experiment(&spec2, &RunOptions::new(&replica))
         .expect("replicated experiment");
     let replica_set = ResultSet::load(&outcome2.result_dir).unwrap();
 

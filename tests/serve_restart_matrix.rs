@@ -15,6 +15,9 @@
 //! * per-user backlog rejection carries a deterministic retry-after
 //!   hint, over the engine API and as an HTTP 429 `Retry-After` header.
 
+mod common;
+
+use common::TempDir;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::serve::{
     http_request, DrainAck, HttpServer, ServeEngine, ServeOptions, ServeStatus, StepOutcome,
@@ -25,13 +28,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-serve-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// The smallest real campaign the case-study generator produces.
 fn tiny_spec(user: &str, name: &str) -> ExperimentSpec {
@@ -220,7 +216,7 @@ fn crash_and_recover(
 /// require byte-identical result trees versus the uninterrupted run.
 #[test]
 fn restart_matrix_converges_to_uninterrupted_trees() {
-    let root = workdir("matrix");
+    let root = TempDir::new("serve-matrix");
     let tenants = storm(&root);
     let reference = reference_trees(&root, &tenants);
 
@@ -276,7 +272,7 @@ fn restart_matrix_converges_to_uninterrupted_trees() {
 /// A daemon drained with nothing left exits 0.
 #[test]
 fn clean_drain_exits_zero() {
-    let root = workdir("drain-clean");
+    let root = TempDir::new("serve-drain-clean");
     let tenants = storm(&root);
     let engine =
         ServeEngine::start(ServeOptions::new(root.join("state"), root.join("results"))).unwrap();
@@ -292,7 +288,7 @@ fn clean_drain_exits_zero() {
 /// durable in the ledger and a later session completes it.
 #[test]
 fn drain_with_backlog_exits_degraded_and_backlog_survives() {
-    let root = workdir("drain-backlog");
+    let root = TempDir::new("serve-drain-backlog");
     let tenants = storm(&root);
     let state = root.join("state");
     let results = root.join("results");
@@ -331,7 +327,7 @@ fn drain_with_backlog_exits_degraded_and_backlog_survives() {
 /// the final tree is byte-identical to a never-interrupted run.
 #[test]
 fn urgent_cancel_checkpoints_in_flight_and_resumes() {
-    let root = workdir("urgent");
+    let root = TempDir::new("serve-urgent");
     let tenants = storm(&root);
     let reference = reference_trees(&root, &tenants[..1]);
     let state = root.join("state");
@@ -364,7 +360,7 @@ fn urgent_cancel_checkpoints_in_flight_and_resumes() {
 /// for other tenants.
 #[test]
 fn backlog_rejection_has_deterministic_retry_after() {
-    let root = workdir("backlog");
+    let root = TempDir::new("serve-backlog");
     let tenants = storm(&root);
     let mut opts = ServeOptions::new(root.join("state"), root.join("results"));
     opts.user_backlog = 1;
@@ -412,7 +408,7 @@ fn backlog_rejection_has_deterministic_retry_after() {
 /// lifetime, completed campaigns included.
 #[test]
 fn tokens_deduplicate_across_completion() {
-    let root = workdir("dedupe");
+    let root = TempDir::new("serve-dedupe");
     let tenants = storm(&root);
     let engine =
         ServeEngine::start(ServeOptions::new(root.join("state"), root.join("results"))).unwrap();
@@ -435,7 +431,7 @@ fn tokens_deduplicate_across_completion() {
 /// (including 429 + `Retry-After` on backlog), and drain.
 #[test]
 fn http_endpoints_speak_the_protocol() {
-    let root = workdir("http");
+    let root = TempDir::new("serve-http");
     let tenants = storm(&root);
     let mut opts = ServeOptions::new(root.join("state"), root.join("results"));
     opts.user_backlog = 1;

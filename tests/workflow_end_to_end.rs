@@ -1,6 +1,9 @@
 //! End-to-end integration: the complete pos pipeline from experiment
 //! specification to published, integrity-verified artifact bundle.
 
+mod common;
+
+use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
@@ -11,13 +14,6 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pos-it-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn case_study_testbed(seed: u64) -> Testbed {
     let mut tb = Testbed::new(seed);
@@ -38,8 +34,9 @@ fn experiment_to_published_bundle() {
     // ----------------------------------------------------- run the study
     let mut tb = case_study_testbed(1);
     let spec = linux_router_experiment("vriga", "vtartu", 3, 1);
+    let root = TempDir::new("it-e2e-results");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp("e2e-results")))
+        .run_experiment(&spec, &RunOptions::new(&root))
         .expect("experiment runs");
     assert_eq!(outcome.runs.len(), 6);
     assert_eq!(outcome.successes(), 6);
@@ -77,7 +74,7 @@ fn experiment_to_published_bundle() {
             repo_url: String::new(),
         },
     );
-    let release = tmp("e2e-release");
+    let release = TempDir::new("it-e2e-release");
     let manifest = bundle.write_dir(&release).expect("publishable");
 
     // The release is self-contained and integrity-checked.
@@ -106,10 +103,11 @@ fn dag_study_to_published_bundle() {
     // ------------------------------------------------- execute the DAG
     let dag = linux_router_dag();
     let spec = linux_router_experiment("vriga", "vtartu", 3, 1);
+    let root = TempDir::new("it-dag-e2e-results");
     let out = run_dag(
         &dag,
         &spec,
-        &RunOptions::new(tmp("dag-e2e-results")),
+        &RunOptions::new(&root),
         &DagOptions::new(2, 0x707),
         &mut InProcessTarget::new(0x707, false, 2),
     )
@@ -156,7 +154,7 @@ fn dag_study_to_published_bundle() {
             repo_url: String::new(),
         },
     );
-    let release = tmp("dag-e2e-release");
+    let release = TempDir::new("it-dag-e2e-release");
     let manifest = bundle.write_dir(&release).expect("publishable");
     assert!(release.join("manifest.json").exists());
     assert!(release.join("stage-eval/figures/eval.svg").exists());
@@ -173,8 +171,9 @@ fn published_scripts_match_executed_scripts() {
     // in the result tree must equal the spec's scripts byte for byte.
     let mut tb = case_study_testbed(2);
     let spec = linux_router_experiment("vriga", "vtartu", 2, 1);
+    let root = TempDir::new("it-scripts-results");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp("scripts-results")))
+        .run_experiment(&spec, &RunOptions::new(&root))
         .expect("experiment runs");
     for role in &spec.roles {
         let setup = std::fs::read_to_string(
@@ -203,8 +202,9 @@ fn published_scripts_match_executed_scripts() {
 fn hardware_and_topology_captured() {
     let mut tb = case_study_testbed(3);
     let spec = linux_router_experiment("vriga", "vtartu", 1, 1);
+    let root = TempDir::new("it-hw-results");
     let outcome = Controller::new(&mut tb)
-        .run_experiment(&spec, &RunOptions::new(tmp("hw-results")))
+        .run_experiment(&spec, &RunOptions::new(&root))
         .expect("experiment runs");
     let hw = std::fs::read_to_string(outcome.result_dir.join("hardware/vtartu.txt")).unwrap();
     assert!(hw.contains("Xeon Silver 4214"));
