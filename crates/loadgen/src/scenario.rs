@@ -152,9 +152,9 @@ fn generator_config(s: &ForwardingScenario) -> GeneratorConfig {
     }
 }
 
-fn build_router(s: &ForwardingScenario) -> LinuxRouter {
+fn build_router(s: &ForwardingScenario, profile: ServiceProfile) -> LinuxRouter {
     let mut router = LinuxRouter::new(
-        dut_profile_of(s),
+        profile,
         vec![MacAddr::testbed_host(10), MacAddr::testbed_host(11)],
         SimRng::new(s.seed).derive("dut"),
     );
@@ -180,6 +180,15 @@ fn build_router(s: &ForwardingScenario) -> LinuxRouter {
 
 /// Builds the simulation for a scenario; returns `(sim, generator, dut)`.
 pub fn build(s: &ForwardingScenario) -> (NetSim, NodeId, NodeId) {
+    build_with_profile(s, dut_profile_of(s))
+}
+
+/// [`build`] with an explicit DuT service profile in place of the
+/// platform's (the scenario's jitter override is not applied).
+pub fn build_with_profile(
+    s: &ForwardingScenario,
+    profile: ServiceProfile,
+) -> (NetSim, NodeId, NodeId) {
     let mut sim = NetSim::new(s.seed);
     match s.platform {
         Platform::Pos => {
@@ -190,7 +199,7 @@ pub fn build(s: &ForwardingScenario) -> (NetSim, NodeId, NodeId) {
             );
             let dut = sim.add_element(
                 "dut",
-                Box::new(build_router(s)),
+                Box::new(build_router(s, profile)),
                 &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
             );
             // Two direct cables, the paper's preferred wiring (R2). The
@@ -211,7 +220,7 @@ pub fn build(s: &ForwardingScenario) -> (NetSim, NodeId, NodeId) {
             );
             let dut = sim.add_element(
                 "dut-vm",
-                Box::new(build_router(s)),
+                Box::new(build_router(s, profile)),
                 &[PortConfig::virtio(), PortConfig::virtio()],
             );
             let rng = SimRng::new(s.seed);

@@ -20,7 +20,7 @@ use pos_packet::builder::Frame;
 use pos_packet::ethernet::EthernetHeader;
 use pos_packet::MacAddr;
 use pos_simkernel::{SimDuration, SimRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 const TOKEN_SERVICE_DONE: u64 = 1;
 
@@ -44,7 +44,9 @@ pub struct LinuxBridge {
     base: SimDuration,
     /// Additional service per frame byte, in nanoseconds.
     per_byte_ns: f64,
-    fdb: HashMap<MacAddr, usize>,
+    /// Learned MAC → port. A tree, not a hash map: it holds a handful of
+    /// entries, and a lookup then costs a few compares instead of SipHash.
+    fdb: BTreeMap<MacAddr, usize>,
     queue: VecDeque<(usize, Frame)>,
     queue_cap: usize,
     serving: bool,
@@ -67,7 +69,7 @@ impl LinuxBridge {
         LinuxBridge {
             base,
             per_byte_ns,
-            fdb: HashMap::new(),
+            fdb: BTreeMap::new(),
             queue: VecDeque::new(),
             queue_cap: 1_000,
             serving: false,
@@ -153,7 +155,7 @@ impl Element for LinuxBridge {
         // Folded path: FIFO service in arrival order means learning and
         // the forwarding decision see the same table state here as at the
         // service completion on the timer path.
-        if !self.fold.admit("LinuxBridge", self.queue_cap, ctx) {
+        if !self.fold.admit("LinuxBridge", self.queue_cap, port, ctx) {
             self.stats.queue_drops += 1;
             return;
         }

@@ -136,6 +136,41 @@ impl SimCtx<'_> {
         self.vnow
     }
 
+    /// Inside [`Element::on_frame`] for a frame received on `port`: the
+    /// scheduling instant its arrival carries in the queue's
+    /// `(time, sched, seq)` order, inline or not — the instant the frame's
+    /// serialization completed, one propagation delay before `now()`,
+    /// where the eventful path's `TxComplete` schedules it. An element
+    /// that keeps its own timers ranks the arrival against them by
+    /// `(now(), arrival_sched(port))`.
+    pub(crate) fn arrival_sched(&self, port: usize) -> SimTime {
+        let link = self.shared.ports[self.node][port]
+            .link
+            .expect("a frame arrived on a wired port");
+        self.vnow - self.shared.links[link].propagation
+    }
+
+    /// Runs `f` with the element's view of the current instant moved to
+    /// `at`: how an element that keeps its own agenda runs an entry due at
+    /// `at` from inside a later inline callback, so everything the entry
+    /// does (timers, transmissions, trace lines) happens at `at`.
+    ///
+    /// # Panics
+    /// Panics, naming the element, if the event clock has already passed
+    /// `at`: the entry would transmit in the past.
+    pub(crate) fn replay_at<R>(&mut self, at: SimTime, f: impl FnOnce(&mut Self) -> R) -> R {
+        assert!(
+            at >= self.shared.queue.now(),
+            "`{}` replays an agenda entry at {at}, but the event clock is already at {}",
+            self.name(),
+            self.shared.queue.now()
+        );
+        let vnow = std::mem::replace(&mut self.vnow, at);
+        let out = f(self);
+        self.vnow = vnow;
+        out
+    }
+
     /// Hands a frame to one of the element's own ports for transmission.
     /// Returns `false` if the transmit queue was full and the frame dropped.
     pub fn transmit(&mut self, port: usize, frame: Frame) -> bool {
@@ -246,9 +281,11 @@ pub trait Element: AsAny {
     /// from the per-packet path — the dominant cost on clean topologies —
     /// but runs ahead of global event order, so it is only correct for
     /// handlers whose effects depend on nothing but their own state and
-    /// the delivered frame + timestamp: pure measurement sinks, or
-    /// servers whose outputs are future-dated transmissions
-    /// ([`SimCtx::transmit_at`]). Arrival order is preserved per link but
+    /// the delivered frame + timestamp: pure measurement sinks, servers
+    /// whose outputs are future-dated transmissions
+    /// ([`SimCtx::transmit_at`]), or servers that keep their own timers and
+    /// rank each arrival against them by its queue key (the router's timer
+    /// agenda). Arrival order is preserved per link but
     /// not across links. `all_ports_cut_through` reports whether every
     /// port of this element is wired fault-free — the precondition for
     /// timeline-folded servers. Queried once at simulation start; only
@@ -331,12 +368,13 @@ impl Shared {
                     at: done + propagation,
                 });
             } else {
-                // Keyed with the submission instant: a future-dated
-                // transmission ties at the receiver exactly as if it had
-                // been submitted by an event at `at`.
+                // Keyed with the serialization-complete instant, where the
+                // eventful path's `TxComplete` schedules the arrival: a
+                // future-dated transmission then ties at the receiver
+                // exactly as the eventful one does.
                 self.queue.schedule_keyed(
                     done + propagation,
-                    at,
+                    done,
                     Event::FrameArrival {
                         node: peer.0,
                         port: peer.1,

@@ -7,7 +7,10 @@
 //! submitted future-dated with [`SimCtx::transmit_at`]. The queue the
 //! eventful path keeps as a frame deque becomes a deque of completion
 //! instants, drained lazily; its length is the occupancy that tail-drop
-//! compares against the capacity.
+//! compares against the capacity. A completion in the arrival's own
+//! nanosecond has left only if the eventful path's service timer pops
+//! before the arrival: if it was set (at the service start) before the
+//! arrival was scheduled ([`SimCtx::arrival_sched`]).
 //!
 //! The fold is exact only while arrivals reach the element in timestamp
 //! order. Inline delivery keeps per-link order but not cross-link order,
@@ -25,9 +28,10 @@ pub(crate) struct Fold {
     /// Whether the element runs folded. Decided on the first frame, once
     /// wiring is final; `None` until then.
     engaged: Option<bool>,
-    /// Completion instants of packets accepted but not yet fully serviced.
-    /// Entries at or before the current instant are drained lazily.
-    completions: VecDeque<SimTime>,
+    /// `(completion, service start)` of packets accepted but not yet fully
+    /// serviced — the queue key of the eventful path's service timer.
+    /// Entries that rank before the current arrival are drained lazily.
+    completions: VecDeque<(SimTime, SimTime)>,
     /// Completion instant of the most recently accepted packet — the
     /// earliest time the next service can start.
     last_completion: SimTime,
@@ -48,14 +52,21 @@ impl Fold {
         })
     }
 
-    /// Registers an arrival at `ctx.now()` and reports whether the queue
-    /// has room for it: packets whose service completed by now have left,
-    /// the rest occupy the queue, exactly like the eventful path.
+    /// Registers an arrival on `port` at `ctx.now()` and reports whether
+    /// the queue has room for it: packets whose service completion ranks
+    /// before the arrival have left, the rest occupy the queue, exactly
+    /// like the eventful path.
     ///
     /// # Panics
     /// Panics, naming the element, if the arrival is earlier than the
     /// previous one.
-    pub(crate) fn admit(&mut self, kind: &str, capacity: usize, ctx: &SimCtx<'_>) -> bool {
+    pub(crate) fn admit(
+        &mut self,
+        kind: &str,
+        capacity: usize,
+        port: usize,
+        ctx: &SimCtx<'_>,
+    ) -> bool {
         let now = ctx.now();
         assert!(
             now >= self.last_arrival,
@@ -65,7 +76,12 @@ impl Fold {
             self.last_arrival
         );
         self.last_arrival = now;
-        while self.completions.front().is_some_and(|&c| c <= now) {
+        // A completion in the arrival's own nanosecond is rare; only then
+        // is the arrival's scheduling instant needed.
+        while let Some(&(completion, start)) = self.completions.front() {
+            if completion > now || (completion == now && start >= ctx.arrival_sched(port)) {
+                break;
+            }
             self.completions.pop_front();
         }
         self.completions.len() < capacity
@@ -74,8 +90,9 @@ impl Fold {
     /// Starts serving an admitted packet that takes `service`; until
     /// [`Self::end`], [`Self::transmit`] sends at its completion instant.
     pub(crate) fn begin(&mut self, now: SimTime, service: SimDuration) {
-        let completion = self.last_completion.max(now) + service;
-        self.completions.push_back(completion);
+        let start = self.last_completion.max(now);
+        let completion = start + service;
+        self.completions.push_back((completion, start));
         self.last_completion = completion;
         self.tx_at = Some(completion);
     }

@@ -22,6 +22,10 @@
 //! |---|---|---|---|
 //! | bare metal | ≈ 1.75 Mpps | ≈ 0.8 Mpps | CPU for 64 B, 10 G line for 1500 B |
 //! | virtualized | ≈ 0.04 Mpps | ≈ 0.04 Mpps | vCPU, packet-size independent |
+//!
+//! On all-cut-through ports the router takes its arrivals inline and keeps
+//! its timers out of the event queue; see [`LinuxRouter`] for how that
+//! stays exact.
 
 use crate::engine::{Element, SimCtx};
 use crate::fold::Fold;
@@ -31,7 +35,7 @@ use pos_packet::ethernet::{EtherType, EthernetHeader};
 use pos_packet::icmp::IcmpMessage;
 use pos_packet::ipv4::{Ipv4Header, Protocol};
 use pos_packet::MacAddr;
-use pos_simkernel::{SimDuration, SimRng, TraceLevel};
+use pos_simkernel::{SimDuration, SimRng, SimTime, TraceLevel};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -42,6 +46,8 @@ const TOKEN_SERVICE_DONE: u64 = 1;
 const TOKEN_PREEMPTION_END: u64 = 2;
 /// Timer token for "schedule the next hypervisor preemption".
 const TOKEN_PREEMPTION_BEGIN: u64 = 3;
+/// Timer token for "run the agenda entries due now" (agenda mode only).
+const TOKEN_WAKE: u64 = 4;
 
 /// Hypervisor preemption model for the virtualized profile: the vCPU runs
 /// for an exponentially distributed period, then is descheduled for an
@@ -195,7 +201,100 @@ pub struct RouterStats {
     pub preempted_ns: u64,
 }
 
+/// One pending timer of a router that keeps its own agenda.
+#[derive(Debug, Clone, Copy)]
+struct AgendaEntry {
+    /// Instant the timer fires.
+    at: SimTime,
+    /// Instant it was set: the event queue's scheduling instant.
+    sched: SimTime,
+    /// Creation order among this router's timers: the queue's sequence
+    /// number, which orders timers set in the same instant.
+    ord: u64,
+    token: u64,
+}
+
+/// The timers of a preempted router on all-cut-through ports, kept out of
+/// the event queue. The router never has more than one service completion
+/// and one preemption edge (begin or end) pending, so the agenda is two
+/// slots.
+///
+/// Entries run in the event queue's `(at, sched, seq)` order. An arrival
+/// ranks as the `(at, sched)` of its `FrameArrival`
+/// ([`SimCtx::arrival_sched`]) and runs after every entry whose
+/// `(at, sched)` is smaller. On a full tie the arrival goes first, as in
+/// the queue of a cut-through run, which holds the arrival from the moment
+/// its sender submits it, before any router handler at its `sched` runs.
+/// (The eventful path schedules the arrival only when serialization
+/// completes, so there a timer set in that very nanosecond and due in the
+/// arrival's nanosecond could rank either way: two same-nanosecond
+/// coincidences at once.)
+#[derive(Debug, Default)]
+struct Agenda {
+    /// `[pending service completion, pending preemption edge]`.
+    slots: [Option<AgendaEntry>; 2],
+    next_ord: u64,
+    /// Instants of this router's wake-up timers still in the event queue,
+    /// earliest first. The front is never later than the earliest entry,
+    /// so the event clock cannot pass an entry that has not run.
+    wakeups: VecDeque<SimTime>,
+    /// The `(at, sched)` queue key up to which entries and arrivals have
+    /// run; a later arrival must rank after it.
+    committed: (SimTime, SimTime),
+}
+
+impl Agenda {
+    /// The slot a timer with `token` occupies.
+    fn slot(token: u64) -> usize {
+        usize::from(token != TOKEN_SERVICE_DONE)
+    }
+
+    fn push(&mut self, at: SimTime, sched: SimTime, token: u64) {
+        let slot = &mut self.slots[Self::slot(token)];
+        debug_assert!(slot.is_none(), "two pending timers of one kind");
+        *slot = Some(AgendaEntry {
+            at,
+            sched,
+            ord: self.next_ord,
+            token,
+        });
+        self.next_ord += 1;
+    }
+
+    fn earliest(&self) -> Option<AgendaEntry> {
+        match self.slots {
+            [Some(a), Some(b)] if (b.at, b.sched, b.ord) < (a.at, a.sched, a.ord) => Some(b),
+            [Some(a), _] => Some(a),
+            [None, b] => b,
+        }
+    }
+
+    /// Removes and returns the earliest entry if its `(at, sched)` ranks
+    /// before `bound`.
+    fn pop_before(&mut self, bound: (SimTime, SimTime)) -> Option<AgendaEntry> {
+        let entry = self.earliest().filter(|e| (e.at, e.sched) < bound)?;
+        self.slots[Self::slot(entry.token)] = None;
+        Some(entry)
+    }
+}
+
 /// The Linux router element.
+///
+/// With a faulty port the router runs on the event queue: an event per
+/// arrival, a service timer per forwarded packet, preemption timers. With
+/// every port cut-through it takes its arrivals inline, ahead of the event
+/// clock, and keeps no per-packet timer:
+///
+/// * **Without preemption** the service timeline folds in closed form
+///   (the `fold` module): a packet's completion is known at its arrival,
+///   and its output leaves future-dated.
+/// * **With preemption** the timers go on a private [`Agenda`]. Each
+///   arrival first runs, at their own instants, the entries the queue
+///   would have popped before it, then is admitted or tail-dropped as on
+///   the timer path; one wake-up timer stays armed at or before the
+///   earliest entry, so entries no arrival follows still run on time. The
+///   handlers are the timer path's, so the service and preemption draws
+///   hit the shared RNG in the same order and the output is the same.
 pub struct LinuxRouter {
     profile: ServiceProfile,
     routes: Vec<RouteEntry>,
@@ -209,9 +308,12 @@ pub struct LinuxRouter {
     /// Set while preempted: a service completion that fired during the
     /// pause is deferred until the vCPU resumes.
     deferred_completion: bool,
-    /// The folded service timeline (no per-packet service timer), used
-    /// only by profiles without preemption on all-cut-through ports.
+    /// The folded service timeline, used without preemption on
+    /// all-cut-through ports.
     fold: Fold,
+    /// The private timer agenda, used with preemption on all-cut-through
+    /// ports; `None` otherwise.
+    agenda: Option<Agenda>,
     rng: SimRng,
     /// Observable statistics.
     pub stats: RouterStats,
@@ -231,6 +333,7 @@ impl LinuxRouter {
             preempted: false,
             deferred_completion: false,
             fold: Fold::default(),
+            agenda: None,
             rng,
             stats: RouterStats::default(),
         }
@@ -273,7 +376,39 @@ impl LinuxRouter {
         let len = frame.bytes().len();
         self.serving = true;
         let service = self.profile.sample_service(len, &mut self.rng);
-        ctx.set_timer(service, TOKEN_SERVICE_DONE);
+        self.set_timer(service, TOKEN_SERVICE_DONE, ctx);
+    }
+
+    /// Arms a timer: on the agenda when the router keeps one, otherwise on
+    /// the event queue.
+    fn set_timer(&mut self, delay: SimDuration, token: u64, ctx: &mut SimCtx<'_>) {
+        match &mut self.agenda {
+            Some(agenda) => agenda.push(ctx.now() + delay, ctx.now(), token),
+            None => ctx.set_timer(delay, token),
+        }
+    }
+
+    /// Runs, each at its own instant, every agenda entry that ranks before
+    /// `bound`, including entries those runs create.
+    fn run_agenda(&mut self, bound: (SimTime, SimTime), ctx: &mut SimCtx<'_>) {
+        while let Some(entry) = self.agenda.as_mut().and_then(|a| a.pop_before(bound)) {
+            ctx.replay_at(entry.at, |ctx| self.fire(entry.token, ctx));
+        }
+    }
+
+    /// Keeps a wake-up timer armed at or before the earliest agenda entry.
+    fn arm_wakeup(&mut self, ctx: &mut SimCtx<'_>) {
+        let Some(agenda) = &mut self.agenda else {
+            return;
+        };
+        let Some(next) = agenda.earliest() else {
+            return;
+        };
+        if agenda.wakeups.front().is_some_and(|&w| w <= next.at) {
+            return;
+        }
+        ctx.set_timer(next.at - ctx.now(), TOKEN_WAKE);
+        agenda.wakeups.push_front(next.at);
     }
 
     fn finish_service(&mut self, ctx: &mut SimCtx<'_>) {
@@ -443,58 +578,16 @@ impl LinuxRouter {
     fn schedule_next_preemption(&mut self, ctx: &mut SimCtx<'_>) {
         if let Some(p) = self.profile.preemption {
             let period = self.rng.exponential(p.period_mean.as_secs_f64());
-            ctx.set_timer(SimDuration::from_secs_f64(period), TOKEN_PREEMPTION_BEGIN);
+            self.set_timer(
+                SimDuration::from_secs_f64(period),
+                TOKEN_PREEMPTION_BEGIN,
+                ctx,
+            );
         }
     }
-}
 
-impl Element for LinuxRouter {
-    fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
-        self.schedule_next_preemption(ctx);
-    }
-
-    fn on_frame(&mut self, port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
-        // Decide once whether the service timeline can be folded into
-        // arrival processing: the queue is FIFO and service times are
-        // sampled in arrival order, so with no preemption process the
-        // whole timeline is computable the moment a packet arrives —
-        // no per-packet service timer needed, as long as every egress
-        // port accepts future-dated (cut-through) transmissions.
-        if !self.fold.engaged(self.profile.preemption.is_none(), ctx) {
-            if self.ring.len() >= self.profile.ring_size {
-                self.stats.ring_drops += 1;
-                return;
-            }
-            self.ring.push_back((port, frame));
-            self.begin_service(ctx);
-            return;
-        }
-
-        // Folded path: tail-drop on ring occupancy exactly like the
-        // eventful path does, then forward at the service completion.
-        if !self.fold.admit("LinuxRouter", self.profile.ring_size, ctx) {
-            self.stats.ring_drops += 1;
-            return;
-        }
-        let service = self
-            .profile
-            .sample_service(frame.bytes().len(), &mut self.rng);
-        self.fold.begin(ctx.now(), service);
-        self.forward(port, frame, ctx);
-        self.fold.end();
-    }
-
-    /// With no preemption process and an all-cut-through node, the router
-    /// runs timeline-folded: every arrival is consumed immediately into
-    /// timestamp arithmetic and future-dated transmissions, so frames may
-    /// be delivered ahead of global event order (arrival order is
-    /// preserved per ingress link, which is exact for the single-flow
-    /// case-study topologies).
-    fn inline_rx(&self, _port: usize, all_ports_cut_through: bool) -> bool {
-        self.profile.preemption.is_none() && all_ports_cut_through
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
+    /// The timer handlers, shared by the event queue and the agenda.
+    fn fire(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
         match token {
             TOKEN_SERVICE_DONE => {
                 if self.preempted {
@@ -514,7 +607,7 @@ impl Element for LinuxRouter {
                 let pause = self.rng.exponential(p.pause_mean.as_secs_f64());
                 let pause = SimDuration::from_secs_f64(pause);
                 self.stats.preempted_ns += pause.as_nanos();
-                ctx.set_timer(pause, TOKEN_PREEMPTION_END);
+                self.set_timer(pause, TOKEN_PREEMPTION_END, ctx);
             }
             TOKEN_PREEMPTION_END => {
                 self.preempted = false;
@@ -530,6 +623,84 @@ impl Element for LinuxRouter {
                 ctx.trace(TraceLevel::Warn, format!("unknown timer token {other}"));
             }
         }
+    }
+}
+
+impl Element for LinuxRouter {
+    fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
+        // Wiring is final: pick the timeline (see the type's docs). All
+        // ports cut-through but no fold means a preemption model.
+        if !self.fold.engaged(self.profile.preemption.is_none(), ctx)
+            && (0..ctx.port_count()).all(|p| ctx.future_tx_capable(p))
+        {
+            self.agenda = Some(Agenda::default());
+        }
+        self.schedule_next_preemption(ctx);
+        self.arm_wakeup(ctx);
+    }
+
+    fn on_frame(&mut self, port: usize, frame: Frame, ctx: &mut SimCtx<'_>) {
+        if self.fold.engaged(self.profile.preemption.is_none(), ctx) {
+            // Tail-drop on ring occupancy exactly like the timer path
+            // does, then forward at the service completion.
+            if !self
+                .fold
+                .admit("LinuxRouter", self.profile.ring_size, port, ctx)
+            {
+                self.stats.ring_drops += 1;
+                return;
+            }
+            let service = self
+                .profile
+                .sample_service(frame.bytes().len(), &mut self.rng);
+            self.fold.begin(ctx.now(), service);
+            self.forward(port, frame, ctx);
+            self.fold.end();
+            return;
+        }
+        if let Some(agenda) = &mut self.agenda {
+            let key = (ctx.now(), ctx.arrival_sched(port));
+            assert!(
+                key >= agenda.committed,
+                "folded LinuxRouter `{}`: arrival at {} precedes the router's timeline, \
+                 which has already run to {}; a folded element must receive in timestamp order",
+                ctx.name(),
+                key.0,
+                agenda.committed.0
+            );
+            agenda.committed = key;
+            self.run_agenda(key, ctx);
+        }
+        if self.ring.len() >= self.profile.ring_size {
+            self.stats.ring_drops += 1;
+        } else {
+            self.ring.push_back((port, frame));
+            self.begin_service(ctx);
+        }
+        self.arm_wakeup(ctx);
+    }
+
+    /// With every port cut-through the router folds its timeline or ranks
+    /// each arrival against its agenda by queue key, so it can take
+    /// arrivals ahead of global event order (in timestamp order per
+    /// ingress link, which is exact for the single-flow case-study
+    /// topologies).
+    fn inline_rx(&self, _port: usize, all_ports_cut_through: bool) -> bool {
+        all_ports_cut_through
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
+        if token != TOKEN_WAKE {
+            self.fire(token, ctx);
+            return;
+        }
+        let now = ctx.now();
+        let agenda = self.agenda.as_mut().expect("wake-up without an agenda");
+        debug_assert_eq!(agenda.wakeups.front(), Some(&now));
+        agenda.wakeups.pop_front();
+        agenda.committed = (now, SimTime::MAX);
+        self.run_agenda((now, SimTime::MAX), ctx);
+        self.arm_wakeup(ctx);
     }
 }
 
@@ -803,9 +974,10 @@ mod tests {
         assert_eq!(sim.port_counters(sink, 0).rx_frames, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "folded LinuxRouter `dut`: arrival at")]
-    fn folded_router_rejects_reordered_arrivals() {
+    /// Two frames on port 0 and one on port 1, all sent at zero: the
+    /// inline deliveries reach the router as 0, 0, 1 while the arrival
+    /// instants run t, 2t, t.
+    fn deliver_reordered(profile: ServiceProfile) {
         /// Queues `n` frames back to back at start.
         struct Burst(usize);
         impl Element for Burst {
@@ -816,20 +988,113 @@ mod tests {
             }
             fn on_frame(&mut self, _: usize, _: Frame, _: &mut SimCtx<'_>) {}
         }
-        // Two frames on port 0 and one on port 1, all sent at zero: the
-        // inline deliveries reach the router as 0, 0, 1 while the arrival
-        // instants run t, 2t, t.
         let mut sim = NetSim::new(1);
         let a = sim.add_element("a", Box::new(Burst(2)), &[PortConfig::ten_gbe()]);
         let b = sim.add_element("b", Box::new(Burst(1)), &[PortConfig::ten_gbe()]);
         let dut = sim.add_element(
             "dut",
-            Box::new(router(ServiceProfile::bare_metal(), 1)),
+            Box::new(router(profile, 1)),
             &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
         );
         sim.connect((a, 0), (dut, 0), LinkConfig::direct_cable());
         sim.connect((b, 0), (dut, 1), LinkConfig::direct_cable());
-        sim.run_to_idle();
+        sim.run_until(SimTime::from_millis(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "folded LinuxRouter `dut`: arrival at")]
+    fn folded_router_rejects_reordered_arrivals() {
+        deliver_reordered(ServiceProfile::bare_metal());
+    }
+
+    #[test]
+    #[should_panic(expected = "folded LinuxRouter `dut`: arrival at")]
+    fn agenda_router_rejects_reordered_arrivals() {
+        // The third arrival ranks before the second, which the agenda has
+        // already run to.
+        deliver_reordered(ServiceProfile::virtualized());
+    }
+
+    #[test]
+    fn agenda_router_runs_on_time_across_run_deadlines() {
+        /// Sends `n` frames `gap_ns` apart, 16 future-dated ones per timer
+        /// where the link allows it (one per timer otherwise).
+        struct BurstSource {
+            n: u64,
+            sent: u64,
+            gap_ns: u64,
+        }
+        impl Element for BurstSource {
+            fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
+                ctx.set_timer(SimDuration::ZERO, 0);
+            }
+            fn on_frame(&mut self, _: usize, _: Frame, _: &mut SimCtx<'_>) {}
+            fn on_timer(&mut self, _: u64, ctx: &mut SimCtx<'_>) {
+                let burst = if ctx.future_tx_capable(0) { 16 } else { 1 };
+                let end = (self.sent + burst).min(self.n);
+                while self.sent < end {
+                    let at = SimTime::from_nanos(self.sent * self.gap_ns);
+                    let frame = frame_spec().build_with_wire_size(64, &[]).unwrap();
+                    ctx.transmit_at(0, frame, at);
+                    self.sent += 1;
+                }
+                if self.sent < self.n {
+                    let next = SimTime::from_nanos(self.sent * self.gap_ns);
+                    ctx.set_timer(next - ctx.now(), 0);
+                }
+            }
+        }
+        // The wake-up timer keeps the agenda on the event clock: stopping
+        // the run every 37 µs (mid-burst, mid-service, mid-preemption)
+        // leaves the same statistics at each stop as the eventful run,
+        // even with arrivals delivered past the stop.
+        let build = |eventful: bool| {
+            let mut sim = NetSim::new(1);
+            let src = sim.add_element(
+                "loadgen",
+                Box::new(BurstSource {
+                    n: 2_000,
+                    sent: 0,
+                    gap_ns: 20_000,
+                }),
+                &[PortConfig::ten_gbe()],
+            );
+            let dut = sim.add_element(
+                "dut",
+                Box::new(router(ServiceProfile::virtualized(), 3)),
+                &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
+            );
+            let sink = sim.add_element(
+                "sink",
+                Box::new(CountingSink::new()),
+                &[PortConfig::ten_gbe()],
+            );
+            sim.connect((src, 0), (dut, 0), LinkConfig::direct_cable());
+            sim.connect((dut, 1), (sink, 0), LinkConfig::direct_cable());
+            if eventful {
+                sim.force_eventful();
+            }
+            (sim, dut, sink)
+        };
+        let (mut fast, dut, sink) = build(false);
+        let (mut slow, _, _) = build(true);
+        let mut t = SimTime::ZERO;
+        while t < SimTime::from_millis(60) {
+            t += SimDuration::from_micros(37);
+            fast.run_until(t);
+            slow.run_until(t);
+            let stats = |sim: &NetSim| sim.element_as::<LinuxRouter>(dut).unwrap().stats;
+            assert_eq!(stats(&fast), stats(&slow), "router stats at {t}");
+            assert_eq!(
+                fast.port_counters(sink, 0),
+                slow.port_counters(sink, 0),
+                "sink counters at {t}"
+            );
+        }
+        let stats = fast.element_as::<LinuxRouter>(dut).unwrap().stats;
+        assert!(stats.forwarded > 0 && stats.ring_drops > 0, "{stats:?}");
+        assert!(stats.preempted_ns > 0, "{stats:?}");
+        assert!(fast.events_processed() < slow.events_processed());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use pos_packet::builder::Frame;
 use pos_packet::ethernet::EthernetHeader;
 use pos_packet::MacAddr;
 use pos_simkernel::SimDuration;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// How the switch decides and delays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +52,9 @@ pub struct HardwareSwitch {
     kind: SwitchKind,
     /// L1: static circuits, ingress port -> egress port.
     circuits: HashMap<usize, usize>,
-    /// L2: learned MAC table.
-    fdb: HashMap<MacAddr, usize>,
+    /// L2: learned MAC table (a tree: a few compares per lookup on a
+    /// table this small, instead of SipHash).
+    fdb: BTreeMap<MacAddr, usize>,
     pending: HashMap<u64, (usize, Frame)>,
     next_token: u64,
     /// Observable statistics.
@@ -66,7 +67,7 @@ impl HardwareSwitch {
         HardwareSwitch {
             kind,
             circuits: HashMap::new(),
-            fdb: HashMap::new(),
+            fdb: BTreeMap::new(),
             pending: HashMap::new(),
             next_token: 0,
             stats: SwitchStats::default(),

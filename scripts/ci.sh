@@ -34,6 +34,12 @@ cargo test -q --workspace
 echo "==> fast-vs-eventful oracle (crates/loadgen/tests/fast_vs_eventful.rs)"
 cargo test -q -p pos-loadgen --test fast_vs_eventful
 
+# The oracle compares two paths of one build; the golden pins the case
+# study's output across versions (router stats, TX/RX frames, interval
+# buckets, a checksum over the latency samples).
+echo "==> case-study golden (crates/loadgen/tests/case_study_golden.rs)"
+cargo test -q -p pos-loadgen --test case_study_golden
+
 # The crash matrix is the durability contract: kill the controller at every
 # journal record boundary (cleanly and with torn tails), resume, and demand a
 # byte-identical result tree. It runs as part of the workspace suite above;
