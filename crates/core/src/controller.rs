@@ -1767,13 +1767,8 @@ mod tests {
     use crate::commands::register_all;
     use crate::experiment::linux_router_experiment;
     use pos_testbed::{HardwareSpec, InitInterface, PortId};
+    use pos_testutil::TempDir;
     use std::path::Path;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-ctl-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn case_study_testbed(seed: u64) -> Testbed {
         let mut tb = Testbed::new(seed);
@@ -1797,7 +1792,7 @@ mod tests {
     #[test]
     fn full_workflow_produces_result_tree() {
         let mut tb = case_study_testbed(1);
-        let root = tmp("workflow");
+        let root = TempDir::new("ctl-workflow");
         let outcome = Controller::new(&mut tb)
             .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap();
@@ -1832,7 +1827,7 @@ mod tests {
     #[test]
     fn results_show_forwarding_because_setup_ran() {
         let mut tb = case_study_testbed(2);
-        let root = tmp("setupcoupling");
+        let root = TempDir::new("ctl-setupcoupling");
         let outcome = Controller::new(&mut tb)
             .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap();
@@ -1853,8 +1848,9 @@ mod tests {
         spec.roles[1].setup =
             crate::script::Script::parse("sysctl -w no.such.key=1\npos_sync setup_done");
         spec.roles[0].setup = crate::script::Script::parse("pos_sync setup_done");
+        let root = TempDir::new("ctl-setupfail");
         let err = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp("setupfail")))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap_err();
         match err {
             ControllerError::SetupFailed {
@@ -1882,8 +1878,9 @@ mod tests {
                 pos_simkernel::SimDuration::from_hours(5),
             )
             .unwrap();
+        let root = TempDir::new("ctl-alloc");
         let err = Controller::new(&mut tb)
-            .run_experiment(&small_spec(), &RunOptions::new(tmp("alloc")))
+            .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap_err();
         assert!(matches!(err, ControllerError::Allocation(_)), "{err}");
     }
@@ -1891,8 +1888,9 @@ mod tests {
     #[test]
     fn reservation_released_after_experiment() {
         let mut tb = case_study_testbed(5);
+        let root = TempDir::new("ctl-release");
         Controller::new(&mut tb)
-            .run_experiment(&small_spec(), &RunOptions::new(tmp("release")))
+            .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap();
         let now = tb.now();
         assert!(tb.calendar.is_free(
@@ -1910,7 +1908,8 @@ mod tests {
         spec.loop_vars
             .set("a", crate::vars::VarValue::List(big.clone()));
         spec.loop_vars.set("b", crate::vars::VarValue::List(big));
-        let mut opts = RunOptions::new(tmp("toomany"));
+        let root = TempDir::new("ctl-toomany");
+        let mut opts = RunOptions::new(&root);
         opts.max_runs = 1000;
         let err = Controller::new(&mut tb)
             .run_experiment(&spec, &opts)
@@ -1923,16 +1922,18 @@ mod tests {
         let mut tb = case_study_testbed(7);
         let mut spec = small_spec();
         spec.roles[0].host = "nonexistent".into();
+        let root = TempDir::new("ctl-uh");
         assert!(matches!(
-            Controller::new(&mut tb).run_experiment(&spec, &RunOptions::new(tmp("uh"))),
+            Controller::new(&mut tb).run_experiment(&spec, &RunOptions::new(&root)),
             Err(ControllerError::UnknownHost { .. })
         ));
 
         let mut tb = case_study_testbed(8);
         let mut spec = small_spec();
         spec.roles[0].image_name = "gentoo".into();
+        let root = TempDir::new("ctl-ui");
         assert!(matches!(
-            Controller::new(&mut tb).run_experiment(&spec, &RunOptions::new(tmp("ui"))),
+            Controller::new(&mut tb).run_experiment(&spec, &RunOptions::new(&root)),
             Err(ControllerError::UnknownImage { .. })
         ));
     }
@@ -1947,8 +1948,9 @@ mod tests {
         spec.roles[0].measurement = crate::script::Script::parse("sleep 1\npos_sync run_done");
         spec.roles[1].measurement = crate::script::Script::parse("sleep 5\npos_sync run_done");
         let before_boot = tb.now();
+        let root = TempDir::new("ctl-barrier");
         let outcome = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp("barrier")))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap();
         let total = (outcome.finished - before_boot).as_secs_f64();
         // Boot ≈80 s dominated; the measurement adds max(1,5)=5 s, not 6 s.
@@ -1968,9 +1970,10 @@ mod tests {
         let mut tb = case_study_testbed(10);
         let events = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink = events.clone();
+        let root = TempDir::new("ctl-progress");
         Controller::new(&mut tb)
             .with_progress(move |p| sink.borrow_mut().push(p.clone()))
-            .run_experiment(&small_spec(), &RunOptions::new(tmp("progress")))
+            .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap();
         let events = events.borrow();
         let ready = events
@@ -2015,8 +2018,10 @@ mod tests {
             }
             (all, outcome.finished.as_nanos())
         };
-        let a = run(&tmp("det-a"));
-        let b = run(&tmp("det-b"));
+        let root_a = TempDir::new("ctl-det-a");
+        let a = run(&root_a);
+        let root_b = TempDir::new("ctl-det-b");
+        let b = run(&root_b);
         assert_eq!(a, b, "same seed, same experiment, same bytes");
     }
 
@@ -2046,8 +2051,9 @@ mod tests {
             crate::script::Script::parse("flaky-op\nsleep 1\npos_sync run_done");
         spec.roles[0].measurement = crate::script::Script::parse("sleep 1\npos_sync run_done");
 
+        let root = TempDir::new("ctl-recovery");
         let outcome = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp("recovery")))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap();
         assert_eq!(outcome.runs.len(), 1);
         let rec = &outcome.runs[0];
@@ -2065,8 +2071,9 @@ mod tests {
         spec.loop_vars = crate::vars::Variables::new();
         spec.roles[1].measurement = crate::script::Script::parse("false\npos_sync run_done");
         spec.roles[0].measurement = crate::script::Script::parse("pos_sync run_done");
+        let root = TempDir::new("ctl-persist");
         let err = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp("persist")))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap_err();
         assert!(
             matches!(err, ControllerError::RunFailed { index: 0, .. }),
@@ -2075,7 +2082,8 @@ mod tests {
 
         // With continue_on_run_failure the experiment records the failure.
         let mut tb = case_study_testbed(13);
-        let mut opts = RunOptions::new(tmp("persist2"));
+        let root = TempDir::new("ctl-persist2");
+        let mut opts = RunOptions::new(&root);
         opts.continue_on_run_failure = true;
         let outcome = Controller::new(&mut tb)
             .run_experiment(&spec, &opts)
@@ -2095,8 +2103,9 @@ mod tests {
             "moongen --rate $pkt_rate --size $pkt_sz --time $run_secs --pcap /srv/results/tx.pcap\n\
              pos_sync run_done\n",
         );
+        let root = TempDir::new("ctl-pcapcollect");
         let outcome = Controller::new(&mut tb)
-            .run_experiment(&spec, &RunOptions::new(tmp("pcapcollect")))
+            .run_experiment(&spec, &RunOptions::new(&root))
             .unwrap();
         for idx in 0..2 {
             let pcap = outcome
@@ -2118,8 +2127,9 @@ mod tests {
     #[test]
     fn metadata_matches_cross_product_order() {
         let mut tb = case_study_testbed(14);
+        let root = TempDir::new("ctl-meta");
         let outcome = Controller::new(&mut tb)
-            .run_experiment(&small_spec(), &RunOptions::new(tmp("meta")))
+            .run_experiment(&small_spec(), &RunOptions::new(&root))
             .unwrap();
         let store = ResultStore::open(&outcome.result_dir);
         let runs = store.list_runs().unwrap();

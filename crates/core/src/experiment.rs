@@ -371,6 +371,7 @@ pub fn linux_router_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pos_testutil::TempDir;
 
     #[test]
     fn case_study_spec_is_valid() {
@@ -452,8 +453,7 @@ mod tests {
 
     #[test]
     fn dir_roundtrip_preserves_spec() {
-        let dir = std::env::temp_dir().join(format!("pos-spec-dir-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("spec-dir");
         let spec = linux_router_experiment("vriga", "vtartu", 5, 10);
         spec.to_dir(&dir).unwrap();
         for rel in [
@@ -477,8 +477,7 @@ mod tests {
     fn from_dir_plain_files_override_embedded_yaml() {
         // The replicating researcher edits measurement.sh by hand; the
         // edited file must win over the YAML-embedded copy.
-        let dir = std::env::temp_dir().join(format!("pos-spec-edit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("spec-edit");
         let spec = linux_router_experiment("a", "b", 2, 1);
         spec.to_dir(&dir).unwrap();
         std::fs::write(
@@ -501,9 +500,7 @@ mod tests {
 
     #[test]
     fn from_dir_missing_experiment_yml_fails() {
-        let dir = std::env::temp_dir().join(format!("pos-spec-miss-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("spec-miss");
         assert!(ExperimentSpec::from_dir(&dir).is_err());
     }
 

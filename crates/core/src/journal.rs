@@ -1,10 +1,9 @@
-//! The append-only campaign journal.
+//! The append-only journal: one frame format, three record vocabularies.
 //!
-//! A campaign (one `run_experiment` invocation) writes a write-ahead log
-//! of its lifecycle into `journal.log` at the root of the result tree.
-//! Every record is framed, checksummed, and fsynced before the controller
-//! proceeds, so after a crash — of the controller process or the machine —
-//! the journal tells exactly how far the campaign got:
+//! Every durable lifecycle in pos is a write-ahead log of framed,
+//! checksummed, fsynced records. A record is appended before the state it
+//! describes is acted on, so after a crash — of the process or the
+//! machine — the log tells exactly how far the work got:
 //!
 //! ```text
 //! POSJ1 <len:08x> <sha256-hex-of-json> <json>\n
@@ -19,8 +18,19 @@
 //!   checksum (bit rot, manual editing). This is never produced by a
 //!   crash and replay refuses the journal.
 //!
-//! [`crate::recovery::CampaignJournals`] is the one reader that folds a
-//! campaign tree's journals for resume, fsck and the disk-state check.
+//! [`Journal`] and [`Replay`] are generic over the [`Record`] type; the
+//! framing, crash arming and torn-tail handling are the same for all.
+//! Each vocabulary lives with the crate that owns it and has one reader:
+//!
+//! | journal | record type | owner | reader |
+//! |---|---|---|---|
+//! | campaign `journal.log` + `journal-lane{k}.log` | [`JournalRecord`] | `pos-core` | [`crate::recovery::CampaignJournals`] |
+//! | DAG tree `journal.log` | `DagRecord` | `pos-dag` | `pos_dag::DagJournal` |
+//! | daemon `ledger.log` | `LedgerRecord` | `pos-serve` | `pos_serve::ledger::rebuild` |
+//!
+//! A frame whose checksum verifies but whose record belongs to another
+//! vocabulary is refused as [`JournalError::WrongKind`], naming the
+//! record and the journal kind that was expected.
 
 use crate::hash::sha256_hex;
 use crate::recovery::CampaignJournals;
@@ -29,6 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
 use std::io;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Frame magic; bump the digit for incompatible format changes.
@@ -41,12 +52,6 @@ pub const FRAME_HEADER_LEN: usize = JOURNAL_MAGIC.len() + 1 + 8 + 1 + 64 + 1;
 /// File name of the journal inside a result tree.
 pub const JOURNAL_FILE: &str = "journal.log";
 
-/// File name of the `pos serve` queue ledger inside a daemon state
-/// directory. Same frame format as a campaign journal, different record
-/// vocabulary (`ServeStarted` / `SubmissionAccepted` /
-/// `CampaignDispatched` / `SubmissionFinished` / `DrainStarted`).
-pub const LEDGER_FILE: &str = "ledger.log";
-
 /// File name of worker lane `lane`'s journal inside a result tree.
 ///
 /// A parallel campaign keeps the scheduler-level journal in
@@ -57,6 +62,14 @@ pub const LEDGER_FILE: &str = "ledger.log";
 /// parallel against sequential trees.
 pub fn lane_journal_file(lane: usize) -> String {
     format!("journal-lane{lane}.log")
+}
+
+/// A journal's record vocabulary: the records are self-describing,
+/// externally tagged JSON objects (`{"RunStarted":{...}}`).
+pub trait Record: Serialize + Deserialize {
+    /// What a journal of these records is called, for the refusal of a
+    /// record from another vocabulary (`"campaign journal"`).
+    const KIND: &'static str;
 }
 
 /// One campaign lifecycle event.
@@ -232,148 +245,10 @@ pub enum JournalRecord {
         /// Failed-but-recorded runs.
         failed: usize,
     },
-    /// A `pos serve` daemon process came up on this state directory.
-    ///
-    /// First record of every daemon session in the queue ledger
-    /// ([`LEDGER_FILE`]); restart recovery uses the *last* one to learn
-    /// where result trees live and what admission limits were configured.
-    ServeStarted {
-        /// Absolute path of the results root the daemon writes trees to.
-        results_root: String,
-        /// Total queue capacity configured for this session.
-        capacity: usize,
-        /// Per-user backlog cap configured for this session.
-        user_backlog: usize,
-        /// Campaign seed every dispatched campaign runs on.
-        seed: u64,
-    },
-    /// The daemon durably accepted a submission — journaled *before* the
-    /// client is acknowledged, so an acked submission is never lost to a
-    /// crash.
-    SubmissionAccepted {
-        /// Queue-assigned submission id (dense, increasing).
-        id: u64,
-        /// Submitting user (fair-share accounting key).
-        user: String,
-        /// Experiment spec directory the submission points at.
-        experiment: String,
-        /// Priority weight (stride tickets).
-        priority: u32,
-        /// Client-chosen idempotency token, if any; a resubmission
-        /// carrying a token already in the ledger is a duplicate, not a
-        /// new campaign.
-        token: Option<String>,
-    },
-    /// The stride scheduler admitted a submission and the daemon is
-    /// about to execute it. Journaled before the campaign starts, so a
-    /// crash mid-campaign leaves an in-flight marker for recovery to
-    /// resume.
-    CampaignDispatched {
-        /// The admitted submission.
-        id: u64,
-    },
-    /// A dispatched campaign reached a terminal state and its outcome is
-    /// recorded in the completion ledger.
-    SubmissionFinished {
-        /// The finished submission.
-        id: u64,
-        /// Terminal outcome: `"completed"`, `"completed_degraded"` or
-        /// `"failed"`.
-        outcome: String,
-        /// Absolute path of the campaign's result tree (empty when the
-        /// campaign failed before a tree was claimed).
-        result_dir: String,
-    },
-    /// The daemon stopped accepting submissions and began a
-    /// preemption-free drain (SIGTERM or `POST /drain`).
-    DrainStarted {
-        /// Submissions still pending at drain start.
-        pending: usize,
-    },
-    /// A DAG campaign created its result tree and journaled its plan.
-    ///
-    /// Always the first record of a DAG journal; its presence is how
-    /// `pos dag resume` and `pos fsck` recognize a DAG result tree.
-    DagStarted {
-        /// DAG name (result directory component).
-        name: String,
-        /// SHA-256 of the canonical DAG spec — guards resume against a
-        /// spec edited after the fact.
-        dag_digest: String,
-        /// SHA-256 of the effective experiment spec all sweep stages
-        /// derive from.
-        spec_digest: String,
-        /// Testbed root seed every stage runs on.
-        seed: u64,
-        /// Testbed flavor (`"pos"` / `"vpos"`); stages boot testbeds, so
-        /// a resume on the wrong flavor would diverge.
-        testbed: String,
-        /// Execution target name (`"in-process"` / `"sim-batch"`). The
-        /// determinism contract makes targets interchangeable for the
-        /// *artifacts*, but a resume replays target-side accounting, so
-        /// the identity guard records where the DAG ran.
-        target: String,
-        /// Total number of stage nodes in the DAG.
-        nodes: usize,
-    },
-    /// A later session picked the DAG up again.
-    DagResumed {
-        /// Nodes the resuming session verified (digest match) and
-        /// fast-forwarded over.
-        verified_nodes: usize,
-    },
-    /// A DAG stage node began executing.
-    NodeStarted {
-        /// Stage id (unique within the DAG).
-        node: String,
-        /// Stage kind (`"setup"` / `"sweep"` / `"gather"`).
-        kind: String,
-        /// Virtual start instant of the node on the DAG schedule,
-        /// nanoseconds.
-        started_ns: u64,
-    },
-    /// A gather node consumed all of its scatter inputs and sealed the
-    /// barrier: every input subtree digest is recorded, so a resume (or
-    /// `pos fsck`) can prove the aggregation saw complete inputs.
-    ///
-    /// Journaled after the gather's artifacts are durable and before its
-    /// `NodeFinished` — a `NodeStarted` gather without a seal is an
-    /// *unsealed gather* and `pos fsck` flags it.
-    GatherSealed {
-        /// The gather stage.
-        node: String,
-        /// Stage ids of the consumed scatter (sweep) inputs, in
-        /// dependency order.
-        inputs: Vec<String>,
-        /// Subtree digest of each consumed input, aligned with `inputs`.
-        input_digests: Vec<String>,
-    },
-    /// A DAG stage node reached a terminal state and its artifact
-    /// subtree is durable.
-    NodeFinished {
-        /// The finished stage.
-        node: String,
-        /// Deterministic digest of the node's artifact subtree
-        /// (journal files excluded) — what resume verifies before
-        /// fast-forwarding over the node.
-        digest: String,
-        /// Virtual start instant of the node, nanoseconds.
-        started_ns: u64,
-        /// Virtual finish instant of the node, nanoseconds.
-        finished_ns: u64,
-        /// Measurement runs inside the node that failed (sweep stages
-        /// under `continue_on_run_failure`; 0 for setup/gather).
-        failed_runs: usize,
-    },
-    /// Every node of the DAG completed and the result tree is sealed.
-    DagFinished {
-        /// Nodes completed (equals the planned node count).
-        nodes: usize,
-        /// Total failed measurement runs across all sweep stages.
-        failed_runs: usize,
-        /// Virtual makespan of the DAG schedule, nanoseconds.
-        makespan_ns: u64,
-    },
+}
+
+impl Record for JournalRecord {
+    const KIND: &'static str = "campaign journal";
 }
 
 /// Why a journal could not be replayed.
@@ -388,6 +263,16 @@ pub enum JournalError {
         /// What exactly failed.
         reason: String,
     },
+    /// A complete, checksummed frame holding a record of another
+    /// vocabulary — a file of another journal kind, not damage.
+    WrongKind {
+        /// Byte offset of the offending frame.
+        offset: usize,
+        /// The record's tag (`"DagStarted"`).
+        tag: String,
+        /// The journal kind the reader expected ([`Record::KIND`]).
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -397,6 +282,14 @@ impl fmt::Display for JournalError {
             JournalError::Corrupt { offset, reason } => {
                 write!(f, "journal corrupt at byte {offset}: {reason}")
             }
+            JournalError::WrongKind {
+                offset,
+                tag,
+                expected,
+            } => write!(
+                f,
+                "journal at byte {offset}: record `{tag}` does not belong in a {expected}"
+            ),
         }
     }
 }
@@ -410,14 +303,24 @@ impl From<io::Error> for JournalError {
 }
 
 /// Result of replaying a journal file.
-#[derive(Debug, Default)]
-pub struct Replay {
+#[derive(Debug)]
+pub struct Replay<R = JournalRecord> {
     /// All complete, validated records in append order.
-    pub records: Vec<JournalRecord>,
+    pub records: Vec<R>,
     /// True when the file ends mid-record (crash during an append).
     pub torn_tail: bool,
     /// Bytes in the torn tail, if any.
     pub torn_bytes: usize,
+}
+
+impl<R> Default for Replay<R> {
+    fn default() -> Self {
+        Replay {
+            records: Vec::new(),
+            torn_tail: false,
+            torn_bytes: 0,
+        }
+    }
 }
 
 impl Replay {
@@ -436,25 +339,9 @@ impl Replay {
             .iter()
             .any(|r| matches!(r, JournalRecord::CampaignFinished { .. }))
     }
-
-    /// The `DagStarted` record, if this is a DAG journal (it is always
-    /// the first record of a well-formed DAG journal).
-    pub fn dag_start(&self) -> Option<&JournalRecord> {
-        match self.records.first() {
-            Some(r @ JournalRecord::DagStarted { .. }) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// True when a `DagFinished` record is present.
-    pub fn dag_finished(&self) -> bool {
-        self.records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::DagFinished { .. }))
-    }
 }
 
-/// Writer handle for a campaign journal.
+/// Writer handle for a journal of `R` records.
 ///
 /// Appends are write-ahead: the record is framed, written, and fsynced
 /// before `append` returns, so a record's presence in the journal is a
@@ -465,32 +352,27 @@ impl Replay {
 /// mirrors the testbed's deterministic chaos knobs: the fault is data,
 /// not wall-clock luck.
 #[derive(Debug)]
-pub struct Journal {
+pub struct Journal<R = JournalRecord> {
     path: PathBuf,
     vfs: Vfs,
     appended: u64,
     crash_after: Option<u64>,
     torn_write: bool,
+    records: PhantomData<fn(&R)>,
 }
 
-impl Journal {
+impl<R: Record> Journal<R> {
     /// Creates a fresh journal file (truncating any existing one).
-    pub fn create(path: impl Into<PathBuf>) -> io::Result<Journal> {
+    pub fn create(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::create_with(path, Vfs::real())
     }
 
     /// [`Journal::create`] writing through an explicit [`Vfs`] handle,
     /// so injected storage faults hit journal appends too.
-    pub fn create_with(path: impl Into<PathBuf>, vfs: Vfs) -> io::Result<Journal> {
+    pub fn create_with(path: impl Into<PathBuf>, vfs: Vfs) -> io::Result<Self> {
         let path = path.into();
         vfs.create_sync(&path)?;
-        Ok(Journal {
-            path,
-            vfs,
-            appended: 0,
-            crash_after: None,
-            torn_write: false,
-        })
+        Ok(Self::handle(path, vfs))
     }
 
     /// Opens an existing journal for appending (resume sessions).
@@ -498,13 +380,13 @@ impl Journal {
     /// A torn tail left by a crash mid-append is truncated away first —
     /// appending after partial-frame garbage would turn an honest crash
     /// artifact into irrecoverable corruption. A journal that replays as
-    /// corrupt is refused.
-    pub fn open_append(path: impl Into<PathBuf>) -> io::Result<Journal> {
+    /// corrupt, or as another journal kind, is refused.
+    pub fn open_append(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_append_with(path, Vfs::real())
     }
 
     /// [`Journal::open_append`] writing through an explicit [`Vfs`].
-    pub fn open_append_with(path: impl Into<PathBuf>, vfs: Vfs) -> io::Result<Journal> {
+    pub fn open_append_with(path: impl Into<PathBuf>, vfs: Vfs) -> io::Result<Self> {
         let path = path.into();
         if !path.exists() {
             return Err(io::Error::new(
@@ -519,17 +401,20 @@ impl Journal {
             }
             Ok(_) => {}
             Err(JournalError::Io(e)) => return Err(e),
-            Err(e @ JournalError::Corrupt { .. }) => {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
         }
-        Ok(Journal {
+        Ok(Self::handle(path, vfs))
+    }
+
+    fn handle(path: PathBuf, vfs: Vfs) -> Self {
+        Journal {
             path,
             vfs,
             appended: 0,
             crash_after: None,
             torn_write: false,
-        })
+            records: PhantomData,
+        }
     }
 
     /// Arms deterministic crash injection: the append with zero-based
@@ -541,23 +426,14 @@ impl Journal {
         self.torn_write = torn;
     }
 
-    /// Number of records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Encodes one record as its on-disk frame. Serialization failure
-    /// surfaces as a typed error instead of aborting — an injected fault
-    /// must never be able to take the process down past an `expect`.
-    fn encode(record: &JournalRecord) -> io::Result<String> {
+    /// Appends one record durably (write + fsync before returning).
+    /// Serialization failure surfaces as a typed error instead of
+    /// aborting — an injected fault must never be able to take the
+    /// process down past an `expect`.
+    pub fn append(&mut self, record: &R) -> io::Result<()> {
         let json = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Ok(encode_frame(&json))
-    }
-
-    /// Appends one record durably (write + fsync before returning).
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let frame = Self::encode(record)?;
+        let frame = encode_frame(&json);
         if self.crash_after == Some(self.appended) {
             if self.torn_write {
                 // A torn write leaves a partial frame: enough bytes that
@@ -576,38 +452,31 @@ impl Journal {
     }
 
     /// Replays a journal file: validates every complete frame, detects a
-    /// torn tail, and rejects corruption.
-    pub fn replay(path: &Path) -> Result<Replay, JournalError> {
+    /// torn tail, and rejects corruption and records of another kind.
+    pub fn replay(path: &Path) -> Result<Replay<R>, JournalError> {
         let bytes = fs::read(path)?;
-        let mut records = Vec::new();
+        let mut replay = Replay::default();
         let mut offset = 0usize;
         while offset < bytes.len() {
             match decode_frame(&bytes, offset)? {
                 FrameStep::Record { record, frame_len } => {
-                    records.push(record);
+                    replay.records.push(record);
                     offset += frame_len;
                 }
                 FrameStep::Torn { torn_bytes } => {
-                    return Ok(Replay {
-                        records,
-                        torn_tail: true,
-                        torn_bytes,
-                    });
+                    replay.torn_tail = true;
+                    replay.torn_bytes = torn_bytes;
+                    break;
                 }
             }
         }
-        Ok(Replay {
-            records,
-            torn_tail: false,
-            torn_bytes: 0,
-        })
+        Ok(replay)
     }
 }
 
 /// Encodes a serialized record payload as its on-disk frame:
 /// `POSJ1 <len:08x> <sha256-hex-of-json> <json>\n`. The single framing
-/// path shared by every journal writer — the scheduler-level
-/// `journal.log` and the per-lane `journal-lane{k}.log` files alike.
+/// path shared by every journal writer, whatever its vocabulary.
 pub fn encode_frame(json: &str) -> String {
     format!(
         "{JOURNAL_MAGIC} {:08x} {} {json}\n",
@@ -618,11 +487,11 @@ pub fn encode_frame(json: &str) -> String {
 
 /// Outcome of decoding one frame out of a byte buffer.
 #[derive(Debug)]
-pub enum FrameStep {
+pub enum FrameStep<R = JournalRecord> {
     /// A complete, validated record.
     Record {
         /// The decoded record.
-        record: JournalRecord,
+        record: R,
         /// Total on-disk frame length (header + payload + newline).
         frame_len: usize,
     },
@@ -635,9 +504,9 @@ pub enum FrameStep {
 
 /// Decodes the frame starting at `offset`, distinguishing a torn tail
 /// (buffer ends mid-frame) from corruption (a complete frame that fails
-/// validation). The single decoding path shared by [`Journal::replay`]
-/// for every journal flavor.
-pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<FrameStep, JournalError> {
+/// validation) and from a record of another vocabulary. The single
+/// decoding path shared by [`Journal::replay`] for every journal kind.
+pub fn decode_frame<R: Record>(bytes: &[u8], offset: usize) -> Result<FrameStep<R>, JournalError> {
     let rest = &bytes[offset..];
     if rest.len() < FRAME_HEADER_LEN {
         // Not even a full header: crash mid-append.
@@ -645,23 +514,17 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<FrameStep, JournalErr
             torn_bytes: rest.len(),
         });
     }
+    let corrupt = |reason: String| JournalError::Corrupt { offset, reason };
     let header = &rest[..FRAME_HEADER_LEN];
-    let header_str = std::str::from_utf8(header).map_err(|_| JournalError::Corrupt {
-        offset,
-        reason: "frame header is not UTF-8".into(),
-    })?;
+    let header_str =
+        std::str::from_utf8(header).map_err(|_| corrupt("frame header is not UTF-8".into()))?;
     let magic = &header_str[..JOURNAL_MAGIC.len()];
     if magic != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt {
-            offset,
-            reason: format!("bad magic {magic:?}"),
-        });
+        return Err(corrupt(format!("bad magic {magic:?}")));
     }
     let len_hex = &header_str[JOURNAL_MAGIC.len() + 1..JOURNAL_MAGIC.len() + 9];
-    let len = usize::from_str_radix(len_hex, 16).map_err(|_| JournalError::Corrupt {
-        offset,
-        reason: format!("bad length field {len_hex:?}"),
-    })?;
+    let len = usize::from_str_radix(len_hex, 16)
+        .map_err(|_| corrupt(format!("bad length field {len_hex:?}")))?;
     let digest = &header_str[JOURNAL_MAGIC.len() + 10..JOURNAL_MAGIC.len() + 74];
     let body_start = FRAME_HEADER_LEN;
     let frame_len = body_start + len + 1; // + trailing newline
@@ -673,30 +536,39 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> Result<FrameStep, JournalErr
     }
     let body = &rest[body_start..body_start + len];
     if rest[body_start + len] != b'\n' {
-        return Err(JournalError::Corrupt {
-            offset,
-            reason: "frame not newline-terminated".into(),
-        });
+        return Err(corrupt("frame not newline-terminated".into()));
     }
     if sha256_hex(body) != digest {
-        return Err(JournalError::Corrupt {
-            offset,
-            reason: "record checksum mismatch".into(),
-        });
+        return Err(corrupt("record checksum mismatch".into()));
     }
-    let record: JournalRecord =
-        serde_json::from_slice(body).map_err(|e| JournalError::Corrupt {
-            offset,
-            reason: format!("record does not parse: {e}"),
-        })?;
+    let value: serde::Value =
+        serde_json::from_slice(body).map_err(|e| corrupt(format!("record does not parse: {e}")))?;
+    let record = R::from_value(&value).map_err(|e| {
+        // An externally tagged record whose tag this vocabulary has no
+        // variant for is another journal kind's record, intact; anything
+        // else is damage.
+        match value.as_map() {
+            Some([(tag, _)])
+                if e.to_string()
+                    .starts_with(&format!("unknown variant `{tag}`")) =>
+            {
+                JournalError::WrongKind {
+                    offset,
+                    tag: tag.clone(),
+                    expected: R::KIND,
+                }
+            }
+            _ => corrupt(format!("record does not parse: {e}")),
+        }
+    })?;
     Ok(FrameStep::Record { record, frame_len })
 }
 
-/// Disk-level lifecycle state of a campaign result tree, judged from its
-/// journals. The replay entry point `pos serve` restart recovery and the
-/// queue-ledger fsck share: both need to decide, for a tree found on
-/// disk, whether the campaign it belongs to finished, is resumable, or
-/// never got far enough to matter.
+/// Disk-level lifecycle state of a result tree, judged from its
+/// journals: whether the work it belongs to finished, is resumable, or
+/// never got far enough to matter. `pos serve` restart recovery and the
+/// queue-ledger fsck classify every tree they find through it
+/// (`pos_dag::tree_disk_state` for campaign and DAG trees alike).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignDiskState {
     /// The directory has no journal at all (or an empty one) — the
@@ -704,19 +576,19 @@ pub enum CampaignDiskState {
     /// append. Nothing in it is durable; a fresh campaign may reclaim
     /// the path.
     NoJournal,
-    /// The journal replays but has no `CampaignFinished` record: the
-    /// campaign is in flight or was interrupted, and `resume_experiment`
-    /// / `resume_parallel` can complete it.
+    /// The journal replays but has no finishing record: the work is in
+    /// flight or was interrupted, and a resume can complete it.
     InProgress {
-        /// Distinct runs with a durable `RunCompleted` record so far, in
-        /// any of the tree's journals (DAG trees: finished stage nodes).
+        /// Distinct units with a durable completion record so far: runs,
+        /// in any of a campaign tree's journals; stage nodes, in a DAG
+        /// tree's journal.
         runs_completed: usize,
-        /// Total runs the campaign planned, when known.
+        /// Total units planned, when known.
         total_runs: Option<usize>,
     },
-    /// The campaign sealed a `CampaignFinished` record.
+    /// The journal sealed its finishing record.
     Finished {
-        /// Successful runs.
+        /// Successful runs (DAG trees: completed nodes).
         succeeded: usize,
         /// Failed-but-recorded runs.
         failed: usize,
@@ -752,48 +624,19 @@ pub fn campaign_disk_state(dir: &Path) -> CampaignDiskState {
                 failed: *failed,
             };
         }
-        // A DAG tree reports in node granularity: each finished stage
-        // node counts as one unit of progress, and a sealed DAG maps its
-        // sweep-run failure count into the `failed` slot so adopters
-        // (the `pos serve` recovery path) classify degradation the same
-        // way they do for flat campaigns.
-        if let JournalRecord::DagFinished {
-            nodes, failed_runs, ..
-        } = record
-        {
-            return CampaignDiskState::Finished {
-                succeeded: *nodes,
-                failed: *failed_runs,
-            };
-        }
     }
-    match fold.journal.dag_start() {
-        Some(JournalRecord::DagStarted { nodes, .. }) => CampaignDiskState::InProgress {
-            runs_completed: records
-                .iter()
-                .filter(|r| matches!(r, JournalRecord::NodeFinished { .. }))
-                .count(),
-            total_runs: Some(*nodes),
-        },
-        // Distinct runs completed across every journal of the tree — on a
-        // parallel tree most completions live in the lane journals.
-        _ => CampaignDiskState::InProgress {
-            runs_completed: fold.completed.len(),
-            total_runs: fold.identity.map(|id| id.total_runs),
-        },
+    // Distinct runs completed across every journal of the tree — on a
+    // parallel tree most completions live in the lane journals.
+    CampaignDiskState::InProgress {
+        runs_completed: fold.completed.len(),
+        total_runs: fold.identity.map(|id| id.total_runs),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-journal-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir.join(JOURNAL_FILE)
-    }
+    use pos_testutil::TempDir;
 
     fn started() -> JournalRecord {
         JournalRecord::CampaignStarted {
@@ -822,7 +665,8 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() {
-        let path = tmp("roundtrip");
+        let dir = TempDir::new("journal-roundtrip");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         j.append(&JournalRecord::RunStarted {
@@ -831,7 +675,7 @@ mod tests {
         })
         .unwrap();
         j.append(&completed(0)).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(!replay.torn_tail);
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.records[0], started());
@@ -842,14 +686,15 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_prefix_preserved() {
-        let path = tmp("torn");
+        let dir = TempDir::new("journal-torn");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         j.append(&completed(0)).unwrap();
         // Simulate a crash mid-append: truncate into the last frame.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(replay.torn_tail);
         assert!(replay.torn_bytes > 0);
         assert_eq!(replay.records.len(), 1, "complete prefix survives");
@@ -857,13 +702,14 @@ mod tests {
 
     #[test]
     fn torn_header_detected() {
-        let path = tmp("tornheader");
+        let dir = TempDir::new("journal-tornheader");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes.extend_from_slice(b"POSJ1 000");
         fs::write(&path, &bytes).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(replay.torn_tail);
         assert_eq!(replay.torn_bytes, 9);
         assert_eq!(replay.records.len(), 1);
@@ -871,7 +717,8 @@ mod tests {
 
     #[test]
     fn flipped_byte_is_corruption_not_torn_tail() {
-        let path = tmp("corrupt");
+        let dir = TempDir::new("journal-corrupt");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         j.append(&completed(0)).unwrap();
@@ -880,7 +727,7 @@ mod tests {
         let pos = bytes.len() / 4;
         bytes[pos] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        match Journal::replay(&path) {
+        match Journal::<JournalRecord>::replay(&path) {
             Err(JournalError::Corrupt { .. }) => {}
             other => panic!("expected corruption, got {other:?}"),
         }
@@ -888,45 +735,48 @@ mod tests {
 
     #[test]
     fn injected_crash_stops_at_exact_boundary() {
-        let path = tmp("crashinject");
+        let dir = TempDir::new("journal-crashinject");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.arm_crash(Some(2), false);
         j.append(&started()).unwrap();
         j.append(&completed(0)).unwrap();
         let err = j.append(&completed(1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(!replay.torn_tail, "clean-boundary crash leaves no tail");
         assert_eq!(replay.records.len(), 2);
     }
 
     #[test]
     fn injected_torn_crash_leaves_partial_frame() {
-        let path = tmp("crashtorn");
+        let dir = TempDir::new("journal-crashtorn");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.arm_crash(Some(1), true);
         j.append(&started()).unwrap();
         let err = j.append(&completed(0)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(replay.torn_tail, "torn crash leaves a partial frame");
         assert_eq!(replay.records.len(), 1);
     }
 
     #[test]
     fn open_append_truncates_torn_tail() {
-        let path = tmp("appendtorn");
+        let dir = TempDir::new("journal-appendtorn");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.arm_crash(Some(1), true);
         j.append(&started()).unwrap();
         j.append(&completed(0)).unwrap_err();
-        assert!(Journal::replay(&path).unwrap().torn_tail);
+        assert!(Journal::<JournalRecord>::replay(&path).unwrap().torn_tail);
 
         // Reopening removes the partial frame; new appends extend a
         // clean prefix instead of corrupting the file.
         let mut j = Journal::open_append(&path).unwrap();
         j.append(&completed(0)).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(!replay.torn_tail);
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1], completed(0));
@@ -936,7 +786,8 @@ mod tests {
     fn lane_records_roundtrip() {
         assert_eq!(lane_journal_file(0), "journal-lane0.log");
         assert_eq!(lane_journal_file(3), "journal-lane3.log");
-        let path = tmp("lanes");
+        let dir = TempDir::new("journal-lanes");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         let plan = JournalRecord::LanePlan {
@@ -951,14 +802,15 @@ mod tests {
         };
         j.append(&plan).unwrap();
         j.append(&lane).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert_eq!(replay.records[1], plan);
         assert_eq!(replay.records[2], lane);
     }
 
     #[test]
     fn failover_records_roundtrip() {
-        let path = tmp("failover");
+        let dir = TempDir::new("journal-failover");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         let records = vec![
             JournalRecord::SupervisorPlan {
@@ -997,16 +849,53 @@ mod tests {
         for r in &records {
             j.append(r).unwrap();
         }
-        let replay = Journal::replay(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert_eq!(replay.records, records);
         assert!(!replay.torn_tail);
     }
 
     #[test]
+    fn record_of_another_kind_is_named_not_corrupt() {
+        let dir = TempDir::new("journal-wrongkind");
+        let path = dir.join(JOURNAL_FILE);
+        let first = encode_frame(r#"{"RunStarted":{"index":0,"started_ns":0}}"#);
+        let bytes = first.clone() + &encode_frame(r#"{"DagResumed":{"verified_nodes":1}}"#);
+        fs::write(&path, &bytes).unwrap();
+        let err = Journal::<JournalRecord>::replay(&path).unwrap_err();
+        match &err {
+            JournalError::WrongKind {
+                offset,
+                tag,
+                expected,
+            } => {
+                assert_eq!(*offset, first.len());
+                assert_eq!(tag, "DagResumed");
+                assert_eq!(*expected, "campaign journal");
+            }
+            other => panic!("expected a wrong-kind refusal, got {other:?}"),
+        }
+        assert!(err
+            .to_string()
+            .contains("record `DagResumed` does not belong in a campaign journal"));
+        let err = Journal::<JournalRecord>::open_append(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A record of this vocabulary with a malformed payload is damage.
+        fs::write(&path, encode_frame(r#"{"RunStarted":{"index":"zero"}}"#)).unwrap();
+        match Journal::<JournalRecord>::replay(&path) {
+            Err(JournalError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("does not parse"), "{reason}")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn empty_journal_replays_empty() {
-        let path = tmp("empty");
-        Journal::create(&path).unwrap();
-        let replay = Journal::replay(&path).unwrap();
+        let dir = TempDir::new("journal-empty");
+        let path = dir.join(JOURNAL_FILE);
+        Journal::<JournalRecord>::create(&path).unwrap();
+        let replay = Journal::<JournalRecord>::replay(&path).unwrap();
         assert!(replay.records.is_empty());
         assert!(!replay.torn_tail);
         assert!(replay.campaign_start().is_none());
@@ -1018,7 +907,7 @@ mod tests {
         let mut boundaries = vec![0usize];
         let mut offset = 0;
         while offset < bytes.len() {
-            match decode_frame(bytes, offset).expect("whole journal decodes") {
+            match decode_frame::<JournalRecord>(bytes, offset).expect("whole journal decodes") {
                 FrameStep::Record { frame_len, .. } => {
                     offset += frame_len;
                     boundaries.push(offset);
@@ -1035,7 +924,8 @@ mod tests {
     /// frame that fit entirely below the cut.
     #[test]
     fn every_truncation_offset_classified_torn_or_clean() {
-        let path = tmp("truncsweep");
+        let dir = TempDir::new("journal-truncsweep");
+        let path = dir.join(JOURNAL_FILE);
         let mut j = Journal::create(&path).unwrap();
         j.append(&started()).unwrap();
         j.append(&completed(0)).unwrap();
@@ -1043,7 +933,7 @@ mod tests {
         let boundaries = frame_boundaries(&bytes);
         for cut in 0..=bytes.len() {
             fs::write(&path, &bytes[..cut]).unwrap();
-            let replay = Journal::replay(&path)
+            let replay = Journal::<JournalRecord>::replay(&path)
                 .unwrap_or_else(|e| panic!("cut at byte {cut} misclassified as {e}"));
             assert_eq!(replay.torn_tail, !boundaries.contains(&cut), "cut {cut}");
             let committed = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
@@ -1065,7 +955,8 @@ mod tests {
                 extra in 1usize..4,
                 cut_frac in 0.0f64..1.0,
             ) {
-                let path = tmp("proptrunc");
+                let dir = TempDir::new("journal-proptrunc");
+                let path = dir.join(JOURNAL_FILE);
                 let mut expected = vec![started()];
                 expected.extend((0..extra).map(completed));
                 let mut j = Journal::create(&path).unwrap();
@@ -1077,7 +968,7 @@ mod tests {
                 let cut = ((cut_frac * (bytes.len() + 1) as f64) as usize).min(bytes.len());
                 fs::write(&path, &bytes[..cut]).unwrap();
 
-                let replay = Journal::replay(&path)
+                let replay = Journal::<JournalRecord>::replay(&path)
                     .expect("truncation is a crash artifact, never corruption");
                 let committed = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
                 prop_assert_eq!(replay.records.len(), committed);
@@ -1085,7 +976,7 @@ mod tests {
 
                 let mut j = Journal::open_append(&path).unwrap();
                 j.append(&completed(99)).unwrap();
-                let replay = Journal::replay(&path).unwrap();
+                let replay = Journal::<JournalRecord>::replay(&path).unwrap();
                 prop_assert!(!replay.torn_tail);
                 prop_assert_eq!(replay.records.len(), committed + 1);
                 prop_assert_eq!(&replay.records[..committed], &expected[..committed]);

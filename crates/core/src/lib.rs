@@ -25,8 +25,9 @@
 //!   registered into the testbed's command registry.
 //! * [`requirements`] — the R1–R5 capability model behind Table 1.
 //! * [`hash`] — SHA-256, fingerprinting every artifact the store writes.
-//! * [`journal`] — the append-only campaign journal (write-ahead log)
-//!   that makes interrupted campaigns resumable.
+//! * [`journal`] — the append-only write-ahead log: one frame format,
+//!   generic over the record vocabulary; the campaign records live here,
+//!   the DAG and serve-ledger ones with the crates that own them.
 //! * [`recovery`] — the one reader of a campaign tree's journals (fold,
 //!   identity guard, run verifier) that resume and fsck build on.
 //! * [`fsck`] — offline integrity checking of a result tree against its

@@ -450,13 +450,7 @@ pub fn run_metadata(
 mod tests {
     use super::*;
     use crate::vars::VarValue;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-test-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use pos_testutil::TempDir;
 
     fn params() -> RunParams {
         let mut values = BTreeMap::new();
@@ -467,7 +461,7 @@ mod tests {
 
     #[test]
     fn create_builds_nested_unique_dirs() {
-        let root = tmpdir("create");
+        let root = TempDir::new("store-create");
         let a = ResultStore::create(&root, "alice", "router", SimTime::from_secs(100)).unwrap();
         let b = ResultStore::create(&root, "alice", "router", SimTime::from_secs(100)).unwrap();
         assert_ne!(a.dir(), b.dir(), "same timestamp must not collide");
@@ -477,7 +471,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip_with_subdirs() {
-        let root = tmpdir("rw");
+        let root = TempDir::new("store-rw");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         store
             .write("experiment/dut/setup.sh", "sysctl -w x=1\n")
@@ -491,7 +485,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp() {
-        let root = tmpdir("atomic");
+        let root = TempDir::new("store-atomic");
         let path = root.join("artifact.txt");
         atomic_write(&path, b"v1").unwrap();
         atomic_write(&path, b"v2").unwrap();
@@ -506,7 +500,7 @@ mod tests {
 
     #[test]
     fn run_metadata_roundtrip() {
-        let root = tmpdir("meta");
+        let root = TempDir::new("store-meta");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         let mut hosts = BTreeMap::new();
         hosts.insert("dut".to_string(), "vtartu".to_string());
@@ -537,7 +531,7 @@ mod tests {
 
     #[test]
     fn run_outputs_written_per_role() {
-        let root = tmpdir("outputs");
+        let root = TempDir::new("store-outputs");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         store
             .write_run_output(0, "loadgen", "TX: 100 packets\n", "", 0)
@@ -558,7 +552,7 @@ mod tests {
 
     #[test]
     fn list_runs_sorted_and_filtered() {
-        let root = tmpdir("list");
+        let root = TempDir::new("store-list");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         for i in [5usize, 0, 11] {
             store.run_dir(i).unwrap();
@@ -574,7 +568,7 @@ mod tests {
 
     #[test]
     fn finalize_then_verify_clean() {
-        let root = tmpdir("seal");
+        let root = TempDir::new("store-seal");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         store
             .write_run_output(0, "loadgen", "RX: 5 packets\n", "", 0)
@@ -591,7 +585,7 @@ mod tests {
 
     #[test]
     fn verify_detects_missing_corrupt_and_extra() {
-        let root = tmpdir("verify");
+        let root = TempDir::new("store-verify");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         store
             .write_run_output(0, "loadgen", "RX: 5 packets\n", "", 0)
@@ -617,7 +611,7 @@ mod tests {
 
     #[test]
     fn scan_runs_skips_and_reports_corrupt_dirs() {
-        let root = tmpdir("scan");
+        let root = TempDir::new("store-scan");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         let meta = run_metadata(
             &params(),
@@ -641,7 +635,7 @@ mod tests {
 
     #[test]
     fn wipe_run_removes_dir_and_tolerates_absence() {
-        let root = tmpdir("wipe");
+        let root = TempDir::new("store-wipe");
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         store.write_run_output(2, "dut", "x", "", 0).unwrap();
         let dir = root.join("u/e/vt-0000000000/run-0002");

@@ -395,19 +395,13 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalRecord, JOURNAL_FILE};
     use pos_simkernel::SimTime;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-scrub-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use pos_testutil::TempDir;
 
     /// A two-run sealed tree with a complete journal. Both runs carry an
     /// identical status artifact (the redundancy donor) plus a unique
-    /// log each.
-    fn sealed_tree(name: &str) -> (PathBuf, ResultStore) {
-        let root = tmpdir(name);
+    /// log each, under the returned scratch root.
+    fn sealed_tree(name: &str) -> (PathBuf, TempDir) {
+        let root = TempDir::new(&format!("scrub-{name}"));
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         let dir = store.dir().to_path_buf();
         let mut journal = Journal::create(dir.join(JOURNAL_FILE)).unwrap();
@@ -447,12 +441,12 @@ mod tests {
                 failed: 0,
             })
             .unwrap();
-        (dir, store)
+        (dir, root)
     }
 
     #[test]
     fn clean_tree_scrubs_with_zero_findings() {
-        let (dir, _) = sealed_tree("clean");
+        let (dir, _root) = sealed_tree("clean");
         let report = scrub(&dir, false).unwrap();
         assert!(report.clean, "{}", report.render());
         assert!(report.findings.is_empty());
@@ -462,7 +456,7 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_restored_from_redundant_copy() {
-        let (dir, _) = sealed_tree("restore");
+        let (dir, _root) = sealed_tree("restore");
         // Both runs share a byte-identical status file; rot one copy.
         let victim = dir.join("run-0001/loadgen_measurement.status");
         let mut bytes = fs::read(&victim).unwrap();
@@ -487,7 +481,7 @@ mod tests {
 
     #[test]
     fn unique_artifact_without_donor_needs_reexecution() {
-        let (dir, _) = sealed_tree("reexec");
+        let (dir, _root) = sealed_tree("reexec");
         // The per-run log is unique — no donor anywhere.
         let victim = dir.join("run-0000/loadgen_measurement.log");
         let mut bytes = fs::read(&victim).unwrap();
@@ -502,7 +496,7 @@ mod tests {
 
     #[test]
     fn rotted_manifest_rebuilt_from_intact_artifacts() {
-        let (dir, _) = sealed_tree("manifest");
+        let (dir, _root) = sealed_tree("manifest");
         let manifest = dir.join("run-0000").join(MANIFEST_FILE);
         let mut bytes = fs::read(&manifest).unwrap();
         let at = bytes.len() / 2;
@@ -519,7 +513,7 @@ mod tests {
 
     #[test]
     fn extra_file_in_sealed_run_removed() {
-        let (dir, _) = sealed_tree("extra");
+        let (dir, _root) = sealed_tree("extra");
         fs::write(dir.join("run-0001/stray.tmp"), b"junk").unwrap();
         let heal = scrub(&dir, true).unwrap();
         assert_eq!(heal.findings[0].kind, FindingKind::ExtraArtifact);
@@ -530,7 +524,7 @@ mod tests {
 
     #[test]
     fn report_json_roundtrips() {
-        let (dir, _) = sealed_tree("json");
+        let (dir, _root) = sealed_tree("json");
         fs::write(dir.join("run-0000/stray.tmp"), b"junk").unwrap();
         let report = scrub(&dir, false).unwrap();
         let json = report.to_json().unwrap();

@@ -448,13 +448,7 @@ fn find_by_suffix(root: &Path, suffix: &str) -> io::Result<Option<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-vfs-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use pos_testutil::TempDir;
 
     fn faulty(faults: Vec<DiskFault>) -> Vfs {
         Vfs::faulty(FaultPlan { seed: 1, faults }).unwrap()
@@ -462,7 +456,7 @@ mod tests {
 
     #[test]
     fn real_vfs_appends_and_atomic_writes() {
-        let dir = tmpdir("real");
+        let dir = TempDir::new("vfs-real");
         let vfs = Vfs::real();
         assert!(!vfs.is_faulty());
         let log = dir.join("a.log");
@@ -476,7 +470,7 @@ mod tests {
 
     #[test]
     fn enospc_fires_after_budget_and_lands_partial_prefix() {
-        let dir = tmpdir("enospc");
+        let dir = TempDir::new("vfs-enospc");
         let vfs = faulty(vec![DiskFault::Enospc {
             after_bytes: 10,
             file: None,
@@ -495,7 +489,7 @@ mod tests {
 
     #[test]
     fn enospc_filter_spares_other_files() {
-        let dir = tmpdir("enospc-filter");
+        let dir = TempDir::new("vfs-enospc-filter");
         let vfs = faulty(vec![DiskFault::Enospc {
             after_bytes: 0,
             file: Some("journal.log".into()),
@@ -511,7 +505,7 @@ mod tests {
 
     #[test]
     fn torn_write_keeps_prefix() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("vfs-torn");
         let vfs = faulty(vec![DiskFault::TornWrite {
             at_write: 1,
             keep_bytes: 3,
@@ -527,7 +521,7 @@ mod tests {
 
     #[test]
     fn fsync_failure_reports_but_data_reached_cache() {
-        let dir = tmpdir("fsync");
+        let dir = TempDir::new("vfs-fsync");
         let vfs = faulty(vec![DiskFault::FsyncFail {
             at_fsync: 1, // 0 is create_sync's fsync
             file: Some("j.log".into()),
@@ -543,7 +537,7 @@ mod tests {
 
     #[test]
     fn atomic_write_under_fault_leaves_target_untouched() {
-        let dir = tmpdir("atomic-fault");
+        let dir = TempDir::new("vfs-atomic-fault");
         let vfs = faulty(vec![DiskFault::Enospc {
             after_bytes: 2,
             file: None,
@@ -561,7 +555,7 @@ mod tests {
 
     #[test]
     fn bit_flips_apply_post_hoc_and_are_found_by_suffix() {
-        let dir = tmpdir("bitflip");
+        let dir = TempDir::new("vfs-bitflip");
         fs::create_dir_all(dir.join("run-0001")).unwrap();
         fs::write(dir.join("run-0001/out.log"), b"measurement").unwrap();
         let vfs = faulty(vec![DiskFault::BitFlip {
@@ -627,7 +621,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_fault_schedule() {
-        let dir = tmpdir("shared");
+        let dir = TempDir::new("vfs-shared");
         let vfs = faulty(vec![DiskFault::Enospc {
             after_bytes: 4,
             file: None,

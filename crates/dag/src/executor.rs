@@ -3,7 +3,7 @@
 //! [`run_dag`] executes a validated DAG on an
 //! [`crate::target::ExecutionTarget`], dispatching stages in the
 //! deterministic topological order over the ready-set schedule, and
-//! write-ahead journals every transition through
+//! write-ahead journals every transition as a [`DagRecord`] through
 //! [`pos_core::journal`]:
 //!
 //! ```text
@@ -18,8 +18,9 @@
 //! DagFinished           makespan, total failed runs
 //! ```
 //!
-//! [`resume_dag`] replays that journal, verifies every `NodeFinished`
-//! digest against the tree, fast-forwards verified nodes, resumes an
+//! [`resume_dag`] folds that journal ([`DagJournal`]), checks the
+//! journaled identity, verifies every `NodeFinished` digest against the
+//! tree, fast-forwards verified nodes, resumes an
 //! interrupted sweep through the scheduler's own resume, and re-executes
 //! anything else from scratch — converging on a tree byte-identical to
 //! an uninterrupted execution (journal files excepted).
@@ -36,12 +37,13 @@
 //!   stage-<gather>/       figures/*.svg|.tex|.csv, summary.txt, inputs.txt
 //! ```
 
+use crate::journal::{DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
 use crate::spec::{DagSpec, StageKind, StageSpec};
 use crate::target::{ExecutionTarget, SweepRequest, TargetReport};
 use crate::{toposort, viz, DagError};
 use pos_core::controller::RunOptions;
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{Journal, JournalRecord, JOURNAL_FILE};
+use pos_core::journal::{Journal, JOURNAL_FILE};
 use pos_core::resultstore::{tree_digest, ResultStore};
 use pos_simkernel::SimTime;
 use std::collections::BTreeMap;
@@ -174,7 +176,7 @@ fn metric(name: &str) -> Result<fn(&pos_eval::loader::ParsedRun) -> Option<f64>,
 
 /// The sweep campaign tree inside a sweep stage's directory:
 /// `stage-<id>/<user>/<name>/vt-<t>` (single chain of directories).
-fn sweep_tree(stage_dir: &Path) -> Option<PathBuf> {
+pub(crate) fn sweep_tree(stage_dir: &Path) -> Option<PathBuf> {
     let mut dir = stage_dir.to_path_buf();
     for _ in 0..3 {
         let mut subdirs: Vec<PathBuf> = fs::read_dir(&dir)
@@ -200,7 +202,7 @@ fn execute_stage(
     dopts: &DagOptions,
     target: &mut dyn ExecutionTarget,
     dag_dir: &Path,
-    journal: &mut Journal,
+    journal: &mut Journal<DagRecord>,
     resume_sweep_in_place: bool,
 ) -> Result<(String, usize, u64), DagError> {
     let stage_dir = dag_dir.join(format!("stage-{}", stage.id));
@@ -315,11 +317,11 @@ fn execute_stage(
             )?;
             // Seal the gather barrier: all scatter inputs are consumed
             // and their digests recorded, *before* the node completes.
-            journal.append(&JournalRecord::GatherSealed {
+            journal.append(&DagRecord::GatherSealed(GatherSeal {
                 node: stage.id.clone(),
                 inputs: input_ids,
                 input_digests,
-            })?;
+            }))?;
             Ok((tree_digest(&stage_dir)?, 0, GATHER_COST_NS))
         }
     }
@@ -373,18 +375,8 @@ pub fn run_dag(
     store.write("dag.dot", viz::render_dot(dag, Some(exp), None))?;
     exp.to_dir(&dag_dir.join("experiment"))?;
 
-    let mut journal = Journal::create_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())?;
-    journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
-    journal.append(&JournalRecord::DagStarted {
-        name: dag.name.clone(),
-        dag_digest: dag.digest(),
-        spec_digest: exp.digest(),
-        seed: dopts.seed,
-        testbed: opts.testbed_flavor.clone(),
-        target: target.name().into(),
-        nodes: dag.stages.len(),
-    })?;
-
+    let identity = DagIdentity::new(dag, exp, dopts.seed, &opts.testbed_flavor, target.name());
+    let mut journal = start_journal(identity, opts, dopts, &dag_dir)?;
     execute_in_order(
         dag,
         exp,
@@ -398,6 +390,21 @@ pub fn run_dag(
     )
 }
 
+/// Creates the DAG journal in `dag_dir` (truncating any existing one),
+/// arms the injected crash, and journals the DAG's identity — the first
+/// record of every DAG journal.
+fn start_journal(
+    identity: DagIdentity,
+    opts: &RunOptions,
+    dopts: &DagOptions,
+    dag_dir: &Path,
+) -> Result<Journal<DagRecord>, DagError> {
+    let mut journal = Journal::create_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())?;
+    journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
+    journal.append(&DagRecord::DagStarted(identity))?;
+    Ok(journal)
+}
+
 /// The shared dispatch loop: executes every stage of `order` that is
 /// not already in `verified` (journaled + digest-checked), journaling
 /// transitions and maintaining the virtual schedule.
@@ -409,7 +416,7 @@ fn execute_in_order(
     dopts: &DagOptions,
     target: &mut dyn ExecutionTarget,
     dag_dir: &Path,
-    journal: &mut Journal,
+    journal: &mut Journal<DagRecord>,
     order: &[usize],
     verified: &BTreeMap<String, NodeOutcome>,
 ) -> Result<DagOutcome, DagError> {
@@ -434,7 +441,7 @@ fn execute_in_order(
             .copied()
             .max()
             .unwrap_or(0);
-        journal.append(&JournalRecord::NodeStarted {
+        journal.append(&DagRecord::NodeStarted {
             node: stage.id.clone(),
             kind: stage.kind.label().into(),
             started_ns,
@@ -442,13 +449,13 @@ fn execute_in_order(
         let (digest, stage_failed, duration_ns) =
             execute_stage(dag, stage, exp, opts, dopts, target, dag_dir, journal, true)?;
         let finished_ns = started_ns + duration_ns;
-        journal.append(&JournalRecord::NodeFinished {
+        journal.append(&DagRecord::NodeFinished(NodeFinish {
             node: stage.id.clone(),
             digest: digest.clone(),
             started_ns,
             finished_ns,
             failed_runs: stage_failed,
-        })?;
+        }))?;
         finish.insert(stage.id.clone(), finished_ns);
         sequential_ns += duration_ns;
         failed_runs += stage_failed;
@@ -464,7 +471,7 @@ fn execute_in_order(
     }
 
     let makespan_ns = finish.values().copied().max().unwrap_or(0);
-    journal.append(&JournalRecord::DagFinished {
+    journal.append(&DagRecord::DagFinished {
         nodes: nodes.len(),
         failed_runs,
         makespan_ns,
@@ -487,134 +494,56 @@ fn execute_in_order(
 /// authoritative specs. The journaled identity (`DagStarted`) must
 /// match the stored specs, the options' seed/testbed, and the target —
 /// a DAG resumed under different identity would not replay the recorded
-/// timeline, so the mismatch is refused, not papered over.
+/// timeline, so the mismatch is refused ([`crate::DagIdentity::check`]),
+/// not papered over.
 pub fn resume_dag(
     dag_dir: &Path,
     opts: &RunOptions,
     dopts: &DagOptions,
     target: &mut dyn ExecutionTarget,
 ) -> Result<DagOutcome, DagError> {
+    let fold = DagJournal::read(dag_dir)?;
     let dag = DagSpec::from_dir(dag_dir)?;
     let exp = ExperimentSpec::from_dir(&dag_dir.join("experiment"))?;
     let order = toposort::toposort(&dag)?;
 
-    let journal_path = dag_dir.join(JOURNAL_FILE);
-    let replay = Journal::replay(&journal_path)?;
-    if replay.records.is_empty() {
+    let identity = DagIdentity::new(&dag, &exp, dopts.seed, &opts.testbed_flavor, target.name());
+    let mut verified: BTreeMap<String, NodeOutcome> = BTreeMap::new();
+    let mut journal = if fold.records == 0 {
         // The crash landed before even DagStarted was durable: nothing
         // ran, so restart the whole DAG inside the existing tree (the
         // stored specs are already on disk and every stage re-executes).
-        let mut journal = Journal::create_with(&journal_path, opts.vfs.clone())?;
-        journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
-        journal.append(&JournalRecord::DagStarted {
-            name: dag.name.clone(),
-            dag_digest: dag.digest(),
-            spec_digest: exp.digest(),
-            seed: dopts.seed,
-            testbed: opts.testbed_flavor.clone(),
-            target: target.name().into(),
-            nodes: dag.stages.len(),
-        })?;
-        return execute_in_order(
-            &dag,
-            &exp,
-            opts,
-            dopts,
-            target,
-            dag_dir,
-            &mut journal,
-            &order,
-            &BTreeMap::new(),
-        );
-    }
-    let Some(JournalRecord::DagStarted {
-        name,
-        dag_digest,
-        spec_digest,
-        seed,
-        testbed,
-        target: recorded_target,
-        nodes,
-    }) = replay.dag_start()
-    else {
-        return Err(DagError::Resume {
-            reason: "journal has no DagStarted record (not a DAG tree)".into(),
-        });
-    };
-    let refuse = |reason: String| Err(DagError::Resume { reason });
-    if *name != dag.name || *dag_digest != dag.digest() {
-        return refuse(format!(
-            "stored dag.yml does not match the journaled DAG (`{name}`, digest {dag_digest})"
-        ));
-    }
-    if *spec_digest != exp.digest() {
-        return refuse("stored experiment bundle was edited after the DAG started".into());
-    }
-    if *seed != dopts.seed {
-        return refuse(format!(
-            "DAG ran on seed {seed}, resume is using seed {}",
-            dopts.seed
-        ));
-    }
-    if *testbed != opts.testbed_flavor {
-        return refuse(format!(
-            "DAG ran on the `{testbed}` testbed, resume is using `{}`",
-            opts.testbed_flavor
-        ));
-    }
-    if *recorded_target != target.name() {
-        return refuse(format!(
-            "DAG ran on the `{recorded_target}` target, resume is using `{}`; \
-             targets are artifact-interchangeable but their accounting is not",
-            target.name()
-        ));
-    }
-    if *nodes != dag.stages.len() {
-        return refuse(format!(
-            "journal plans {nodes} nodes, stored DAG has {}",
-            dag.stages.len()
-        ));
-    }
-
-    // Fast-forward set: journaled NodeFinished records whose subtree
-    // digest still verifies on disk. A mismatch means the crash landed
-    // mid-write (or the tree was damaged) — re-execute that node.
-    let mut verified: BTreeMap<String, NodeOutcome> = BTreeMap::new();
-    for record in &replay.records {
-        if let JournalRecord::NodeFinished {
-            node,
-            digest,
-            started_ns,
-            finished_ns,
-            failed_runs,
-        } = record
-        {
-            let stage_dir = dag_dir.join(format!("stage-{node}"));
-            let on_disk = tree_digest(&stage_dir).unwrap_or_default();
-            if on_disk == *digest {
-                let kind = dag.stage(node).map(|s| s.kind).unwrap_or(StageKind::Setup);
+        start_journal(identity, opts, dopts, dag_dir)?
+    } else {
+        fold.identity()?.check(&identity)?;
+        // Fast-forward set: journaled nodes whose subtree digest still
+        // verifies on disk. A mismatch means the crash landed mid-write
+        // (or the tree was damaged) — re-execute that node.
+        for (node, fin) in &fold.finished {
+            let on_disk = tree_digest(&dag_dir.join(format!("stage-{node}"))).unwrap_or_default();
+            if on_disk == fin.digest {
                 verified.insert(
                     node.clone(),
                     NodeOutcome {
                         id: node.clone(),
-                        kind,
-                        digest: digest.clone(),
-                        started_ns: *started_ns,
-                        finished_ns: *finished_ns,
-                        failed_runs: *failed_runs,
+                        kind: dag.stage(node).map(|s| s.kind).unwrap_or(StageKind::Setup),
+                        digest: fin.digest.clone(),
+                        started_ns: fin.started_ns,
+                        finished_ns: fin.finished_ns,
+                        failed_runs: fin.failed_runs,
                         verified: true,
                     },
                 );
             }
         }
-    }
-
-    let mut journal =
-        Journal::open_append_with(&journal_path, opts.vfs.clone()).map_err(DagError::Io)?;
-    journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
-    journal.append(&JournalRecord::DagResumed {
-        verified_nodes: verified.len(),
-    })?;
+        let mut journal = Journal::open_append_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())
+            .map_err(DagError::Io)?;
+        journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
+        journal.append(&DagRecord::DagResumed {
+            verified_nodes: verified.len(),
+        })?;
+        journal
+    };
 
     execute_in_order(
         &dag,

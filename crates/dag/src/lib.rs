@@ -23,10 +23,14 @@
 //!   cluster (job queue, partition width, queue waits) to prove the
 //!   seam — both produce byte-identical result trees.
 //! * [`executor`] — journaled DAG execution ([`executor::run_dag`] /
-//!   [`executor::resume_dag`]): `DagStarted` / `NodeStarted` /
-//!   `GatherSealed` / `NodeFinished` / `DagFinished` records through
-//!   `pos_core::journal`, subtree digests per node, and resume that
+//!   [`executor::resume_dag`]): subtree digests per node, and resume that
 //!   fast-forwards digest-verified nodes.
+//! * [`journal`] — the DAG journal's records ([`DagRecord`]: `DagStarted`
+//!   / `NodeStarted` / `GatherSealed` / `NodeFinished` / `DagFinished`,
+//!   in `pos_core::journal` frames) and its one reader, [`DagJournal`],
+//!   which resume, [`fsck_dag`], [`tree_disk_state`] and the `pos serve`
+//!   restart path share.
+//! * [`fsck`] — `pos fsck` on a DAG tree.
 //! * [`viz`] — `pos dag viz`: Graphviz dot and ASCII rendering of the
 //!   DAG (and the testbed topology) before execution.
 //!
@@ -42,12 +46,16 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod fsck;
+pub mod journal;
 pub mod spec;
 pub mod target;
 pub mod toposort;
 pub mod viz;
 
 pub use executor::{resume_dag, run_dag, DagOptions, DagOutcome, NodeOutcome};
+pub use fsck::{fsck_dag, DagFsckReport, NodeFsck, NodeFsckStatus};
+pub use journal::{tree_disk_state, DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
 pub use spec::{linux_router_dag, DagSpec, EdgeKind, StageKind, StageSpec};
 pub use target::{ExecutionTarget, InProcessTarget, SimBatchTarget, SweepRequest, TargetReport};
 pub use toposort::{levels, toposort};

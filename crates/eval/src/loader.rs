@@ -225,12 +225,13 @@ mod tests {
     use pos_core::resultstore::run_metadata;
     use pos_core::vars::VarValue;
     use pos_simkernel::SimTime;
+    use pos_testutil::TempDir;
     use std::path::PathBuf;
 
-    /// Builds a synthetic result tree with `n` runs.
-    fn synthetic_tree(name: &str, n: usize) -> PathBuf {
-        let root = std::env::temp_dir().join(format!("pos-eval-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+    /// Builds a synthetic result tree with `n` runs under the returned
+    /// scratch root.
+    fn synthetic_tree(name: &str, n: usize) -> (PathBuf, TempDir) {
+        let root = TempDir::new(&format!("eval-{name}"));
         let store = ResultStore::create(&root, "u", "e", SimTime::ZERO).unwrap();
         for i in 0..n {
             let mut values = BTreeMap::new();
@@ -269,12 +270,12 @@ mod tests {
                 ))
                 .unwrap();
         }
-        store.dir().to_path_buf()
+        (store.dir().to_path_buf(), root)
     }
 
     #[test]
     fn loads_runs_with_reports_and_raw_logs() {
-        let dir = synthetic_tree("load", 6);
+        let (dir, _root) = synthetic_tree("load", 6);
         let set = ResultSet::load(&dir).unwrap();
         assert_eq!(set.len(), 6);
         let run0 = &set.runs[0];
@@ -290,7 +291,7 @@ mod tests {
 
     #[test]
     fn where_eq_filters_on_params() {
-        let dir = synthetic_tree("filter", 6);
+        let (dir, _root) = synthetic_tree("filter", 6);
         let set = ResultSet::load(&dir).unwrap();
         let small = set.where_eq("pkt_sz", "64");
         assert_eq!(small.len(), 3);
@@ -300,14 +301,14 @@ mod tests {
 
     #[test]
     fn successful_drops_failed_runs() {
-        let dir = synthetic_tree("success", 6);
+        let (dir, _root) = synthetic_tree("success", 6);
         let set = ResultSet::load(&dir).unwrap();
         assert_eq!(set.successful().len(), 5);
     }
 
     #[test]
     fn group_by_partitions() {
-        let dir = synthetic_tree("group", 6);
+        let (dir, _root) = synthetic_tree("group", 6);
         let set = ResultSet::load(&dir).unwrap();
         let groups = set.group_by("pkt_sz");
         assert_eq!(groups.len(), 2);
@@ -320,7 +321,7 @@ mod tests {
 
     #[test]
     fn series_extracts_sorted_xy() {
-        let dir = synthetic_tree("series", 6);
+        let (dir, _root) = synthetic_tree("series", 6);
         let set = ResultSet::load(&dir).unwrap();
         let series = set
             .where_eq("pkt_sz", "64")
@@ -337,7 +338,7 @@ mod tests {
 
     #[test]
     fn summary_lists_every_run() {
-        let dir = synthetic_tree("summary", 4);
+        let (dir, _root) = synthetic_tree("summary", 4);
         let set = ResultSet::load(&dir).unwrap();
         let text = set.render_summary();
         assert_eq!(text.lines().count(), 5, "header + one line per run");
@@ -348,7 +349,7 @@ mod tests {
 
     #[test]
     fn summary_aggregated_series_handles_missing_params() {
-        let dir = synthetic_tree("aggmiss", 4);
+        let (dir, _root) = synthetic_tree("aggmiss", 4);
         let set = ResultSet::load(&dir).unwrap();
         let agg = set.series_aggregated("nonexistent", |r| Some(r.report()?.rx_mpps()));
         assert!(agg.is_empty());
@@ -382,8 +383,7 @@ mod tests {
             .wire(PortId::new("vtartu", 1), PortId::new("vriga", 1))
             .unwrap();
         register_all(&mut tb);
-        let root = std::env::temp_dir().join(format!("pos-eval-e2e-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempDir::new("eval-e2e");
         let spec = linux_router_experiment("vriga", "vtartu", 2, 1);
         let outcome = Controller::new(&mut tb)
             .run_experiment(&spec, &RunOptions::new(&root))

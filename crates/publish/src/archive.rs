@@ -158,6 +158,7 @@ pub fn read_tar(data: &[u8]) -> Result<Vec<TarEntry>, TarError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pos_testutil::TempDir;
     use proptest::prelude::*;
 
     fn entry(path: &str, data: &[u8]) -> TarEntry {
@@ -246,8 +247,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_tar(&mut buf, &entries).unwrap();
-        let dir = std::env::temp_dir().join(format!("pos-tar-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("tar");
         let tar_path = dir.join("bundle.tar");
         std::fs::write(&tar_path, &buf).unwrap();
         let out = std::process::Command::new("tar")

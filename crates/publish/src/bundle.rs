@@ -315,16 +315,10 @@ pub fn verify_runs(result_dir: &Path) -> Result<Vec<String>, BundleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pos_testutil::TempDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pos-bundle-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn sample_tree(name: &str) -> PathBuf {
-        let dir = tmp(name);
+    fn sample_tree(name: &str) -> TempDir {
+        let dir = TempDir::new(&format!("bundle-{name}"));
         fs::create_dir_all(dir.join("run-0000")).unwrap();
         fs::write(dir.join("topology.txt"), "a:0 <-> b:0\n").unwrap();
         fs::write(dir.join("run-0000/metadata.json"), "{}").unwrap();
@@ -372,7 +366,7 @@ mod tests {
         let mut b = Bundle::new("router");
         b.add_tree(&tree, "results").unwrap();
         b.add_file("figures/throughput.svg", "<svg/>");
-        let out = tmp("verify-out");
+        let out = TempDir::new("bundle-verify-out");
         let manifest = b.write_dir(&out).unwrap();
         assert_eq!(manifest.files.len(), 4);
         assert!(out.join("manifest.json").exists());
@@ -384,7 +378,7 @@ mod tests {
         let tree = sample_tree("tamper");
         let mut b = Bundle::new("router");
         b.add_tree(&tree, "results").unwrap();
-        let out = tmp("tamper-out");
+        let out = TempDir::new("bundle-tamper-out");
         b.write_dir(&out).unwrap();
         fs::write(out.join("results/topology.txt"), "FORGED").unwrap();
         fs::remove_file(out.join("results/run-0000/metadata.json")).unwrap();
@@ -403,7 +397,7 @@ mod tests {
     fn empty_bundle_rejected() {
         let b = Bundle::new("router");
         assert!(matches!(
-            b.write_dir(&tmp("empty")),
+            b.write_dir(&TempDir::new("bundle-empty")),
             Err(BundleError::Empty { .. })
         ));
     }
@@ -424,7 +418,7 @@ mod tests {
     #[test]
     fn verify_runs_checks_run_manifests() {
         use pos_core::resultstore::ResultStore;
-        let root = tmp("runverify");
+        let root = TempDir::new("bundle-runverify");
         let store = ResultStore::open(&root);
         store
             .write_run_file(0, "loadgen_measurement.log", "TX: 1\n")

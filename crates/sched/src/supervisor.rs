@@ -792,7 +792,7 @@ impl<'a> LaneSupervisor<'a> {
 
         let mut tail = String::new();
         tail.push_str("# forensic capture: poison-run quarantine\n");
-        if let Ok(replay) = Journal::replay(&store.dir().join(JOURNAL_FILE)) {
+        if let Ok(replay) = Journal::<JournalRecord>::replay(&store.dir().join(JOURNAL_FILE)) {
             tail.push_str("## scheduler journal tail\n");
             let n = replay.records.len();
             for rec in replay.records.iter().skip(n.saturating_sub(16)) {

@@ -37,20 +37,18 @@
 //! the daemon must not keep acknowledging transitions it can no longer
 //! make durable.
 
-use crate::ledger::{self, FinishedRec};
+use crate::ledger::{self, FinishedRec, LedgerRecord};
 use pos_core::commands::case_study_testbed;
 use pos_core::controller::{
     CancelToken, Controller, ControllerError, ExperimentOutcome, ProgressCounters,
     ProgressSnapshot, RunOptions,
 };
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{
-    campaign_disk_state, CampaignDiskState, Journal, JournalError, JournalRecord, JOURNAL_FILE,
-};
+use pos_core::journal::{CampaignDiskState, Journal, JournalError};
 use pos_core::vfs::Vfs;
 use pos_dag::{
-    resume_dag, run_dag, DagError, DagOptions, DagOutcome, DagSpec, ExecutionTarget,
-    InProcessTarget, SimBatchTarget,
+    resume_dag, run_dag, tree_disk_state, DagError, DagJournal, DagOptions, DagOutcome, DagSpec,
+    ExecutionTarget, InProcessTarget, SimBatchTarget,
 };
 use pos_sched::{
     run_parallel, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError, QueueStatus,
@@ -348,7 +346,7 @@ impl ExitReport {
 
 struct Control {
     queue: pos_sched::SubmissionQueue,
-    ledger: Journal,
+    ledger: Journal<LedgerRecord>,
     in_flight: Vec<Submission>,
     finished: Vec<FinishedRec>,
     tokens: std::collections::BTreeMap<String, u64>,
@@ -430,7 +428,7 @@ impl ServeEngine {
         };
         {
             let mut c = engine.lock();
-            let rec = JournalRecord::ServeStarted {
+            let rec = LedgerRecord::ServeStarted {
                 results_root: results_root.display().to_string(),
                 capacity: engine.opts.capacity,
                 user_backlog: engine.opts.user_backlog,
@@ -449,7 +447,7 @@ impl ServeEngine {
     }
 
     /// Appends one ledger record; failure marks the daemon dead.
-    fn append(&self, c: &mut Control, rec: &JournalRecord) -> Result<(), ServeError> {
+    fn append(&self, c: &mut Control, rec: &LedgerRecord) -> Result<(), ServeError> {
         c.ledger.append(rec).map_err(|e| {
             self.dead.store(true, Ordering::SeqCst);
             ServeError::Died {
@@ -540,7 +538,7 @@ impl ServeEngine {
                 });
             }
         };
-        let rec = JournalRecord::SubmissionAccepted {
+        let rec = LedgerRecord::SubmissionAccepted {
             id,
             user,
             experiment: req.experiment.clone(),
@@ -567,7 +565,7 @@ impl ServeEngine {
             } else if self.is_draining() {
                 return Ok(StepOutcome::Idle);
             } else if let Some(sub) = c.queue.admit() {
-                self.append(&mut c, &JournalRecord::CampaignDispatched { id: sub.id })?;
+                self.append(&mut c, &LedgerRecord::CampaignDispatched { id: sub.id })?;
                 c.in_flight.push(sub.clone());
                 self.totals.dispatched.fetch_add(1, Ordering::Relaxed);
                 (sub, false, referenced_dirs(&c.finished))
@@ -583,7 +581,7 @@ impl ServeEngine {
                 let mut c = self.lock();
                 self.append(
                     &mut c,
-                    &JournalRecord::SubmissionFinished {
+                    &LedgerRecord::SubmissionFinished {
                         id: sub.id,
                         outcome: outcome.to_string(),
                         result_dir: result_dir.clone(),
@@ -668,8 +666,8 @@ impl ServeEngine {
     }
 
     /// Executes (or settles) one DAG submission. The settlement logic
-    /// is the campaign one — [`pos_core::journal::campaign_disk_state`]
-    /// reads DAG journals too — keyed on the *DAG's* tree name.
+    /// is the campaign one — [`tree_disk_state`] classifies DAG trees
+    /// too — keyed on the *DAG's* tree name.
     fn execute_dag(
         &self,
         sub: &Submission,
@@ -737,14 +735,13 @@ impl ServeEngine {
                 result_dir: dir.display().to_string(),
             })
         };
-        let replay = match Journal::replay(&dir.join(JOURNAL_FILE)) {
-            Ok(replay) => replay,
+        let (seed, target_name) = match DagJournal::read(dir) {
+            Ok(DagJournal {
+                identity: Some(id), ..
+            }) => (id.seed, id.target),
+            Ok(_) => return failed("journal has no DagStarted record".into()),
             Err(e) => return failed(e.to_string()),
         };
-        let Some(JournalRecord::DagStarted { seed, target, .. }) = replay.dag_start() else {
-            return failed("journal has no DagStarted record".into());
-        };
-        let (seed, target_name) = (*seed, target.clone());
         let spec = match ExperimentSpec::from_dir(&dir.join("experiment")) {
             Ok(spec) => spec,
             Err(e) => return failed(format!("stored experiment unloadable: {e}")),
@@ -822,7 +819,7 @@ impl ServeEngine {
             return Ok(None);
         };
         let result_dir = dir.display().to_string();
-        match campaign_disk_state(&dir) {
+        match tree_disk_state(&dir) {
             CampaignDiskState::Finished { failed, .. } => {
                 // Crash after campaign completion, before the ledger
                 // append: the tree is done and sealed — adopt it.
@@ -997,7 +994,7 @@ impl ServeEngine {
         if !self.draining.swap(true, Ordering::SeqCst) {
             c.queue.close();
             let pending = c.queue.len();
-            self.append(&mut c, &JournalRecord::DrainStarted { pending })?;
+            self.append(&mut c, &LedgerRecord::DrainStarted { pending })?;
             self.snapshot_queue(&c)?;
             return Ok(pending);
         }
@@ -1122,13 +1119,12 @@ fn is_injected_dag_death(e: &DagError) -> bool {
 }
 
 /// Short label of a ledger record for death diagnostics.
-fn describe(rec: &JournalRecord) -> String {
+fn describe(rec: &LedgerRecord) -> String {
     match rec {
-        JournalRecord::ServeStarted { .. } => "session start".into(),
-        JournalRecord::SubmissionAccepted { id, .. } => format!("accepting submission #{id}"),
-        JournalRecord::CampaignDispatched { id } => format!("dispatching submission #{id}"),
-        JournalRecord::SubmissionFinished { id, .. } => format!("finishing submission #{id}"),
-        JournalRecord::DrainStarted { .. } => "drain start".into(),
-        other => format!("{other:?}"),
+        LedgerRecord::ServeStarted { .. } => "session start".into(),
+        LedgerRecord::SubmissionAccepted { id, .. } => format!("accepting submission #{id}"),
+        LedgerRecord::CampaignDispatched { id } => format!("dispatching submission #{id}"),
+        LedgerRecord::SubmissionFinished { id, .. } => format!("finishing submission #{id}"),
+        LedgerRecord::DrainStarted { .. } => "drain start".into(),
     }
 }

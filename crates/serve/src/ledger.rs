@@ -1,8 +1,8 @@
 //! The serve ledger: the daemon's write-ahead state machine.
 //!
 //! Every externally visible state transition of the daemon is one
-//! appended (and fsynced) record in `<state>/ledger.log`, using the same
-//! `POSJ1` framing as the campaign journal — and the append happens
+//! appended (and fsynced) [`LedgerRecord`] in `<state>/ledger.log`, using
+//! the `POSJ1` framing of [`pos_core::journal`] — and the append happens
 //! **before** the transition is acknowledged to anyone:
 //!
 //! | record                | appended before …                         |
@@ -24,14 +24,89 @@
 //! A torn tail (crash mid-append) is truncated on open, exactly like the
 //! campaign journal: the half-written record was never acknowledged, so
 //! dropping it is correct by construction.
+//!
+//! [`rebuild`] is the ledger's one fold: a restarting daemon and
+//! `pos fsck` ([`crate::fsck::fsck_queue`]) both replay through it, so
+//! fsck calls clean exactly the ledgers a daemon can restart on.
 
 use crate::engine::ServeError;
-use pos_core::journal::{Journal, JournalError, JournalRecord, Replay, LEDGER_FILE};
+use pos_core::journal::{Journal, JournalError, Record, Replay};
 use pos_core::vfs::Vfs;
 use pos_sched::{CompletionOutcome, Submission, SubmissionQueue};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+
+/// File name of the queue ledger inside a daemon state directory.
+pub const LEDGER_FILE: &str = "ledger.log";
+
+/// One daemon state transition.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum LedgerRecord {
+    /// A `pos serve` daemon process came up on this state directory.
+    ///
+    /// First record of every daemon session in the queue ledger
+    /// ([`LEDGER_FILE`]); restart recovery uses the *last* one to learn
+    /// where result trees live and what admission limits were configured.
+    ServeStarted {
+        /// Absolute path of the results root the daemon writes trees to.
+        results_root: String,
+        /// Total queue capacity configured for this session.
+        capacity: usize,
+        /// Per-user backlog cap configured for this session.
+        user_backlog: usize,
+        /// Campaign seed every dispatched campaign runs on.
+        seed: u64,
+    },
+    /// The daemon durably accepted a submission — journaled *before* the
+    /// client is acknowledged, so an acked submission is never lost to a
+    /// crash.
+    SubmissionAccepted {
+        /// Queue-assigned submission id (dense, increasing).
+        id: u64,
+        /// Submitting user (fair-share accounting key).
+        user: String,
+        /// Experiment spec directory the submission points at.
+        experiment: String,
+        /// Priority weight (stride tickets).
+        priority: u32,
+        /// Client-chosen idempotency token, if any; a resubmission
+        /// carrying a token already in the ledger is a duplicate, not a
+        /// new campaign.
+        token: Option<String>,
+    },
+    /// The stride scheduler admitted a submission and the daemon is
+    /// about to execute it. Journaled before the campaign starts, so a
+    /// crash mid-campaign leaves an in-flight marker for recovery to
+    /// resume.
+    CampaignDispatched {
+        /// The admitted submission.
+        id: u64,
+    },
+    /// A dispatched campaign reached a terminal state and its outcome is
+    /// recorded in the completion ledger.
+    SubmissionFinished {
+        /// The finished submission.
+        id: u64,
+        /// Terminal outcome: `"completed"`, `"completed_degraded"` or
+        /// `"failed"`.
+        outcome: String,
+        /// Absolute path of the campaign's result tree (empty when the
+        /// campaign failed before a tree was claimed).
+        result_dir: String,
+    },
+    /// The daemon stopped accepting submissions and began a
+    /// preemption-free drain (SIGTERM or `POST /drain`).
+    DrainStarted {
+        /// Submissions still pending at drain start.
+        pending: usize,
+    },
+}
+
+impl Record for LedgerRecord {
+    const KIND: &'static str = "serve ledger";
+}
 
 /// A submission whose campaign finished, with the recorded outcome and
 /// the result tree it produced (empty for campaigns that failed before
@@ -74,16 +149,13 @@ pub struct RecoveredState {
 /// Opens (or creates) the serve ledger under `state_dir`, truncating a
 /// torn tail left by a crash mid-append, and returns the append handle
 /// together with the replayed history.
-pub fn open_ledger(state_dir: &Path, vfs: Vfs) -> io::Result<(Journal, Replay)> {
+pub fn open_ledger(
+    state_dir: &Path,
+    vfs: Vfs,
+) -> io::Result<(Journal<LedgerRecord>, Replay<LedgerRecord>)> {
     let path = state_dir.join(LEDGER_FILE);
     if !path.exists() {
-        let journal = Journal::create_with(&path, vfs)?;
-        let replay = Replay {
-            records: Vec::new(),
-            torn_tail: false,
-            torn_bytes: 0,
-        };
-        return Ok((journal, replay));
+        return Ok((Journal::create_with(&path, vfs)?, Replay::default()));
     }
     // `open_append_with` truncates a torn tail (and refuses corruption),
     // so the replay afterwards sees only whole, acknowledged records.
@@ -115,7 +187,7 @@ pub(crate) fn parse_outcome(s: &str) -> Option<CompletionOutcome> {
 /// the recorded submission under stride fair share. A `DrainStarted`
 /// closes the queue only for the session it happened in; the restarting
 /// session accepts submissions again, so replay leaves the queue open.
-pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
+pub fn rebuild(replay: &Replay<LedgerRecord>) -> Result<RecoveredState, ServeError> {
     let mut queue = SubmissionQueue::new(usize::MAX);
     let mut in_flight: Vec<Submission> = Vec::new();
     let mut finished: Vec<FinishedRec> = Vec::new();
@@ -124,13 +196,13 @@ pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
     let mut results_root: Option<String> = None;
     for (i, rec) in replay.records.iter().enumerate() {
         match rec {
-            JournalRecord::ServeStarted {
+            LedgerRecord::ServeStarted {
                 results_root: root, ..
             } => {
                 sessions += 1;
                 results_root = Some(root.clone());
             }
-            JournalRecord::SubmissionAccepted {
+            LedgerRecord::SubmissionAccepted {
                 id,
                 user,
                 experiment,
@@ -154,7 +226,7 @@ pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
                     tokens.insert(t.clone(), *id);
                 }
             }
-            JournalRecord::CampaignDispatched { id } => {
+            LedgerRecord::CampaignDispatched { id } => {
                 let sub = queue.admit().ok_or_else(|| {
                     ServeError::State(format!(
                         "ledger record {i}: dispatch of #{id} with an empty queue"
@@ -169,7 +241,7 @@ pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
                 }
                 in_flight.push(sub);
             }
-            JournalRecord::SubmissionFinished {
+            LedgerRecord::SubmissionFinished {
                 id,
                 outcome,
                 result_dir,
@@ -192,12 +264,7 @@ pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
                     result_dir: result_dir.clone(),
                 });
             }
-            JournalRecord::DrainStarted { .. } => {}
-            other => {
-                return Err(ServeError::State(format!(
-                    "ledger record {i}: {other:?} does not belong in a serve ledger"
-                )));
-            }
+            LedgerRecord::DrainStarted { .. } => {}
         }
     }
     let records = replay.records.len();
@@ -215,21 +282,11 @@ pub fn rebuild(replay: &Replay) -> Result<RecoveredState, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use pos_core::journal::encode_frame;
+    use pos_testutil::TempDir;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pos-serve-ledger-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn started() -> JournalRecord {
-        JournalRecord::ServeStarted {
+    fn started() -> LedgerRecord {
+        LedgerRecord::ServeStarted {
             results_root: "/tmp/results".into(),
             capacity: 8,
             user_backlog: 2,
@@ -237,8 +294,8 @@ mod tests {
         }
     }
 
-    fn accepted(id: u64, user: &str, token: Option<&str>) -> JournalRecord {
-        JournalRecord::SubmissionAccepted {
+    fn accepted(id: u64, user: &str, token: Option<&str>) -> LedgerRecord {
+        LedgerRecord::SubmissionAccepted {
             id,
             user: user.into(),
             experiment: format!("exp-{id}"),
@@ -249,7 +306,7 @@ mod tests {
 
     #[test]
     fn rebuild_replays_fair_share_history_exactly() {
-        let dir = tmpdir("replay");
+        let dir = TempDir::new("serve-ledger-replay");
         let (mut j, _) = open_ledger(&dir, Vfs::real()).unwrap();
         j.append(&started()).unwrap();
         j.append(&accepted(0, "alice", Some("t0"))).unwrap();
@@ -257,15 +314,15 @@ mod tests {
         j.append(&accepted(2, "alice", None)).unwrap();
         // Stride fair share admits alice first (lexicographic tie), then
         // bob, then alice again.
-        j.append(&JournalRecord::CampaignDispatched { id: 0 })
+        j.append(&LedgerRecord::CampaignDispatched { id: 0 })
             .unwrap();
-        j.append(&JournalRecord::SubmissionFinished {
+        j.append(&LedgerRecord::SubmissionFinished {
             id: 0,
             outcome: "completed".into(),
             result_dir: "/tmp/results/alice/exp-0/vt-0000000000".into(),
         })
         .unwrap();
-        j.append(&JournalRecord::CampaignDispatched { id: 1 })
+        j.append(&LedgerRecord::CampaignDispatched { id: 1 })
             .unwrap();
         drop(j);
 
@@ -283,18 +340,17 @@ mod tests {
         assert_eq!(state.finished[0].outcome, CompletionOutcome::Completed);
         assert_eq!(state.tokens.get("t0"), Some(&0));
         assert_eq!(state.results_root.as_deref(), Some("/tmp/results"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rebuild_rejects_a_dispatch_that_contradicts_fair_share() {
-        let dir = tmpdir("contradict");
+        let dir = TempDir::new("serve-ledger-contradict");
         let (mut j, _) = open_ledger(&dir, Vfs::real()).unwrap();
         j.append(&accepted(0, "alice", None)).unwrap();
         j.append(&accepted(1, "bob", None)).unwrap();
         // Fair share would admit #0 (alice) first; a ledger claiming #1
         // was dispatched first is corrupt history.
-        j.append(&JournalRecord::CampaignDispatched { id: 1 })
+        j.append(&LedgerRecord::CampaignDispatched { id: 1 })
             .unwrap();
         drop(j);
         let (_, replay) = open_ledger(&dir, Vfs::real()).unwrap();
@@ -303,32 +359,27 @@ mod tests {
             err.to_string().contains("fair-share replay admits"),
             "{err}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rebuild_rejects_foreign_records() {
-        let dir = tmpdir("foreign");
-        let (mut j, _) = open_ledger(&dir, Vfs::real()).unwrap();
-        j.append(&JournalRecord::RunStarted {
-            index: 0,
-            started_ns: 0,
-        })
-        .unwrap();
-        drop(j);
-        let (_, replay) = open_ledger(&dir, Vfs::real()).unwrap();
-        let err = rebuild(&replay).unwrap_err();
+        let dir = TempDir::new("serve-ledger-foreign");
+        // A campaign record, framed intact: only a raw frame can carry
+        // it, the typed ledger writer cannot. The typed replay that
+        // feeds `rebuild` on restart refuses it.
+        let frame = encode_frame(r#"{"RunStarted":{"index":0,"started_ns":0}}"#);
+        std::fs::write(dir.join(LEDGER_FILE), frame).unwrap();
+        let err = open_ledger(&dir, Vfs::real()).unwrap_err();
         assert!(
             err.to_string()
                 .contains("does not belong in a serve ledger"),
             "{err}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("serve-ledger-torn");
         let (mut j, _) = open_ledger(&dir, Vfs::real()).unwrap();
         j.append(&accepted(0, "alice", None)).unwrap();
         // A crash mid-append: arm a torn write at the next record.
@@ -341,6 +392,5 @@ mod tests {
         assert_eq!(replay.records.len(), 1);
         let state = rebuild(&replay).unwrap();
         assert_eq!(state.queue.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

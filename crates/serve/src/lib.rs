@@ -13,6 +13,9 @@
 //!   them; a restart replays the ledger through the very same stride
 //!   fair-share code and reconstructs the pre-crash queue exactly, down
 //!   to who is admitted next.
+//! * [`fsck`] — `pos fsck` on a state directory: the ledger, replayed
+//!   through the restart path's own [`ledger::rebuild`], against the
+//!   result trees it acknowledged.
 //! * [`engine`] — the daemon core: token-deduplicated submission, a
 //!   single-executor dispatch loop bridging controller progress events
 //!   into lock-free counters, in-flight campaign recovery (adopt a tree
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod fsck;
 pub mod http;
 pub mod ledger;
 pub mod signal;
@@ -42,5 +46,6 @@ pub use engine::{
     ExitReport, ServeEngine, ServeError, ServeOptions, ServeStatus, ServeTotals, StepOutcome,
     SubmitRequest, SubmitResponse,
 };
+pub use fsck::{fsck_queue, QueueFsckReport};
 pub use http::{http_request, DrainAck, ErrorBody, HttpResponse, HttpServer, SubmitAck};
-pub use ledger::{open_ledger, rebuild, FinishedRec, RecoveredState};
+pub use ledger::{open_ledger, rebuild, FinishedRec, LedgerRecord, RecoveredState, LEDGER_FILE};

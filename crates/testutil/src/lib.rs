@@ -1,4 +1,9 @@
-//! Support shared by the integration-test binaries (`mod common;`).
+//! # pos-testutil
+//!
+//! Test support shared by the workspace: the crates' unit tests and the
+//! integration tests take it as a dev-dependency only.
+
+#![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 # exempt from the style gates.
 FIRST_PARTY="-p pos -p pos-core -p pos-testbed -p pos-simkernel -p pos-netsim \
  -p pos-packet -p pos-loadgen -p pos-eval -p pos-publish -p pos-bench -p pos-sched \
- -p pos-serve -p pos-dag"
+ -p pos-serve -p pos-dag -p pos-testutil"
 
 echo "==> rustfmt (check, first-party crates)"
 cargo fmt --check $FIRST_PARTY
@@ -71,6 +71,13 @@ cargo test -q --test dag_determinism
 # restart, and demand byte-identical trees versus an uninterrupted daemon.
 echo "==> serve restart matrix (tests/serve_restart_matrix.rs)"
 cargo test -q --test serve_restart_matrix
+
+# The matrices prove byte-identical trees within one build; the golden pins
+# the journal frame bytes across versions — a campaign, a DAG and a ledger
+# record each, decoded back through the vocabulary that owns it — so trees
+# and ledgers an earlier version left stay readable.
+echo "==> journal-format golden (tests/journal_format_golden.rs)"
+cargo test -q --test journal_format_golden
 
 # Flake gate: the four matrices above are the oracle every refactor is
 # judged by, so one green pass is not enough — they must stay green under a

@@ -33,7 +33,7 @@
 use pos::core::commands::case_study_testbed;
 use pos::core::controller::{Controller, ControllerError, ExperimentOutcome, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::{JOURNAL_FILE, LEDGER_FILE};
+use pos::core::journal::JOURNAL_FILE;
 use pos::core::recovery::CampaignIdentity;
 use pos::core::vfs::{FaultPlan, Vfs};
 use pos::dag::DagSpec;
@@ -922,27 +922,18 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     // A serve state directory is identified by its queue ledger, a DAG
     // tree by its stored dag.yml, a plain result tree by its campaign
     // journal. Route to the matching check.
-    if path.join(LEDGER_FILE).exists() {
-        let report = pos::core::fsck::fsck_queue(path).map_err(|e| e.to_string())?;
-        print!("{}", report.render());
-        return if report.is_clean() {
-            Ok(())
-        } else {
-            Err(format!("{dir} is not clean"))
-        };
-    }
-    if DagSpec::present_in(path) {
-        let report = pos::core::fsck::fsck_dag(path).map_err(|e| e.to_string())?;
-        print!("{}", report.render());
-        return if report.is_clean() {
-            Ok(())
-        } else {
-            Err(format!("{dir} is not clean"))
-        };
-    }
-    let report = pos::core::fsck::fsck(path).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
-    if report.is_clean() {
+    let (rendered, clean) = if path.join(pos::serve::LEDGER_FILE).exists() {
+        let report = pos::serve::fsck_queue(path).map_err(|e| e.to_string())?;
+        (report.render(), report.is_clean())
+    } else if DagSpec::present_in(path) {
+        let report = pos::dag::fsck_dag(path).map_err(|e| e.to_string())?;
+        (report.render(), report.is_clean())
+    } else {
+        let report = pos::core::fsck::fsck(path).map_err(|e| e.to_string())?;
+        (report.render(), report.is_clean())
+    };
+    print!("{rendered}");
+    if clean {
         Ok(())
     } else {
         Err(format!("{dir} is not clean"))

@@ -4,15 +4,13 @@
 //! carries the finished run's directory, so an evaluator can consume each
 //! run while the next one measures.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, Progress, RunOptions};
 use pos::core::experiment::linux_router_experiment;
 use pos::core::resultstore::ResultStore;
 use pos::eval::moongen;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::cell::RefCell;
 use std::rc::Rc;
 

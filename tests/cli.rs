@@ -1,9 +1,8 @@
 //! Integration test of the `pos` CLI binary: init → run → eval → publish,
 //! exactly the Appendix-A command sequence.
 
-mod common;
-
-use common::TempDir;
+use pos::core::journal::encode_frame;
+use pos_testutil::TempDir;
 use std::path::Path;
 use std::process::Command;
 
@@ -417,4 +416,129 @@ fn cli_queue_bounded_with_diagnostic() {
     assert!(stderr.contains("queue full: 3/3"), "{stderr}");
     assert!(stderr.contains("alice=2"), "{stderr}");
     assert!(stderr.contains("bob=1"), "{stderr}");
+}
+
+/// Writes `records` (externally tagged JSON, one per record) as the
+/// journal file `path`, framed the way every pos journal is.
+fn write_journal(path: &Path, records: &[&str]) {
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let frames: String = records.iter().map(|json| encode_frame(json)).collect();
+    std::fs::write(path, frames).unwrap();
+}
+
+const SERVE_STARTED: &str = r#"{"ServeStarted":{"results_root":"/nonexistent/results","capacity":8,"user_backlog":0,"seed":7}}"#;
+
+fn accepted(id: u64, user: &str) -> String {
+    format!(
+        r#"{{"SubmissionAccepted":{{"id":{id},"user":"{user}","experiment":"exp-{id}","priority":1,"token":null}}}}"#
+    )
+}
+
+/// `pos fsck` runs the same ledger replay a restarting `pos serve` runs,
+/// so a ledger the daemon would refuse to restart on is not clean.
+#[test]
+fn cli_fsck_refuses_a_ledger_serve_cannot_replay() {
+    let dir = TempDir::new("cli-fsck-ledger-replay");
+    // A finished campaign tree, so the unknown outcome below is the
+    // only thing wrong with its ledger.
+    let tree = dir.join("res/alice/exp-0/vt-0000000000");
+    write_journal(
+        &tree.join("journal.log"),
+        &[
+            r#"{"CampaignStarted":{"seed":7,"spec_digest":"5bec","total_runs":1,"testbed":"pos","started_ns":0}}"#,
+            r#"{"CampaignFinished":{"finished_ns":1,"succeeded":1,"failed":0}}"#,
+        ],
+    );
+    let unknown_outcome = format!(
+        r#"{{"SubmissionFinished":{{"id":0,"outcome":"exploded","result_dir":"{}"}}}}"#,
+        tree.display()
+    );
+    let cases: [(&str, Vec<String>, &str); 3] = [
+        (
+            "unfair-dispatch",
+            vec![
+                accepted(0, "alice"),
+                accepted(1, "bob"),
+                r#"{"CampaignDispatched":{"id":1}}"#.into(),
+            ],
+            "fair-share replay admits #0",
+        ),
+        (
+            "finish-not-in-flight",
+            vec![r#"{"SubmissionFinished":{"id":5,"outcome":"failed","result_dir":""}}"#.into()],
+            "finish of #5, which is not in flight",
+        ),
+        (
+            "unknown-outcome",
+            vec![
+                accepted(0, "alice"),
+                r#"{"CampaignDispatched":{"id":0}}"#.into(),
+                unknown_outcome,
+            ],
+            "unknown completion outcome `exploded`",
+        ),
+    ];
+    for (name, records, why) in cases {
+        let state = dir.join(name);
+        let mut ledger = vec![SERVE_STARTED];
+        ledger.extend(records.iter().map(String::as_str));
+        write_journal(&state.join("ledger.log"), &ledger);
+        let (ok, stdout, _) = run(&dir, &["fsck", state.to_str().unwrap()]);
+        assert!(!ok, "{name}: fsck must refuse the ledger:\n{stdout}");
+        assert!(stdout.contains("status: NOT clean"), "{name}:\n{stdout}");
+        assert!(stdout.contains(why), "{name}: want `{why}` in\n{stdout}");
+    }
+}
+
+const CAMPAIGN_STARTED: &str = r#"{"CampaignStarted":{"seed":7,"spec_digest":"5bec","total_runs":1,"testbed":"pos","started_ns":0}}"#;
+
+const DAG_STARTED: &str = r#"{"DagStarted":{"name":"linux-router-dag","dag_digest":"da9","spec_digest":"5bec","seed":7,"testbed":"pos","target":"in-process","nodes":3}}"#;
+
+/// A well-framed record of another journal kind is named, not called
+/// corrupt: `pos resume` on a DAG tree.
+#[test]
+fn cli_resume_names_a_dag_journal() {
+    let dir = TempDir::new("cli-resume-dag-tree");
+    write_journal(&dir.join("tree/journal.log"), &[DAG_STARTED]);
+    let (ok, _, stderr) = run(&dir, &["resume", "tree"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("record `DagStarted` does not belong in a campaign journal"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+}
+
+/// `pos dag resume` on a campaign tree names the campaign record.
+#[test]
+fn cli_dag_resume_names_a_campaign_journal() {
+    let dir = TempDir::new("cli-dag-resume-campaign-tree");
+    write_journal(&dir.join("tree/journal.log"), &[CAMPAIGN_STARTED]);
+    let (ok, _, stderr) = run(&dir, &["dag", "resume", "tree"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("record `CampaignStarted` does not belong in a DAG journal"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+}
+
+/// A ledger holding a campaign record is refused by name.
+#[test]
+fn cli_fsck_names_a_campaign_record_in_a_ledger() {
+    let dir = TempDir::new("cli-fsck-ledger-foreign");
+    write_journal(
+        &dir.join("state/ledger.log"),
+        &[
+            SERVE_STARTED,
+            r#"{"RunStarted":{"index":0,"started_ns":0}}"#,
+        ],
+    );
+    let (ok, stdout, _) = run(&dir, &["fsck", "state"]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stdout.contains("record `RunStarted` does not belong in a serve ledger"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("corrupt"), "{stdout}");
 }

@@ -2,9 +2,6 @@
 //! loop-variable shapes: the result tree always mirrors the cross product
 //! exactly, whatever the sweep looks like.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{ExperimentSpec, RoleSpec};
@@ -14,6 +11,7 @@ use pos::core::vars::{VarValue, Variables};
 use pos::eval::loader::ResultSet;
 use pos::simkernel::SimRng;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 
 /// A fast experiment: no traffic, just barrier-synchronized no-ops, so we
 /// can afford many randomized shapes.

@@ -9,9 +9,6 @@
 //! metadata, checksum manifests, inputs, `controller.log` — must be
 //! identical, and `pos fsck` must call the resumed tree clean.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, ControllerError, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
@@ -19,6 +16,7 @@ use pos::core::fsck::{fsck, RunStatus};
 use pos::core::journal::{Journal, JOURNAL_FILE};
 use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -12,15 +12,12 @@
 //!   scheduler's resume and still converges;
 //! * resume refuses identity drift (wrong seed, wrong target).
 
-mod common;
-
-use common::TempDir;
 use pos::core::controller::RunOptions;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::fsck::fsck_dag;
 use pos::core::journal::{Journal, JOURNAL_FILE};
-use pos::dag::{linux_router_dag, InProcessTarget, SimBatchTarget};
+use pos::dag::{fsck_dag, linux_router_dag, InProcessTarget, SimBatchTarget};
 use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec, ExecutionTarget};
+use pos_testutil::TempDir;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

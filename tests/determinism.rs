@@ -1,14 +1,12 @@
 //! Repeatability made literal: the same experiment on the same (seeded)
 //! testbed produces byte-identical published artifacts.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
 use pos::publish::bundle::Bundle;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 
 fn full_pipeline(seed: u64, root: &str) -> Vec<u8> {
     let mut tb = Testbed::new(seed);

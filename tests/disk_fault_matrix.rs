@@ -11,18 +11,16 @@
 //! excluded from the byte comparison as usual — they record the
 //! interruption itself.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::fsck::fsck;
-use pos::core::journal::{decode_frame, FrameStep, Journal, JOURNAL_FILE};
+use pos::core::journal::{decode_frame, FrameStep, Journal, JournalRecord, JOURNAL_FILE};
 use pos::core::scrub::scrub;
 use pos::core::vfs::{DiskFault, FaultPlan, Vfs};
 use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -112,7 +110,7 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut boundaries = vec![0usize];
     let mut offset = 0;
     while offset < bytes.len() {
-        match decode_frame(bytes, offset).expect("reference journal decodes") {
+        match decode_frame::<JournalRecord>(bytes, offset).expect("reference journal decodes") {
             FrameStep::Record { frame_len, .. } => {
                 offset += frame_len;
                 boundaries.push(offset);

@@ -11,18 +11,18 @@
 //!   `--lanes 1` under the same fault plan, crashes mid-failover
 //!   included.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, ControllerError, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::{campaign_disk_state, CampaignDiskState, Journal, JournalRecord};
+use pos::core::journal::{
+    campaign_disk_state, AnyRecord, CampaignDiskState, Journal, JournalRecord,
+};
 use pos::sched::{
     resume_parallel, run_parallel, LaneDeath, LaneFaultPlan, LaneFlavor, LaneRecovery,
     ParallelOptions, ParallelOutcome,
 };
 use pos::testbed::{clone_virtual, CloneOptions, HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -223,7 +223,7 @@ fn disk_state_counts_runs_completed_in_lane_journals() {
             continue;
         }
         for rec in Journal::replay(&path).unwrap().records {
-            if let JournalRecord::RunCompleted { index, .. } = rec {
+            if let AnyRecord::Campaign(JournalRecord::RunCompleted { index, .. }) = rec {
                 completed.insert(index);
             }
         }

@@ -2,14 +2,12 @@
 //! testbed (pos) and on its virtual clone (vpos); raw numbers differ by
 //! up to 44×, but the tendencies agree.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::eval::loader::ResultSet;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 
 /// Builds either testbed flavor with identical host names and wiring —
 /// only the hardware (and thus init interface) differs.

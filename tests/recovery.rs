@@ -6,9 +6,6 @@
 //! hangs and lossy-link windows, each replayed twice to pin down that
 //! degraded experiments are byte-for-byte reproducible.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, HostHealth, Progress, RunOptions};
 use pos::core::experiment::linux_router_experiment;
@@ -17,6 +14,7 @@ use pos::core::vars::Variables;
 use pos::netsim::{ChaosEvent, ChaosPlan, FaultConfig};
 use pos::simkernel::{SimDuration, SimTime};
 use pos::testbed::{CommandResult, HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 use std::rc::Rc;

@@ -2,15 +2,13 @@
 //! aggregating across runs — the statistical-confidence workflow that the
 //! robustness discussion (§2, Zilberman's NDP evaluation) calls for.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 
 fn vpos_testbed() -> Testbed {
     let mut tb = Testbed::new(0xEE);

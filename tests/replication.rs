@@ -3,9 +3,6 @@
 //! testbed instance (different seed, different host names), and obtains
 //! the same scientific conclusions — the paper's replicability story.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
@@ -13,6 +10,7 @@ use pos::eval::loader::ResultSet;
 use pos::publish::bundle::Bundle;
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 use std::path::Path;
 
 fn testbed(seed: u64, a: &str, b: &str) -> Testbed {

@@ -15,14 +15,12 @@
 //! * per-user backlog rejection carries a deterministic retry-after
 //!   hint, over the engine API and as an HTTP 429 `Retry-After` header.
 
-mod common;
-
-use common::TempDir;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::serve::{
-    http_request, DrainAck, HttpServer, ServeEngine, ServeOptions, ServeStatus, StepOutcome,
-    SubmitAck, SubmitRequest, SubmitResponse,
+    fsck_queue, http_request, DrainAck, HttpServer, ServeEngine, ServeOptions, ServeStatus,
+    StepOutcome, SubmitAck, SubmitRequest, SubmitResponse,
 };
+use pos_testutil::TempDir;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -208,6 +206,12 @@ fn crash_and_recover(
     let report = engine.shutdown().unwrap();
     assert!(report.clean, "{what}: recovery must end clean: {report:?}");
     assert_eq!(report.exit_code(), 0, "{what}: recovery exit code");
+    let ledger = fsck_queue(state).unwrap();
+    assert!(
+        ledger.is_clean(),
+        "{what}: ledger check after the drain:\n{}",
+        ledger.render()
+    );
     crashed
 }
 

@@ -1,19 +1,16 @@
 //! End-to-end integration: the complete pos pipeline from experiment
 //! specification to published, integrity-verified artifact bundle.
 
-mod common;
-
-use common::TempDir;
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::linux_router_experiment;
-use pos::core::fsck::fsck_dag;
-use pos::dag::{linux_router_dag, run_dag, DagOptions, InProcessTarget};
+use pos::dag::{fsck_dag, linux_router_dag, run_dag, DagOptions, InProcessTarget};
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::TempDir;
 
 fn case_study_testbed(seed: u64) -> Testbed {
     let mut tb = Testbed::new(seed);
