@@ -148,6 +148,58 @@ fn check_case_study(seed: u64, platform: Platform, pkt_size: usize, rate: f64) -
     fast.result
 }
 
+/// The multi-template and copy-on-write paths. IMIX stamps each packet
+/// from one of three templates. A pcap recording shares each recorded
+/// frame with the copy in flight, so the router's TTL and MAC rewrite
+/// copies the frame instead of writing in place, and the capture must
+/// still hold the frame as the generator sent it.
+#[test]
+fn imix_and_pcap_recording_match_eventful_reference() {
+    for platform in [Platform::Pos, Platform::Vpos] {
+        for (imix, record) in [(true, 0), (false, usize::MAX), (true, usize::MAX)] {
+            let mut s = ForwardingScenario::new(platform, 64, 126_000.0);
+            s.duration = SimDuration::from_millis(200);
+            s.imix = imix;
+            s.record_pcap_frames = record;
+            let recording = if record == 0 { "off" } else { "all" };
+            let label = format!("{} imix {imix}, recording {recording}", platform.name());
+            let fast = run(&s, platform.dut_profile(), false);
+            let slow = run(&s, platform.dut_profile(), true);
+            assert_same(&label, &fast, &slow);
+            let capture = &fast.result.tx_capture;
+            assert_eq!(capture, &slow.result.tx_capture, "{label}: tx capture");
+            if record == 0 {
+                assert!(capture.is_empty(), "{label}: nothing recorded");
+                continue;
+            }
+            assert_eq!(
+                capture.len() as u64,
+                fast.result.report.tx_frames,
+                "{label}: every sent frame recorded"
+            );
+            assert!(
+                fast.result.router.forwarded > 0,
+                "{label}: {:?}",
+                fast.result.router
+            );
+            for c in capture {
+                let parsed = pos_packet::builder::parse_udp_frame(c.frame.bytes())
+                    .expect("captured frame parses");
+                assert_eq!(parsed.ip.ttl, 64, "{label}: the generator's TTL");
+                assert_eq!(
+                    parsed.eth.dst,
+                    MacAddr::testbed_host(10),
+                    "{label}: the DuT-ingress MAC"
+                );
+            }
+            let mut sizes: Vec<usize> = capture.iter().map(|c| c.frame.wire_size()).collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            assert_eq!(sizes.len(), if imix { 3 } else { 1 }, "{label}: {sizes:?}");
+        }
+    }
+}
+
 /// A host that sends one frame every `gap_ns` (one transmission per timer,
 /// never a burst), numbering its frames in their payload, and logs what it
 /// receives as (instant, sender's UDP port, frame number).

@@ -18,7 +18,7 @@ pub use crate::port::PortConfig;
 use crate::port::{Port, PortCounters};
 use pos_packet::builder::Frame;
 use pos_simkernel::{EventQueue, SimDuration, SimRng, SimTime, Trace, TraceLevel};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Index of an element in the simulation.
 pub type NodeId = usize;
@@ -228,7 +228,7 @@ impl SimCtx<'_> {
             return;
         }
         let now = self.now();
-        let name = Arc::clone(&self.shared.names[self.node]);
+        let name = Rc::clone(&self.shared.names[self.node]);
         self.shared.trace.log(now, level, &*name, message);
     }
 
@@ -299,7 +299,7 @@ struct Shared {
     queue: EventQueue<Event>,
     ports: Vec<Vec<Port>>,
     /// Interned element names: trace lines bump a refcount, never copy.
-    names: Vec<Arc<str>>,
+    names: Vec<Rc<str>>,
     links: Vec<Link>,
     /// Frames awaiting inline delivery, in submission order. Drained by
     /// the run loop after every callback returns (never re-entrantly).
@@ -524,7 +524,7 @@ impl NetSim {
         );
         let id = self.elements.len();
         self.elements.push(Some(element));
-        self.shared.names.push(Arc::from(name.into()));
+        self.shared.names.push(Rc::from(name.into()));
         self.shared
             .ports
             .push(ports.iter().map(|c| Port::new(*c)).collect());

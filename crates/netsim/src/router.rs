@@ -362,7 +362,8 @@ impl LinuxRouter {
         self.routes
             .iter()
             .filter(|r| r.matches(dst))
-            .max_by_key(|r| r.prefix_len)
+            // `min_by_key` keeps the first of equal keys: the earlier entry.
+            .min_by_key(|r| std::cmp::Reverse(r.prefix_len))
             .copied()
     }
 
@@ -999,6 +1000,29 @@ mod tests {
         sim.connect((a, 0), (dut, 0), LinkConfig::direct_cable());
         sim.connect((b, 0), (dut, 1), LinkConfig::direct_cable());
         sim.run_until(SimTime::from_millis(1));
+    }
+
+    #[test]
+    fn route_ties_go_to_the_earlier_entry() {
+        let mut r = router(ServiceProfile::bare_metal(), 1);
+        // Same prefix and length as the first entry (port 1), other port.
+        r.add_route(RouteEntry {
+            network: Ipv4Addr::new(10, 0, 1, 0),
+            prefix_len: 24,
+            port: 0,
+            next_hop_mac: MacAddr::testbed_host(1),
+        });
+        let route = r.lookup(Ipv4Addr::new(10, 0, 1, 2)).unwrap();
+        assert_eq!(route.port, 1, "the earlier of two /24 matches wins");
+        // A longer prefix still beats both.
+        r.add_route(RouteEntry {
+            network: Ipv4Addr::new(10, 0, 1, 2),
+            prefix_len: 32,
+            port: 0,
+            next_hop_mac: MacAddr::testbed_host(3),
+        });
+        let route = r.lookup(Ipv4Addr::new(10, 0, 1, 2)).unwrap();
+        assert_eq!(route.next_hop_mac, MacAddr::testbed_host(3));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::udp::UdpHeader;
 use crate::{ethernet, ipv4, udp, FCS_LEN, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Headers' combined length: Ethernet + IPv4 + UDP.
 pub const HEADERS_LEN: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
@@ -23,87 +23,32 @@ pub const HEADERS_LEN: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HE
 const POOL_CAP: usize = 1024;
 
 thread_local! {
-    /// Per-thread recycling pool for frame backing buffers. Parallel lanes
-    /// each run their simulation on one thread, so a thread-local pool
-    /// needs no locking and keeps lanes perfectly isolated.
-    static BUF_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    /// Pool of whole `Arc<FrameBuf>` handles with refcount 1. Recycling
-    /// the `Arc` allocation itself (not just the byte buffer inside it)
-    /// keeps the per-packet hot path free of malloc/free entirely.
-    static ARC_POOL: RefCell<Vec<Arc<FrameBuf>>> = const { RefCell::new(Vec::new()) };
+    /// The thread's frame pool: the buffers of dropped frames, each
+    /// uniquely held, recycled whole (the `Rc` allocation and the byte
+    /// buffer inside it) so the per-packet path never calls the allocator.
+    /// A simulation and its frames live on one thread, so the pool needs
+    /// no locking and parallel lanes stay isolated.
+    static POOL: RefCell<Vec<Rc<FrameBuf>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// An empty buffer with at least `capacity` bytes of room, recycled from
-/// the thread's pool when possible.
-fn pool_take(capacity: usize) -> Vec<u8> {
-    let mut buf = BUF_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
-    buf.reserve(capacity);
-    buf
+/// A uniquely held frame with room for `capacity` bytes, whose bytes
+/// `fill` writes. The buffer comes from the thread's pool when it has one.
+fn pooled(capacity: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
+    let mut buf = POOL
+        .with(|p| p.borrow_mut().pop())
+        .unwrap_or_else(|| Rc::new(FrameBuf { data: Vec::new() }));
+    let data = &mut Rc::get_mut(&mut buf)
+        .expect("pooled frame buffers are uniquely held")
+        .data;
+    data.clear();
+    data.reserve(capacity);
+    fill(data);
+    Frame { buf }
 }
 
-/// Returns a buffer's allocation to the thread's pool. Uses `try_with`
-/// because frame buffers held inside `ARC_POOL` drop through here during
-/// thread teardown, when `BUF_POOL` may already be destroyed.
-fn pool_put(buf: Vec<u8>) {
-    if buf.capacity() == 0 {
-        return;
-    }
-    let _ = BUF_POOL.try_with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    });
-}
-
-/// A uniquely-held, empty frame buffer with room for `capacity` bytes,
-/// recycled from the thread's `Arc` pool when possible.
-fn pool_take_arc(capacity: usize) -> Arc<FrameBuf> {
-    if let Some(mut arc) = ARC_POOL.with(|p| p.borrow_mut().pop()) {
-        let fb = Arc::get_mut(&mut arc).expect("pooled frame buffers are uniquely held");
-        fb.data.clear();
-        fb.data.reserve(capacity);
-        arc
-    } else {
-        Arc::new(FrameBuf {
-            data: pool_take(capacity),
-        })
-    }
-}
-
-/// Returns a uniquely-held `Arc<FrameBuf>` to the thread's pool. When the
-/// pool is full (or the thread is tearing down) the handle drops normally,
-/// recycling its byte buffer via [`FrameBuf`]'s `Drop`.
-fn pool_put_arc(arc: Arc<FrameBuf>) {
-    debug_assert_eq!(Arc::strong_count(&arc), 1);
-    let _ = ARC_POOL.try_with(move |p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < POOL_CAP {
-            pool.push(arc);
-        }
-    });
-}
-
-/// Backing storage of a [`Frame`]. Dropping it recycles the allocation
-/// into the thread-local pool; cloning it (the copy-on-write path) sources
-/// the copy's allocation from the same pool.
+/// Backing storage of a [`Frame`].
 struct FrameBuf {
     data: Vec<u8>,
-}
-
-impl Clone for FrameBuf {
-    fn clone(&self) -> FrameBuf {
-        let mut data = pool_take(self.data.len());
-        data.extend_from_slice(&self.data);
-        FrameBuf { data }
-    }
-}
-
-impl Drop for FrameBuf {
-    fn drop(&mut self) {
-        pool_put(std::mem::take(&mut self.data));
-    }
 }
 
 /// A complete frame as handed to/by a NIC: header bytes and payload,
@@ -116,43 +61,41 @@ impl Drop for FrameBuf {
 /// [`Frame::bytes_mut`], which copies on write only when the buffer is
 /// shared — fault injection and in-place TTL/checksum rewrites never
 /// disturb other holders (e.g. a pcap capture of the pristine frame).
+///
+/// The count is an [`Rc`]'s, not an atomic one: a simulation and its
+/// frames live on one thread, and since `Frame` is not `Send` the
+/// compiler enforces that.
+#[derive(Clone)]
 pub struct Frame {
-    /// Wrapped in `ManuallyDrop` so [`Frame`]'s own `Drop` can take the
-    /// handle out and return the whole `Arc` allocation to the pool when
-    /// this was the last holder.
-    buf: std::mem::ManuallyDrop<Arc<FrameBuf>>,
-}
-
-impl Clone for Frame {
-    #[inline]
-    fn clone(&self) -> Frame {
-        Frame {
-            buf: std::mem::ManuallyDrop::new(Arc::clone(&self.buf)),
-        }
-    }
+    /// Shared by every clone of this frame. The last holder to drop it
+    /// returns it to the thread's pool.
+    buf: Rc<FrameBuf>,
 }
 
 impl Drop for Frame {
     #[inline]
     fn drop(&mut self) {
-        // SAFETY: `buf` is taken exactly once; `self` is never used again.
-        let arc = unsafe { std::mem::ManuallyDrop::take(&mut self.buf) };
-        if Arc::strong_count(&arc) == 1 {
-            pool_put_arc(arc);
+        if Rc::strong_count(&self.buf) == 1 {
+            // The pool's handle outlives ours by the field drop that
+            // follows, after which the pool holds the buffer uniquely.
+            // `try_with`: frames can drop during thread teardown, after
+            // the pool is destroyed.
+            let _ = POOL.try_with(|p| {
+                let mut pool = p.borrow_mut();
+                if pool.len() < POOL_CAP {
+                    pool.push(Rc::clone(&self.buf));
+                }
+            });
         }
     }
 }
 
 impl Frame {
-    fn from_arc(arc: Arc<FrameBuf>) -> Frame {
-        Frame {
-            buf: std::mem::ManuallyDrop::new(arc),
-        }
-    }
-
     /// Wraps raw frame bytes (without FCS).
     pub fn from_bytes(data: Vec<u8>) -> Frame {
-        Frame::from_arc(Arc::new(FrameBuf { data }))
+        Frame {
+            buf: Rc::new(FrameBuf { data }),
+        }
     }
 
     /// The frame bytes (without FCS).
@@ -167,16 +110,10 @@ impl Frame {
     /// allocation); a uniquely held one is mutated in place.
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        if Arc::strong_count(&self.buf) != 1 {
-            let mut fresh = pool_take_arc(self.buf.data.len());
-            Arc::get_mut(&mut fresh)
-                .expect("fresh buffer is uniquely held")
-                .data
-                .extend_from_slice(&self.buf.data);
-            // Drop our share of the old buffer; other holders keep it.
-            drop(std::mem::replace(&mut *self.buf, fresh));
+        if Rc::get_mut(&mut self.buf).is_none() {
+            *self = self.duplicate();
         }
-        &mut Arc::get_mut(&mut self.buf)
+        &mut Rc::get_mut(&mut self.buf)
             .expect("uniqueness just ensured")
             .data
     }
@@ -186,12 +123,9 @@ impl Frame {
     /// `bytes_mut()` forcing the copy, but skips the refcount round-trip —
     /// this is the per-packet template-stamping path in the load generator.
     pub fn duplicate(&self) -> Frame {
-        let mut fresh = pool_take_arc(self.buf.data.len());
-        Arc::get_mut(&mut fresh)
-            .expect("fresh buffer is uniquely held")
-            .data
-            .extend_from_slice(&self.buf.data);
-        Frame::from_arc(fresh)
+        pooled(self.buf.data.len(), |data| {
+            data.extend_from_slice(&self.buf.data)
+        })
     }
 
     /// Size of the frame on the wire: bytes plus the 4-byte FCS.
@@ -200,15 +134,12 @@ impl Frame {
         self.buf.data.len() + FCS_LEN
     }
 
-    /// Consumes the frame, returning its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        let mut this = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `this` suppresses `Frame::drop`, so `buf` is taken once.
-        let arc = unsafe { std::mem::ManuallyDrop::take(&mut this.buf) };
-        match Arc::try_unwrap(arc) {
-            // Sole owner: steal the buffer (Drop then recycles nothing).
-            Ok(mut fb) => std::mem::take(&mut fb.data),
-            Err(shared) => shared.data.clone(),
+    /// Consumes the frame, returning its bytes: a sole holder's buffer is
+    /// taken as is, a shared one copied.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        match Rc::get_mut(&mut self.buf) {
+            Some(fb) => std::mem::take(&mut fb.data),
+            None => self.buf.data.clone(),
         }
     }
 }
@@ -252,31 +183,28 @@ impl UdpFrameSpec {
     /// Builds a frame with exactly `payload.len()` bytes of UDP payload.
     /// The backing buffer comes from the thread's frame pool.
     pub fn build(&self, payload: &[u8]) -> Frame {
-        let mut arc = pool_take_arc(HEADERS_LEN + payload.len());
-        let buf = &mut Arc::get_mut(&mut arc)
-            .expect("freshly taken buffer is uniquely held")
-            .data;
-        EthernetHeader {
-            dst: self.dst_mac,
-            src: self.src_mac,
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(buf);
-        let ip = Ipv4Header::for_payload(
-            self.src_ip,
-            self.dst_ip,
-            Protocol::Udp,
-            self.ttl,
-            udp::HEADER_LEN + payload.len(),
-        );
-        ip.emit(buf);
-        UdpHeader::for_payload(self.src_port, self.dst_port, payload.len()).emit(
-            self.src_ip,
-            self.dst_ip,
-            payload,
-            buf,
-        );
-        Frame::from_arc(arc)
+        pooled(HEADERS_LEN + payload.len(), |buf| {
+            EthernetHeader {
+                dst: self.dst_mac,
+                src: self.src_mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .emit(buf);
+            let ip = Ipv4Header::for_payload(
+                self.src_ip,
+                self.dst_ip,
+                Protocol::Udp,
+                self.ttl,
+                udp::HEADER_LEN + payload.len(),
+            );
+            ip.emit(buf);
+            UdpHeader::for_payload(self.src_port, self.dst_port, payload.len()).emit(
+                self.src_ip,
+                self.dst_ip,
+                payload,
+                buf,
+            );
+        })
     }
 
     /// Builds a frame whose size *on the wire* (FCS included) is exactly
@@ -450,14 +378,26 @@ mod tests {
 
     #[test]
     fn pool_recycles_dropped_buffers() {
-        let cap_of = |f: &Frame| f.bytes().len();
         let a = spec().build(&[0u8; 100]);
-        let n = cap_of(&a);
+        let ptr = a.bytes().as_ptr();
         drop(a);
-        // The next build of an equal-or-smaller frame must not grow the
-        // pool: it reuses the recycled allocation.
+        // The next build on this thread reuses the dropped frame's
+        // allocation.
         let b = spec().build(&[0u8; 50]);
-        assert!(cap_of(&b) <= n);
+        assert_eq!(b.bytes().as_ptr(), ptr, "dropped buffer recycled");
+    }
+
+    #[test]
+    fn pool_never_hands_out_a_shared_buffer() {
+        let a = spec().build(&[5u8; 40]);
+        let b = a.clone();
+        let pristine = b.bytes().to_vec();
+        // `b` still holds the buffer, so dropping `a` must not pool it.
+        drop(a);
+        let mut c = spec().build(&[0u8; 40]);
+        assert_ne!(c.bytes().as_ptr(), b.bytes().as_ptr(), "aliases `b`");
+        c.bytes_mut().fill(0xAA);
+        assert_eq!(b.bytes(), &pristine[..], "writing a new frame changed `b`");
     }
 
     #[test]

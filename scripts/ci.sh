@@ -40,6 +40,12 @@ cargo test -q -p pos-loadgen --test fast_vs_eventful
 echo "==> case-study golden (crates/loadgen/tests/case_study_golden.rs)"
 cargo test -q -p pos-loadgen --test case_study_golden
 
+# The event queue's timing wheel is a fast path too; its reference is the
+# binary-heap model, replayed on the same schedules. Repeated by name like
+# the oracle above.
+echo "==> timing-wheel oracle (crates/simkernel/tests/wheel_vs_heap.rs)"
+cargo test -q -p pos-simkernel --test wheel_vs_heap
+
 # The crash matrix is the durability contract: kill the controller at every
 # journal record boundary (cleanly and with torn tails), resume, and demand a
 # byte-identical result tree. It runs as part of the workspace suite above;
