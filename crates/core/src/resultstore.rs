@@ -205,6 +205,20 @@ impl ResultStore {
         })
     }
 
+    /// The most recently created of `trees`, directories [`Self::create`]
+    /// named: ordered by parent, then `vt-<seconds>` base, then `-N`
+    /// collision suffix as a number, so `vt-…-10` is younger than
+    /// `vt-…-9`.
+    pub fn youngest(trees: impl IntoIterator<Item = PathBuf>) -> Option<PathBuf> {
+        trees.into_iter().max_by_key(|dir| {
+            let name = dir.file_name().unwrap_or_default().to_string_lossy();
+            let stamp = name.strip_prefix("vt-").unwrap_or(&name);
+            let (secs, n) = stamp.split_once('-').unwrap_or((stamp, "0"));
+            let number = |s: &str| s.parse::<u64>().ok();
+            (dir.parent().map(Path::to_path_buf), number(secs), number(n))
+        })
+    }
+
     /// Opens an existing experiment directory (for evaluation/publishing).
     pub fn open(dir: impl Into<PathBuf>) -> ResultStore {
         ResultStore {
@@ -467,6 +481,29 @@ mod tests {
         assert_ne!(a.dir(), b.dir(), "same timestamp must not collide");
         assert!(a.dir().starts_with(root.join("alice").join("router")));
         assert!(a.dir().to_str().unwrap().contains("vt-0000000100"));
+    }
+
+    #[test]
+    fn youngest_orders_collisions_by_number() {
+        let root = TempDir::new("rs-youngest");
+        let dirs: Vec<PathBuf> = (0..12)
+            .map(|_| {
+                ResultStore::create(&root, "u", "e", SimTime::ZERO)
+                    .unwrap()
+                    .dir()
+                    .to_path_buf()
+            })
+            .collect();
+        assert!(dirs[11].ends_with("vt-0000000000-11"));
+        assert_eq!(ResultStore::youngest(dirs.clone()), Some(dirs[11].clone()));
+        assert_eq!(
+            ResultStore::youngest(dirs[..10].to_vec()),
+            Some(dirs[9].clone())
+        );
+        let later = ResultStore::create(&root, "u", "e", SimTime::from_secs(5)).unwrap();
+        let all = dirs.into_iter().chain([later.dir().to_path_buf()]);
+        assert_eq!(ResultStore::youngest(all), Some(later.dir().to_path_buf()));
+        assert_eq!(ResultStore::youngest(Vec::new()), None);
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //!   in `pos_core::journal` frames) and its one reader, [`DagJournal`],
 //!   which resume, [`fsck_dag`], [`tree_disk_state`] and the `pos serve`
 //!   restart path share.
+//! * [`resume`] — the one resume entry point: [`Resumable::open`] picks
+//!   a tree's kind from its stored `dag.yml`, and [`ResumableDag`]
+//!   resumes a DAG on the identity its journal recorded.
 //! * [`fsck`] — `pos fsck` on a DAG tree.
 //! * [`viz`] — `pos dag viz`: Graphviz dot and ASCII rendering of the
 //!   DAG (and the testbed topology) before execution.
@@ -48,6 +51,7 @@
 pub mod executor;
 pub mod fsck;
 pub mod journal;
+pub mod resume;
 pub mod spec;
 pub mod target;
 pub mod toposort;
@@ -56,6 +60,7 @@ pub mod viz;
 pub use executor::{resume_dag, run_dag, DagOptions, DagOutcome, NodeOutcome};
 pub use fsck::{fsck_dag, DagFsckReport, NodeFsck, NodeFsckStatus};
 pub use journal::{tree_disk_state, DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
+pub use resume::{Resumable, ResumableDag};
 pub use spec::{linux_router_dag, DagSpec, EdgeKind, StageKind, StageSpec};
 pub use target::{ExecutionTarget, InProcessTarget, SimBatchTarget, SweepRequest, TargetReport};
 pub use toposort::{levels, toposort};

@@ -14,9 +14,9 @@
 //!   sequential execution of the same seed (see the determinism argument
 //!   in [`scheduler`]'s module docs); plus [`scheduler::resume_parallel`]
 //!   for crash recovery across all lane journals.
-//! * [`resume`] — the one resume entry point: a tree's folded journals
-//!   pick the parallel or the sequential resume and the testbed to
-//!   rebuild (`pos resume` and the `pos serve` restart path).
+//! * [`resume`] — the campaign resume entry point: a tree's folded
+//!   journals pick the parallel or the sequential resume and the testbed
+//!   to rebuild (`pos_dag::Resumable` opens it for campaign trees).
 //! * [`supervisor`] — lane supervision: watchdog deadlines, journaled
 //!   lane retirement with deterministic reassignment or replacement-lane
 //!   replanning, per-run retry ladders on dedicated RNG sub-streams, and
@@ -40,6 +40,6 @@ pub use plan::{plan_lanes, site_host_sets, LaneAllocation, LaneFlavor, ScatterLe
 pub use queue::{
     CompletedSubmission, CompletionOutcome, QueueError, QueueStatus, Submission, SubmissionQueue,
 };
-pub use resume::{OpenError, ResumableTree, Resumed};
+pub use resume::{ResumableTree, Resumed};
 pub use scheduler::{resume_parallel, run_parallel, ParallelOptions, ParallelOutcome};
 pub use supervisor::{LaneDeath, LaneFaultPlan, LaneRecovery, SupervisorOptions};

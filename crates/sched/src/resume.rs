@@ -12,9 +12,7 @@ use crate::scheduler::{resume_parallel, ParallelOutcome};
 use pos_core::commands::case_study_testbed;
 use pos_core::controller::{Controller, ControllerError, ExperimentOutcome, Progress, RunOptions};
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::JournalError;
 use pos_core::recovery::{CampaignIdentity, CampaignJournals};
-use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -27,26 +25,6 @@ pub struct ResumableTree {
     /// The journaled campaign identity.
     pub identity: CampaignIdentity,
 }
-
-/// Why a tree cannot be opened for resumption.
-#[derive(Debug)]
-pub enum OpenError {
-    /// `journal.log` cannot be replayed.
-    Journal(JournalError),
-    /// The journal has no `CampaignStarted` record.
-    NoCampaignStart,
-}
-
-impl fmt::Display for OpenError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpenError::Journal(e) => write!(f, "{e}"),
-            OpenError::NoCampaignStart => write!(f, "journal has no CampaignStarted record"),
-        }
-    }
-}
-
-impl std::error::Error for OpenError {}
 
 /// What a resume produced, by the path the lane plan picked.
 #[derive(Debug)]
@@ -69,12 +47,9 @@ impl Resumed {
 
 impl ResumableTree {
     /// Folds the journals of the tree at `dir` and reads its identity.
-    pub fn open(dir: &Path) -> Result<ResumableTree, OpenError> {
-        let journals = CampaignJournals::read(dir).map_err(OpenError::Journal)?;
-        let identity = journals
-            .identity
-            .clone()
-            .ok_or(OpenError::NoCampaignStart)?;
+    pub fn open(dir: &Path) -> Result<ResumableTree, ControllerError> {
+        let journals = CampaignJournals::read(dir).map_err(ControllerError::Journal)?;
+        let identity = journals.identity()?.clone();
         Ok(ResumableTree {
             dir: dir.to_path_buf(),
             journals,
@@ -93,23 +68,28 @@ impl ResumableTree {
         ExperimentSpec::from_dir(&self.dir.join("experiment"))
     }
 
-    /// Rebuilds the testbed on the journaled seed and flavor and resumes
-    /// the campaign: on its journaled lanes when the tree has a lane
-    /// plan, sequentially (reporting to `progress`) otherwise.
+    /// Rebuilds the testbed on the journaled seed and flavor (which
+    /// overrides `opts.testbed_flavor`) and resumes the campaign: on its
+    /// journaled lanes when the tree has a lane plan, sequentially
+    /// (reporting to `progress`) otherwise.
     pub fn resume(
         &self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
         progress: impl FnMut(&Progress) + 'static,
     ) -> Result<Resumed, ControllerError> {
-        let seed = self.identity.seed;
+        let CampaignIdentity { seed, testbed, .. } = &self.identity;
+        let opts = &RunOptions {
+            testbed_flavor: testbed.clone(),
+            ..opts.clone()
+        };
         if self.lanes().is_some() {
             return resume_parallel(&self.dir, spec, opts, &mut |_, flavor| {
-                case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
+                case_study_testbed(spec, *seed, flavor == LaneFlavor::Virtual, true)
             })
             .map(Resumed::Parallel);
         }
-        let tb = case_study_testbed(spec, seed, self.identity.testbed == "vpos", true)?;
+        let tb = case_study_testbed(spec, *seed, testbed == "vpos", true)?;
         Controller::owning(tb)
             .with_progress(progress)
             .resume_experiment(&self.dir, spec, opts)

@@ -21,17 +21,24 @@
 //! A crash between `CampaignDispatched` and `SubmissionFinished` leaves
 //! the submission in flight. On the next [`ServeEngine::run_next`] the
 //! engine settles it by looking at the youngest unclaimed result tree
-//! for the submission's experiment:
+//! (by [`ResultStore::youngest`]) under `<user>/<name>`, where the name
+//! is the DAG's for a submission that carries a `dag.yml` and the
+//! experiment's otherwise:
 //!
 //! * no tree → the crash hit before the tree existed: run it fresh;
 //! * tree without a journal → the crash hit during scaffolding, before
 //!   the write-ahead journal was created: wipe the husk and run fresh
 //!   (keeping the canonical `vt-<time>` path free, so the re-run lands
 //!   byte-identically where the uninterrupted run would have);
-//! * tree with an unfinished journal → `pos resume` machinery completes
-//!   it from the last consistent checkpoint;
+//! * tree with an unfinished journal → the `pos resume` entry point,
+//!   [`Resumable`], completes it from the last consistent checkpoint on
+//!   the identity its journal recorded;
 //! * tree whose journal says finished → the crash hit between campaign
 //!   completion and the ledger append: adopt the outcome as-is.
+//!
+//! Campaign and DAG submissions share this one path; only the fresh
+//! execution differs (the controller or parallel scheduler for a
+//! campaign, the DAG executor for a DAG).
 //!
 //! A failed ledger append marks the engine dead ([`ServeError::Died`]):
 //! the daemon must not keep acknowledging transitions it can no longer
@@ -45,14 +52,14 @@ use pos_core::controller::{
 };
 use pos_core::experiment::ExperimentSpec;
 use pos_core::journal::{CampaignDiskState, Journal, JournalError};
+use pos_core::resultstore::ResultStore;
 use pos_core::vfs::Vfs;
 use pos_dag::{
-    resume_dag, run_dag, tree_disk_state, DagError, DagJournal, DagOptions, DagOutcome, DagSpec,
-    ExecutionTarget, InProcessTarget, SimBatchTarget,
+    run_dag, tree_disk_state, DagError, DagOptions, DagOutcome, DagSpec, InProcessTarget, Resumable,
 };
 use pos_sched::{
     run_parallel, CompletionOutcome, LaneFlavor, ParallelOptions, QueueError, QueueStatus,
-    ResumableTree, Resumed, Submission, SupervisorOptions,
+    Submission, SupervisorOptions,
 };
 use pos_simkernel::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -360,6 +367,17 @@ enum Exec {
     Checkpointed,
 }
 
+impl Exec {
+    /// A failed campaign, recorded against `result_dir` (empty when it
+    /// failed before creating a tree).
+    fn failed(result_dir: String) -> Exec {
+        Exec::Done {
+            outcome: CompletionOutcome::Failed,
+            result_dir,
+        }
+    }
+}
+
 /// The daemon. Shared between the dispatch loop and the HTTP thread via
 /// `Arc`; all methods take `&self`.
 pub struct ServeEngine {
@@ -621,98 +639,48 @@ impl ServeEngine {
         }
     }
 
-    /// Executes (or settles) one submission's campaign, without holding
-    /// the control lock.
+    /// Executes (or settles) one submission, without holding the
+    /// control lock. A submission whose experiment dir carries a
+    /// `dag.yml` is a DAG campaign: same ledger, same settlement, but
+    /// its tree is a DAG tree named after the DAG.
     fn execute(
         &self,
         sub: &Submission,
         recovered: bool,
         referenced: &BTreeSet<PathBuf>,
     ) -> Result<Exec, ServeError> {
-        let spec = match ExperimentSpec::from_dir(Path::new(&sub.experiment)) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!(
-                    "pos-serve: #{}: cannot load experiment from {}: {e}",
-                    sub.id, sub.experiment
-                );
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
+        let (spec, dag) = match load_submission(Path::new(&sub.experiment)) {
+            Ok(loaded) => loaded,
+            Err(reason) => {
+                eprintln!("pos-serve: #{}: {reason}", sub.id);
+                return Ok(Exec::failed(String::new()));
             }
         };
-        if let Err(e) = spec.validate() {
-            eprintln!("pos-serve: #{}: invalid experiment: {e}", sub.id);
-            return Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: String::new(),
-            });
-        }
-        // A submission whose experiment dir carries a dag.yml is a DAG
-        // campaign: same ledger, same recovery settlement, but the
-        // result tree is a DAG tree driven by the DAG executor.
-        if DagSpec::present_in(Path::new(&sub.experiment)) {
-            return self.execute_dag(sub, &spec, recovered, referenced);
-        }
         if recovered {
-            let base = self.results_root.join(&spec.user).join(&spec.name);
-            let resume = |dir: &Path| self.resume_tree(dir);
-            if let Some(exec) = self.settle(sub, &base, "result tree", referenced, resume)? {
+            let name = dag.as_ref().map_or(&spec.name, |dag| &dag.name);
+            let base = self.results_root.join(&spec.user).join(name);
+            if let Some(exec) = self.settle(sub, &base, referenced)? {
                 return Ok(exec);
             }
         }
-        self.fresh_run(&spec)
+        match &dag {
+            Some(dag) => self.fresh_dag_run(&spec, dag),
+            None => self.fresh_run(&spec),
+        }
     }
 
-    /// Executes (or settles) one DAG submission. The settlement logic
-    /// is the campaign one — [`tree_disk_state`] classifies DAG trees
-    /// too — keyed on the *DAG's* tree name.
-    fn execute_dag(
-        &self,
-        sub: &Submission,
-        spec: &ExperimentSpec,
-        recovered: bool,
-        referenced: &BTreeSet<PathBuf>,
-    ) -> Result<Exec, ServeError> {
-        let dag = match DagSpec::from_dir(Path::new(&sub.experiment)) {
-            Ok(dag) => dag,
-            Err(e) => {
-                eprintln!(
-                    "pos-serve: #{}: cannot load DAG from {}: {e}",
-                    sub.id, sub.experiment
-                );
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
-            }
-        };
-        if let Err(e) = dag.validate() {
-            eprintln!("pos-serve: #{}: invalid DAG: {e}", sub.id);
-            return Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: String::new(),
-            });
-        }
-        if recovered {
-            let base = self.results_root.join(&spec.user).join(&dag.name);
-            let resume = |dir: &Path| self.resume_dag_tree(dir);
-            if let Some(exec) = self.settle(sub, &base, "DAG tree", referenced, resume)? {
-                return Ok(exec);
-            }
-        }
-        self.fresh_dag_run(spec, &dag)
+    /// Takes the armed campaign crash injection, if any: it fires in the
+    /// first campaign this session dispatches.
+    fn take_crash(&self) -> Option<(Option<u64>, bool)> {
+        self.campaign_crash
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take()
     }
 
     fn fresh_dag_run(&self, spec: &ExperimentSpec, dag: &DagSpec) -> Result<Exec, ServeError> {
         let opts = self.run_options(&self.results_root, spec);
-        let injected = self
-            .campaign_crash
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        let armed = injected.is_some();
+        let injected = self.take_crash();
         let lanes = self.opts.lanes.max(1);
         let mut dopts = DagOptions::new(lanes, self.opts.seed);
         if let Some((after, torn)) = injected {
@@ -722,100 +690,29 @@ impl ServeEngine {
             dopts.dag_torn_write = torn;
         }
         let mut target = InProcessTarget::new(self.opts.seed, false, lanes);
-        self.classify_dag(run_dag(dag, spec, &opts, &dopts, &mut target), armed)
-    }
-
-    /// Completes an interrupted DAG tree through `pos dag resume`,
-    /// rebuilding the execution target the journal recorded.
-    fn resume_dag_tree(&self, dir: &Path) -> Result<Exec, ServeError> {
-        let failed = |msg: String| {
-            eprintln!("pos-serve: cannot resume DAG {}: {msg}", dir.display());
-            Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: dir.display().to_string(),
-            })
-        };
-        let (seed, target_name) = match DagJournal::read(dir) {
-            Ok(DagJournal {
-                identity: Some(id), ..
-            }) => (id.seed, id.target),
-            Ok(_) => return failed("journal has no DagStarted record".into()),
-            Err(e) => return failed(e.to_string()),
-        };
-        let spec = match ExperimentSpec::from_dir(&dir.join("experiment")) {
-            Ok(spec) => spec,
-            Err(e) => return failed(format!("stored experiment unloadable: {e}")),
-        };
-        let opts = self.run_options(&self.results_root, &spec);
-        let lanes = self.opts.lanes.max(1);
-        let dopts = DagOptions::new(lanes, seed);
-        let mut target: Box<dyn ExecutionTarget> = match target_name.as_str() {
-            "in-process" => Box::new(InProcessTarget::new(seed, false, lanes)),
-            "sim-batch" => Box::new(SimBatchTarget::new(seed, false, lanes)),
-            other => return failed(format!("unknown execution target `{other}`")),
-        };
-        self.classify_dag(resume_dag(dir, &opts, &dopts, target.as_mut()), false)
-    }
-
-    /// [`Self::classify`] for DAG executions.
-    fn classify_dag(
-        &self,
-        res: Result<DagOutcome, DagError>,
-        injection_armed: bool,
-    ) -> Result<Exec, ServeError> {
-        match res {
-            Ok(out) => {
-                let outcome = if out.failed_runs == 0 {
-                    CompletionOutcome::Completed
-                } else {
-                    CompletionOutcome::CompletedDegraded
-                };
-                Ok(Exec::Done {
-                    outcome,
-                    result_dir: out.dag_dir.display().to_string(),
-                })
-            }
-            Err(e) if e.is_checkpoint() => Ok(Exec::Checkpointed),
-            Err(e) if injection_armed && is_injected_dag_death(&e) => {
-                self.dead.store(true, Ordering::SeqCst);
-                Err(ServeError::Died {
-                    context: "DAG journal append".into(),
-                    source: io::Error::new(io::ErrorKind::Interrupted, e.to_string()),
-                })
-            }
-            Err(e) => {
-                eprintln!("pos-serve: DAG campaign failed: {e}");
-                Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                })
-            }
-        }
+        let res = run_dag(dag, spec, &opts, &dopts, &mut target);
+        self.classify(res.map(|out| dag_done(&out)), injected.is_some())
     }
 
     /// Settles a recovered in-flight submission against the youngest
     /// result tree under `base` (`<root>/<user>/<name>`) not yet claimed
     /// by a finished submission — the only tree it can have been writing.
-    /// A sealed tree is adopted, an unfinished one completed by `resume`,
-    /// a husk with nothing durable wiped. `None` means there is nothing
-    /// to settle: run the submission fresh. `what` names the tree kind in
-    /// diagnostics.
+    /// A sealed tree is adopted, an unfinished one resumed, a husk with
+    /// nothing durable wiped. `None` means there is nothing to settle:
+    /// run the submission fresh.
     fn settle(
         &self,
         sub: &Submission,
         base: &Path,
-        what: &str,
         referenced: &BTreeSet<PathBuf>,
-        resume: impl FnOnce(&Path) -> Result<Exec, ServeError>,
     ) -> Result<Option<Exec>, ServeError> {
-        let Some(dir) = std::fs::read_dir(base)
+        let unclaimed = std::fs::read_dir(base)
             .into_iter()
             .flatten()
             .flatten()
             .map(|e| e.path())
-            .filter(|p| p.is_dir() && !referenced.contains(p))
-            .max()
-        else {
+            .filter(|p| p.is_dir() && !referenced.contains(p));
+        let Some(dir) = ResultStore::youngest(unclaimed) else {
             return Ok(None);
         };
         let result_dir = dir.display().to_string();
@@ -823,17 +720,9 @@ impl ServeEngine {
             CampaignDiskState::Finished { failed, .. } => {
                 // Crash after campaign completion, before the ledger
                 // append: the tree is done and sealed — adopt it.
-                let outcome = if failed == 0 {
-                    CompletionOutcome::Completed
-                } else {
-                    CompletionOutcome::CompletedDegraded
-                };
-                Ok(Some(Exec::Done {
-                    outcome,
-                    result_dir,
-                }))
+                Ok(Some(done(failed == 0, &dir)))
             }
-            CampaignDiskState::InProgress { .. } => resume(&dir).map(Some),
+            CampaignDiskState::InProgress { .. } => self.resume(&dir).map(Some),
             CampaignDiskState::NoJournal => {
                 // Scaffolding husk with no durable record: wipe it so the
                 // fresh run recreates the canonical vt-<time> path
@@ -843,13 +732,10 @@ impl ServeEngine {
             }
             CampaignDiskState::Unreadable(reason) => {
                 eprintln!(
-                    "pos-serve: #{}: {what} {result_dir} unreadable: {reason}",
+                    "pos-serve: #{}: result tree {result_dir} unreadable: {reason}",
                     sub.id
                 );
-                Ok(Some(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir,
-                }))
+                Ok(Some(Exec::failed(result_dir)))
             }
         }
     }
@@ -875,18 +761,13 @@ impl ServeEngine {
 
     fn fresh_run(&self, spec: &ExperimentSpec) -> Result<Exec, ServeError> {
         let mut opts = self.run_options(&self.results_root, spec);
-        let injected = self
-            .campaign_crash
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        let armed = injected.is_some();
+        let injected = self.take_crash();
         if let Some((after, torn)) = injected {
             opts.journal_crash_after = after;
             opts.journal_torn_write = torn;
         }
         let seed = self.opts.seed;
-        if self.opts.lanes > 1 {
+        let res = if self.opts.lanes > 1 {
             let popts = ParallelOptions {
                 lanes: self.opts.lanes,
                 site_replicas: self.opts.lanes,
@@ -895,91 +776,89 @@ impl ServeEngine {
                     ..SupervisorOptions::default()
                 },
             };
-            let res = run_parallel(spec, &opts, &popts, &mut |_, flavor| {
+            run_parallel(spec, &opts, &popts, &mut |_, flavor| {
                 case_study_testbed(spec, seed, flavor == LaneFlavor::Virtual, true)
-            });
-            return self.classify(res.map(|o| o.outcome), armed);
-        }
-        let tb = match case_study_testbed(spec, seed, false, false) {
-            Ok(tb) => tb,
-            Err(e) => {
-                eprintln!("pos-serve: testbed construction failed: {e}");
-                return Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                });
+            })
+            .map(|out| out.outcome)
+        } else {
+            let tb = match case_study_testbed(spec, seed, false, false) {
+                Ok(tb) => tb,
+                Err(e) => {
+                    eprintln!("pos-serve: testbed construction failed: {e}");
+                    return Ok(Exec::failed(String::new()));
+                }
+            };
+            let counters = self.progress.clone();
+            Controller::owning(tb)
+                .with_progress(move |p| counters.observe(p))
+                .run_experiment(spec, &opts)
+        };
+        self.classify(
+            res.map(|out| campaign_done(&out)).map_err(DagError::from),
+            injected.is_some(),
+        )
+    }
+
+    /// Completes an interrupted tree of either kind through the one
+    /// resume entry point, [`Resumable`], on the identity its journal
+    /// recorded. A tree that cannot be opened or rebuilt is recorded as
+    /// failed in place.
+    fn resume(&self, dir: &Path) -> Result<Exec, ServeError> {
+        let failed = |msg: &dyn fmt::Display| {
+            eprintln!("pos-serve: cannot resume {}: {msg}", dir.display());
+            Ok(Exec::failed(dir.display().to_string()))
+        };
+        let res = match Resumable::open(dir) {
+            Err(e) => return failed(&e),
+            Ok(Resumable::Campaign(tree)) => {
+                // The tree's own stored spec is the authoritative one.
+                let spec = match tree.load_spec() {
+                    Ok(spec) => spec,
+                    Err(e) => return failed(&format!("stored experiment unloadable: {e}")),
+                };
+                let counters = self.progress.clone();
+                let opts = self.run_options(dir, &spec);
+                match tree.resume(&spec, &opts, move |p| counters.observe(p)) {
+                    Err(e @ ControllerError::Topology { .. }) => return failed(&e),
+                    res => res
+                        .map(|r| campaign_done(&r.into_outcome()))
+                        .map_err(DagError::from),
+                }
+            }
+            Ok(Resumable::Dag(tree)) => {
+                let opts = self.run_options(dir, &tree.spec);
+                tree.resume(&opts, self.opts.lanes.max(1))
+                    .map(|out| dag_done(&out))
             }
         };
-        let counters = self.progress.clone();
-        let mut ctl = Controller::owning(tb).with_progress(move |p| counters.observe(p));
-        self.classify(ctl.run_experiment(spec, &opts), armed)
+        self.classify(res, false)
     }
 
-    /// Completes an interrupted result tree through the `pos resume`
-    /// machinery (sequential or parallel, as its journal records).
-    fn resume_tree(&self, dir: &Path) -> Result<Exec, ServeError> {
-        let failed = |msg: String| {
-            eprintln!("pos-serve: cannot resume {}: {msg}", dir.display());
-            Ok(Exec::Done {
-                outcome: CompletionOutcome::Failed,
-                result_dir: dir.display().to_string(),
-            })
-        };
-        let tree = match ResumableTree::open(dir) {
-            Ok(tree) => tree,
-            Err(e) => return failed(e.to_string()),
-        };
-        // The tree's own stored spec is the authoritative one on resume.
-        let spec = match tree.load_spec() {
-            Ok(spec) => spec,
-            Err(e) => return failed(format!("stored experiment unloadable: {e}")),
-        };
-        let opts = self.run_options(dir, &spec);
-        let counters = self.progress.clone();
-        match tree.resume(&spec, &opts, move |p| counters.observe(p)) {
-            Err(e @ ControllerError::Topology { .. }) => failed(e.to_string()),
-            res => self.classify(res.map(Resumed::into_outcome), false),
-        }
-    }
-
-    /// Folds a campaign result into the daemon's vocabulary: clean or
-    /// degraded completion, consistent checkpoint, injected daemon
-    /// death, or a plain failed campaign (which the daemon records and
-    /// outlives).
+    /// Folds an execution result into the daemon's vocabulary: a
+    /// completion, a consistent checkpoint, an injected daemon death, or
+    /// a plain failed campaign (which the daemon records and outlives).
+    /// Campaign errors arrive as [`DagError::Controller`].
     fn classify(
         &self,
-        res: Result<ExperimentOutcome, ControllerError>,
+        res: Result<Exec, DagError>,
         injection_armed: bool,
     ) -> Result<Exec, ServeError> {
         match res {
-            Ok(out) => {
-                let outcome = if out.failed_runs.is_empty() && out.quarantined_runs.is_empty() {
-                    CompletionOutcome::Completed
-                } else {
-                    CompletionOutcome::CompletedDegraded
-                };
-                Ok(Exec::Done {
-                    outcome,
-                    result_dir: out.result_dir.display().to_string(),
-                })
-            }
+            Ok(exec) => Ok(exec),
             Err(e) if e.is_checkpoint() => Ok(Exec::Checkpointed),
             Err(e) if injection_armed && is_injected_death(&e) => {
-                // The armed campaign-journal crash fired: the "machine"
-                // died mid-campaign. Propagate as daemon death — the
-                // restart matrix restarts from here.
+                // The armed journal crash fired: the "machine" died
+                // mid-campaign. Propagate as daemon death — the restart
+                // matrix restarts from here.
                 self.dead.store(true, Ordering::SeqCst);
                 Err(ServeError::Died {
-                    context: "campaign journal append".into(),
+                    context: "journal append".into(),
                     source: io::Error::new(io::ErrorKind::Interrupted, e.to_string()),
                 })
             }
             Err(e) => {
                 eprintln!("pos-serve: campaign failed: {e}");
-                Ok(Exec::Done {
-                    outcome: CompletionOutcome::Failed,
-                    result_dir: String::new(),
-                })
+                Ok(Exec::failed(String::new()))
             }
         }
     }
@@ -1096,26 +975,56 @@ fn referenced_dirs(finished: &[FinishedRec]) -> BTreeSet<PathBuf> {
         .collect()
 }
 
-/// True for the error an *armed* campaign-journal crash injection
-/// raises ([`io::ErrorKind::Interrupted`], which nothing in the
-/// simulated testbed produces organically).
-fn is_injected_death(e: &ControllerError) -> bool {
-    match e {
-        ControllerError::Io(err) => err.kind() == io::ErrorKind::Interrupted,
-        ControllerError::Journal(JournalError::Io(err)) => err.kind() == io::ErrorKind::Interrupted,
-        _ => false,
+/// Loads and validates a submission's experiment, and its DAG when the
+/// directory carries a `dag.yml`.
+fn load_submission(dir: &Path) -> Result<(ExperimentSpec, Option<DagSpec>), String> {
+    let spec = ExperimentSpec::from_dir(dir)
+        .map_err(|e| format!("cannot load experiment from {}: {e}", dir.display()))?;
+    spec.validate()
+        .map_err(|e| format!("invalid experiment: {e}"))?;
+    if !DagSpec::present_in(dir) {
+        return Ok((spec, None));
+    }
+    let dag = DagSpec::from_dir(dir)
+        .map_err(|e| format!("cannot load DAG from {}: {e}", dir.display()))?;
+    dag.validate().map_err(|e| format!("invalid DAG: {e}"))?;
+    Ok((spec, Some(dag)))
+}
+
+/// A completed execution whose tree is `dir`: clean, or degraded.
+fn done(clean: bool, dir: &Path) -> Exec {
+    Exec::Done {
+        outcome: if clean {
+            CompletionOutcome::Completed
+        } else {
+            CompletionOutcome::CompletedDegraded
+        },
+        result_dir: dir.display().to_string(),
     }
 }
 
-/// [`is_injected_death`] for DAG executions: the armed crash may fire
-/// on the DAG journal itself or inside a sweep's campaign journal.
-fn is_injected_dag_death(e: &DagError) -> bool {
-    match e {
-        DagError::Io(err) => err.kind() == io::ErrorKind::Interrupted,
-        DagError::Journal(JournalError::Io(err)) => err.kind() == io::ErrorKind::Interrupted,
-        DagError::Controller(inner) => is_injected_death(inner),
-        _ => false,
-    }
+fn campaign_done(out: &ExperimentOutcome) -> Exec {
+    let clean = out.failed_runs.is_empty() && out.quarantined_runs.is_empty();
+    done(clean, &out.result_dir)
+}
+
+fn dag_done(out: &DagOutcome) -> Exec {
+    done(out.failed_runs == 0, &out.dag_dir)
+}
+
+/// True for the error an *armed* journal crash injection raises
+/// ([`io::ErrorKind::Interrupted`], which nothing in the simulated
+/// testbed produces organically) — on the DAG journal itself or inside a
+/// campaign's journal.
+fn is_injected_death(e: &DagError) -> bool {
+    let err = match e {
+        DagError::Io(err)
+        | DagError::Journal(JournalError::Io(err))
+        | DagError::Controller(ControllerError::Io(err))
+        | DagError::Controller(ControllerError::Journal(JournalError::Io(err))) => err,
+        _ => return false,
+    };
+    err.kind() == io::ErrorKind::Interrupted
 }
 
 /// Short label of a ledger record for death diagnostics.

@@ -1,9 +1,12 @@
 //! # pos-testutil
 //!
 //! Test support shared by the workspace: the crates' unit tests and the
-//! integration tests take it as a dev-dependency only.
+//! integration tests take it as a dev-dependency only. [`TempDir`] gives
+//! each call a scratch directory; [`tree`] compares result trees.
 
 #![warn(missing_docs)]
+
+pub mod tree;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

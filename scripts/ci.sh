@@ -74,7 +74,8 @@ cargo test -q --test dag_determinism
 
 # The daemon half: kill `pos serve` at every queue-ledger append boundary
 # (and at campaign-journal boundaries) during a multi-user submission storm,
-# restart, and demand byte-identical trees versus an uninterrupted daemon.
+# and a DAG tenant at every ledger and DAG-journal boundary, restart, and
+# demand byte-identical trees versus an uninterrupted daemon.
 echo "==> serve restart matrix (tests/serve_restart_matrix.rs)"
 cargo test -q --test serve_restart_matrix
 
@@ -130,8 +131,10 @@ rm -rf "$SCRUB_DIR"
 
 # DAG smoke, end to end through the CLI: scaffold the 3-stage case-study
 # DAG, check `pos dag viz` golden lines in both formats, run it small at 2
-# lanes, viz + fsck the result tree, and resume (a complete tree must be a
-# verified no-op fast-forward, not a rerun).
+# lanes on a non-default seed, viz + fsck the result tree, and resume it
+# with no flags through both `pos dag resume` and `pos resume` (the journal
+# supplies the seed; a complete tree must be a verified no-op
+# fast-forward, not a rerun).
 echo "==> dag smoke (pos dag init + viz golden + run + fsck + resume)"
 DAG_DIR=$(mktemp -d)
 "$POS" dag init "$DAG_DIR/exp" >/dev/null
@@ -164,7 +167,7 @@ dut_ip0: 10.0.0.1
 dut_ip1: 10.0.1.1
 run_secs: 1
 EOF
-"$POS" dag run "$DAG_DIR/exp" --results "$DAG_DIR/res" --lanes 2 >/dev/null
+"$POS" dag run "$DAG_DIR/exp" --results "$DAG_DIR/res" --lanes 2 --seed 9 >/dev/null
 DAG_TREE=$(dirname "$(find "$DAG_DIR/res" -name dag.yml)")
 test -s "$DAG_TREE/stage-eval/figures/eval.svg"
 "$POS" dag viz "$DAG_TREE" | grep -q 'wave 0: \[setup setup\]' || {
@@ -174,6 +177,10 @@ test -s "$DAG_TREE/stage-eval/figures/eval.svg"
 "$POS" fsck "$DAG_TREE" >/dev/null
 "$POS" dag resume "$DAG_TREE" | grep -q 'verified, skipped' || {
     echo "dag smoke: resume of a complete DAG re-ran instead of verifying" >&2
+    exit 1
+}
+"$POS" resume "$DAG_TREE" | grep -q 'verified, skipped' || {
+    echo "dag smoke: pos resume of a complete DAG re-ran instead of verifying" >&2
     exit 1
 }
 rm -rf "$DAG_DIR"

@@ -10,8 +10,8 @@
 //!     --results <root>     result tree root       (default: ./results)
 //!     --testbed pos|vpos   hardware or VM testbed (default: pos)
 //!     --seed <n>           testbed seed           (default: 1799)
-//! pos resume <result-dir> [options]     pick up an interrupted campaign
-//!     --testbed pos|vpos   hardware or VM testbed (default: pos)
+//! pos resume <result-dir> [options]     pick up an interrupted campaign or DAG
+//!     --testbed pos|vpos   refuse unless the tree ran on this testbed
 //! pos serve [options]                   crash-surviving campaign daemon
 //!     --state <dir>        ledger + snapshots     (default: ./serve-state)
 //!     --listen <addr>      HTTP endpoint          (default: 127.0.0.1:0)
@@ -31,19 +31,20 @@
 //! dozen flags, not a dependency.
 
 use pos::core::commands::case_study_testbed;
-use pos::core::controller::{Controller, ControllerError, ExperimentOutcome, Progress, RunOptions};
+use pos::core::controller::{Controller, ExperimentOutcome, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::journal::JOURNAL_FILE;
 use pos::core::recovery::CampaignIdentity;
+use pos::core::resultstore::ResultStore;
 use pos::core::vfs::{FaultPlan, Vfs};
-use pos::dag::DagSpec;
+use pos::dag::{DagError, DagSpec, Resumable, ResumableDag};
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery, OpenError,
-    ParallelOptions, ParallelOutcome, ResumableTree, Resumed, SubmissionQueue,
+    run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
+    ParallelOutcome, Resumed, SubmissionQueue,
 };
 use pos::serve::{
     http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
@@ -74,7 +75,7 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("init") => cmd_init(&args[1..]).map(|()| Completion::Clean),
         Some("run") => cmd_run(&args[1..]),
-        Some("resume") => cmd_resume(&args[1..]),
+        Some("resume") => cmd_resume(&args[1..], false),
         Some("serve") => cmd_serve(&args[1..]),
         Some("queue") => cmd_queue(&args[1..]),
         Some("dag") => cmd_dag(&args[1..]),
@@ -123,6 +124,7 @@ fn usage() -> &'static str {
      \x20         exit codes: 0 ok, 1 error, 3 degraded completion\n\
      \x20         (3 also means: out of disk space, checkpointed — resumable)\n\
      \x20 pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <json-file>]\n\
+     \x20         campaign or DAG tree; seed, testbed and target come from its journal\n\
      \x20 pos serve [--state <dir>] [--results <root>] [--listen <addr>]\n\
      \x20         [--capacity <n>] [--user-backlog <n>] [--seed <n>] [--lanes <n>]\n\
      \x20         crash-surviving daemon: journals before acknowledging, survives\n\
@@ -138,7 +140,7 @@ fn usage() -> &'static str {
      \x20         [--testbed pos|vpos] [--site-replicas <n>]\n\
      \x20         [--target in-process|sim-batch] [--partition <n>]\n\
      \x20         [--disk-faults <json-file>]  execute an experiment DAG\n\
-     \x20 pos dag resume <result-dir> [--seed <n>] [--lanes <n>] [same flags]\n\
+     \x20 pos dag resume <result-dir> [--lanes <n>] [--disk-faults <json-file>]\n\
      \x20 pos dag viz <dir> [--format ascii|dot]   render DAG (+ testbed) graph\n\
      \x20 pos fsck <result-dir | serve-state> verify journals + checksums / ledger\n\
      \x20         (DAG trees are audited per node: stranded scatter groups,\n\
@@ -147,6 +149,25 @@ fn usage() -> &'static str {
      \x20 pos eval <result-dir> [--out <dir>]\n\
      \x20 pos publish <result-dir> [--out <dir>] [--tar <file>] [--title <text>]\n\
      \x20 pos table1                         print the testbed comparison\n"
+}
+
+/// The value of `--name` parsed, or `default` when the flag is absent.
+fn flag<T: std::str::FromStr>(
+    opts: &std::collections::BTreeMap<&str, &str>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    opts.get(name).map_or(Ok(default), |s| {
+        s.parse().map_err(|_| format!("bad --{name} {s}"))
+    })
+}
+
+/// `--lanes`: worker lanes, at least 1 (default 1).
+fn lanes_flag(opts: &std::collections::BTreeMap<&str, &str>) -> Result<usize, String> {
+    match flag(opts, "lanes", 1)? {
+        0 => Err("--lanes must be at least 1".into()),
+        lanes => Ok(lanes),
+    }
 }
 
 /// Splits `args` into positionals and `--flag value` options.
@@ -205,38 +226,19 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
     spec.validate().map_err(|e| e.to_string())?;
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-        .transpose()?
-        .unwrap_or(0x707);
+    let seed: u64 = flag(&opts, "seed", 0x707)?;
     let virtualized = match opts.get("testbed").copied().unwrap_or("pos") {
         "pos" => false,
         "vpos" => true,
         other => return Err(format!("--testbed must be pos or vpos, got {other}")),
     };
 
-    let lanes: usize = opts
-        .get("lanes")
-        .map(|s| s.parse().map_err(|_| format!("bad --lanes {s}")))
-        .transpose()?
-        .unwrap_or(1);
-    if lanes == 0 {
-        return Err("--lanes must be at least 1".into());
-    }
-    let site_replicas: usize = opts
-        .get("site-replicas")
-        .map(|s| s.parse().map_err(|_| format!("bad --site-replicas {s}")))
-        .transpose()?
-        .unwrap_or(lanes);
+    let lanes = lanes_flag(&opts)?;
+    let site_replicas: usize = flag(&opts, "site-replicas", lanes)?;
 
     let mut run_opts = RunOptions::new(&results);
     run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
-    if let Some(&n) = opts.get("max-run-retries") {
-        run_opts.max_run_retries = n
-            .parse()
-            .map_err(|_| format!("bad --max-run-retries {n}"))?;
-    }
+    run_opts.max_run_retries = flag(&opts, "max-run-retries", run_opts.max_run_retries)?;
     if let Some(&file) = opts.get("disk-faults") {
         run_opts.vfs = load_disk_faults(file)?;
     }
@@ -248,13 +250,9 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
             return Err(format!("--lane-grace must be a positive factor, got {g}"));
         }
     }
-    if let Some(&k) = opts.get("poison-threshold") {
-        supervisor.poison_threshold = k
-            .parse()
-            .map_err(|_| format!("bad --poison-threshold {k}"))?;
-        if supervisor.poison_threshold == 0 {
-            return Err("--poison-threshold must be at least 1".into());
-        }
+    supervisor.poison_threshold = flag(&opts, "poison-threshold", supervisor.poison_threshold)?;
+    if supervisor.poison_threshold == 0 {
+        return Err("--poison-threshold must be at least 1".into());
     }
     if let Some(&policy) = opts.get("lane-recovery") {
         supervisor.recovery = match policy {
@@ -303,7 +301,7 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
             case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
         }) {
             Ok(out) => out,
-            Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
+            Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
         };
         print_parallel_outcome(&out);
         return Ok(completion_of(&out.outcome));
@@ -321,7 +319,7 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
         .run_experiment(&spec, &run_opts)
     {
         Ok(outcome) => outcome,
-        Err(e) => return checkpointed_or_error(e, &resume_hint(&results)),
+        Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
     };
     print_outcome(&outcome);
     Ok(completion_of(&outcome))
@@ -343,7 +341,7 @@ fn load_disk_faults(file: &str) -> Result<Vfs, String> {
 /// the campaign is a checkpoint — `pos resume` completes it once space
 /// returns or the urgency passes. Any other error stays a hard error
 /// (exit 1).
-fn checkpointed_or_error(e: ControllerError, resume_at: &str) -> Result<Completion, String> {
+fn checkpointed_or_error(e: DagError, resume_at: &str) -> Result<Completion, String> {
     if !e.is_checkpoint() {
         return Err(e.to_string());
     }
@@ -378,9 +376,7 @@ fn resume_hint(root: &Path) -> String {
     }
     let mut found = Vec::new();
     walk(root, &mut found);
-    found
-        .into_iter()
-        .max()
+    ResultStore::youngest(found)
         .map(|p| p.display().to_string())
         .unwrap_or_else(|| format!("{}", root.display()))
 }
@@ -497,88 +493,113 @@ fn print_outcome(outcome: &ExperimentOutcome) {
     println!("next: pos eval {}", outcome.result_dir.display());
 }
 
-fn cmd_resume(args: &[String]) -> Result<Completion, String> {
+/// `pos resume <tree>` and `pos dag resume <tree>` (`dag`): one resume
+/// for both tree kinds. The tree's journal fixes its identity (seed,
+/// testbed, and for a DAG the execution target); `pos resume` picks the
+/// kind from the stored `dag.yml`, `pos dag resume` opens a DAG only.
+fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
+    let usage = if dag {
+        "usage: pos dag resume <result-dir> [--lanes <n>] [--disk-faults <file>]"
+    } else {
+        "usage: pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <file>]"
+    };
     let [dir] = pos_args.as_slice() else {
-        return Err(
-            "usage: pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <file>]".into(),
-        );
+        return Err(usage.into());
     };
+    // The usage line lists every flag; the journal fixes everything else.
+    if let Some(flag) = opts.keys().find(|f| !usage.contains(&format!("[--{f} "))) {
+        return Err(format!("--{flag} is not a resume option\n{usage}"));
+    }
     let result_dir = Path::new(dir);
-    let vfs = match opts.get("disk-faults") {
-        Some(&file) => load_disk_faults(file)?,
-        None => Vfs::real(),
+    // result_root is unused on resume (the tree already exists) but the
+    // options still carry timeouts, failure policy and the storage layer.
+    let mut run_opts = RunOptions::new(result_dir);
+    if let Some(&file) = opts.get("disk-faults") {
+        run_opts.vfs = load_disk_faults(file)?;
+    }
+    let tree = if dag {
+        ResumableDag::open(result_dir).map(Resumable::Dag)
+    } else {
+        Resumable::open(result_dir)
     };
-
-    // The campaign's identity lives in its journals: the testbed seed and
-    // flavor to rebuild with, and the spec digest resume re-checks for us.
-    let tree = ResumableTree::open(result_dir).map_err(|e| match e {
-        OpenError::NoCampaignStart => format!("{dir}: {e}"),
-        e => e.to_string(),
-    })?;
-    let CampaignIdentity {
-        seed,
-        total_runs,
-        testbed,
-        ..
-    } = &tree.identity;
+    let tree = tree.map_err(|e| format!("{dir}: {e}"))?;
+    let testbed = match &tree {
+        Resumable::Campaign(tree) => tree.identity.testbed.clone(),
+        Resumable::Dag(tree) => tree.identity.testbed.clone(),
+    };
     if !matches!(testbed.as_str(), "pos" | "vpos") {
         return Err(format!(
             "{dir}: journal records unknown testbed `{testbed}`"
         ));
     }
     if let Some(&flag) = opts.get("testbed") {
-        if flag != testbed {
+        if flag != testbed.as_str() {
             return Err(format!(
                 "campaign ran on the `{testbed}` testbed; drop --testbed or pass --testbed {testbed}"
             ));
         }
     }
-    if tree.journals.journal.finished() {
-        // A finished campaign is only off-limits while it is *intact*;
-        // resuming a damaged one is how bit rot gets repaired.
-        let report = pos::core::fsck::fsck(result_dir).map_err(|e| e.to_string())?;
-        if report.is_clean() {
-            return Err(format!(
-                "{dir}: campaign already finished, nothing to resume"
-            ));
+    match tree {
+        Resumable::Dag(tree) => {
+            let lanes = lanes_flag(&opts)?;
+            let id = &tree.identity;
+            println!(
+                "resuming DAG tree {dir} ({lanes} lanes, seed {}, target {})...",
+                id.seed, id.target
+            );
+            match tree.resume(&run_opts, lanes) {
+                Ok(out) => Ok(print_dag_outcome(&out)),
+                Err(e) => checkpointed_or_error(e, dir),
+            }
         }
-        println!(
-            "campaign finished but {} run(s) fail verification; repairing",
-            report.broken_runs().len()
-        );
-    }
-    let spec = tree
-        .load_spec()
-        .map_err(|e| format!("cannot load stored experiment from {dir}/experiment: {e}"))?;
-    spec.validate().map_err(|e| e.to_string())?;
-    // A topology the testbed cannot wire is refused before the banner.
-    case_study_testbed(&spec, *seed, false, false).map_err(|e| e.to_string())?;
-    match tree.lanes() {
-        Some(lanes) => println!(
-            "resuming `{}` on {lanes} lanes (seed {seed}, {total_runs} runs planned)...",
-            spec.name,
-        ),
-        None => println!(
-            "resuming `{}` on the {testbed} testbed (seed {seed}, {total_runs} runs planned)...",
-            spec.name,
-        ),
-    }
-    // result_root is unused on resume (the tree already exists) but the
-    // options still carry timeouts and failure policy.
-    let mut run_opts = RunOptions::new(result_dir);
-    run_opts.testbed_flavor = testbed.clone();
-    run_opts.vfs = vfs;
-    match tree.resume(&spec, &run_opts, print_progress) {
-        Ok(Resumed::Parallel(out)) => {
-            print_parallel_outcome(&out);
-            Ok(completion_of(&out.outcome))
+        Resumable::Campaign(tree) => {
+            let CampaignIdentity {
+                seed, total_runs, ..
+            } = &tree.identity;
+            if tree.journals.journal.finished() {
+                // A finished campaign is only off-limits while it is
+                // *intact*; resuming a damaged one is how bit rot gets
+                // repaired.
+                let report = pos::core::fsck::fsck(result_dir).map_err(|e| e.to_string())?;
+                if report.is_clean() {
+                    return Err(format!(
+                        "{dir}: campaign already finished, nothing to resume"
+                    ));
+                }
+                println!(
+                    "campaign finished but {} run(s) fail verification; repairing",
+                    report.broken_runs().len()
+                );
+            }
+            let spec = tree
+                .load_spec()
+                .map_err(|e| format!("cannot load stored experiment from {dir}/experiment: {e}"))?;
+            spec.validate().map_err(|e| e.to_string())?;
+            // A topology the testbed cannot wire is refused before the banner.
+            case_study_testbed(&spec, *seed, false, false).map_err(|e| e.to_string())?;
+            match tree.lanes() {
+                Some(lanes) => println!(
+                    "resuming `{}` on {lanes} lanes (seed {seed}, {total_runs} runs planned)...",
+                    spec.name,
+                ),
+                None => println!(
+                    "resuming `{}` on the {testbed} testbed (seed {seed}, {total_runs} runs planned)...",
+                    spec.name,
+                ),
+            }
+            match tree.resume(&spec, &run_opts, print_progress) {
+                Ok(Resumed::Parallel(out)) => {
+                    print_parallel_outcome(&out);
+                    Ok(completion_of(&out.outcome))
+                }
+                Ok(Resumed::Sequential(outcome)) => {
+                    print_outcome(&outcome);
+                    Ok(completion_of(&outcome))
+                }
+                Err(e) => checkpointed_or_error(e.into(), dir),
+            }
         }
-        Ok(Resumed::Sequential(outcome)) => {
-            print_outcome(&outcome);
-            Ok(completion_of(&outcome))
-        }
-        Err(e) => checkpointed_or_error(e, dir),
     }
 }
 
@@ -614,18 +635,10 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
     let results = opts.get("results").copied().unwrap_or("results");
     let listen = opts.get("listen").copied().unwrap_or("127.0.0.1:0");
     let mut sopts = ServeOptions::new(state, results);
-    if let Some(s) = opts.get("capacity") {
-        sopts.capacity = s.parse().map_err(|_| format!("bad --capacity {s}"))?;
-    }
-    if let Some(s) = opts.get("user-backlog") {
-        sopts.user_backlog = s.parse().map_err(|_| format!("bad --user-backlog {s}"))?;
-    }
-    if let Some(s) = opts.get("seed") {
-        sopts.seed = s.parse().map_err(|_| format!("bad --seed {s}"))?;
-    }
-    if let Some(s) = opts.get("lanes") {
-        sopts.lanes = s.parse().map_err(|_| format!("bad --lanes {s}"))?;
-    }
+    sopts.capacity = flag(&opts, "capacity", sopts.capacity)?;
+    sopts.user_backlog = flag(&opts, "user-backlog", sopts.user_backlog)?;
+    sopts.seed = flag(&opts, "seed", sopts.seed)?;
+    sopts.lanes = flag(&opts, "lanes", sopts.lanes)?;
     serve_signal::install();
     let engine = Arc::new(ServeEngine::start(sopts).map_err(|e| e.to_string())?);
     let server = HttpServer::bind(listen).map_err(|e| e.to_string())?;
@@ -680,11 +693,7 @@ fn cmd_queue_daemon(
             let req = SubmitRequest {
                 user: opts.get("user").map(|s| s.to_string()),
                 experiment: exp_dir.display().to_string(),
-                priority: opts
-                    .get("priority")
-                    .map(|s| s.parse().map_err(|_| format!("bad --priority {s}")))
-                    .transpose()?
-                    .unwrap_or(1),
+                priority: flag(opts, "priority", 1)?,
                 token: opts.get("token").map(|s| s.to_string()),
             };
             let body = serde_json::to_string(&req).map_err(|e| e.to_string())?;
@@ -778,11 +787,7 @@ fn cmd_queue(args: &[String]) -> Result<Completion, String> {
             serde_json::from_str(&json)
                 .map_err(|e| format!("{} is not a valid queue: {e}", queue_file.display()))
         } else {
-            let capacity = opts
-                .get("capacity")
-                .map(|s| s.parse().map_err(|_| format!("bad --capacity {s}")))
-                .transpose()?
-                .unwrap_or(8);
+            let capacity = flag(&opts, "capacity", 8)?;
             Ok(SubmissionQueue::new(capacity))
         }
     };
@@ -801,11 +806,7 @@ fn cmd_queue(args: &[String]) -> Result<Completion, String> {
                 .map_err(|e| format!("cannot load experiment from {exp_dir}: {e}"))?;
             spec.validate().map_err(|e| e.to_string())?;
             let user = opts.get("user").copied().unwrap_or(spec.user.as_str());
-            let priority: u32 = opts
-                .get("priority")
-                .map(|s| s.parse().map_err(|_| format!("bad --priority {s}")))
-                .transpose()?
-                .unwrap_or(1);
+            let priority: u32 = flag(&opts, "priority", 1)?;
             let mut q = load()?;
             let id = q
                 .submit(user, *exp_dir, priority)
@@ -946,7 +947,7 @@ fn cmd_dag(args: &[String]) -> Result<Completion, String> {
     match args.first().map(String::as_str) {
         Some("init") => cmd_dag_init(&args[1..]).map(|()| Completion::Clean),
         Some("run") => cmd_dag_run(&args[1..]),
-        Some("resume") => cmd_dag_resume(&args[1..]),
+        Some("resume") => cmd_resume(&args[1..], true),
         Some("viz") => cmd_dag_viz(&args[1..]).map(|()| Completion::Clean),
         _ => Err(
             "usage: pos dag init <dir> | run <exp-dir> | resume <result-dir> | viz <dir>".into(),
@@ -995,76 +996,9 @@ fn load_dag(dir: &Path) -> Result<pos::dag::DagSpec, String> {
     }
 }
 
-/// The shared target/lane/seed flags of `pos dag run` and `pos dag
-/// resume`, resolved into run options, DAG options, and a target.
-fn dag_exec_setup(
-    opts: &std::collections::BTreeMap<&str, &str>,
-    results: &Path,
-) -> Result<
-    (
-        RunOptions,
-        pos::dag::DagOptions,
-        Box<dyn pos::dag::ExecutionTarget>,
-    ),
-    String,
-> {
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-        .transpose()?
-        .unwrap_or(0x707);
-    let lanes: usize = opts
-        .get("lanes")
-        .map(|s| s.parse().map_err(|_| format!("bad --lanes {s}")))
-        .transpose()?
-        .unwrap_or(1);
-    if lanes == 0 {
-        return Err("--lanes must be at least 1".into());
-    }
-    let virtualized = match opts.get("testbed").copied().unwrap_or("pos") {
-        "pos" => false,
-        "vpos" => true,
-        other => return Err(format!("--testbed must be pos or vpos, got {other}")),
-    };
-    let site_replicas: usize = opts
-        .get("site-replicas")
-        .map(|s| s.parse().map_err(|_| format!("bad --site-replicas {s}")))
-        .transpose()?
-        .unwrap_or(lanes);
-
-    let mut run_opts = RunOptions::new(results);
-    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
-    if let Some(&file) = opts.get("disk-faults") {
-        run_opts.vfs = load_disk_faults(file)?;
-    }
-
-    let target: Box<dyn pos::dag::ExecutionTarget> =
-        match opts.get("target").copied().unwrap_or("in-process") {
-            "in-process" | "inprocess" => Box::new(pos::dag::InProcessTarget::new(
-                seed,
-                virtualized,
-                site_replicas,
-            )),
-            "sim-batch" | "batch" => {
-                let partition: usize = opts
-                    .get("partition")
-                    .map(|s| s.parse().map_err(|_| format!("bad --partition {s}")))
-                    .transpose()?
-                    .unwrap_or(site_replicas);
-                Box::new(pos::dag::SimBatchTarget::new(seed, virtualized, partition))
-            }
-            other => {
-                return Err(format!(
-                    "--target must be in-process or sim-batch, got {other}"
-                ))
-            }
-        };
-
-    Ok((run_opts, pos::dag::DagOptions::new(lanes, seed), target))
-}
-
-/// Per-node lines, the target's job table, and the schedule summary.
-fn print_dag_outcome(out: &pos::dag::DagOutcome) {
+/// Per-node lines, the target's job table, and the schedule summary;
+/// degraded when any sweep run failed.
+fn print_dag_outcome(out: &pos::dag::DagOutcome) -> Completion {
     for node in &out.nodes {
         println!(
             "  node {:<12} [{:<6}] {} {:>6.1}s..{:>6.1}s{}{}",
@@ -1088,19 +1022,11 @@ fn print_dag_outcome(out: &pos::dag::DagOutcome) {
     print!("{}", out.target.render());
     print!("{}", out.summary());
     println!("results: {}", out.dag_dir.display());
-}
-
-/// The DAG flavor of [`checkpointed_or_error`].
-fn dag_checkpointed_or_error(e: pos::dag::DagError, resume_at: &str) -> Result<Completion, String> {
-    if !e.is_checkpoint() {
-        return Err(e.to_string());
+    if out.failed_runs == 0 {
+        Completion::Clean
+    } else {
+        Completion::Degraded
     }
-    eprintln!("pos: checkpointed: {e}");
-    eprintln!(
-        "pos: DAG checkpointed at the last consistent journal boundary; \
-         run `pos dag resume {resume_at}` to complete"
-    );
-    Ok(Completion::Degraded)
 }
 
 fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
@@ -1116,55 +1042,49 @@ fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
     dag.validate().map_err(|e| e.to_string())?;
 
     let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let (run_opts, dag_opts, mut target) = dag_exec_setup(&opts, &results)?;
+    let seed: u64 = flag(&opts, "seed", 0x707)?;
+    let lanes = lanes_flag(&opts)?;
+    let virtualized = match opts.get("testbed").copied().unwrap_or("pos") {
+        "pos" => false,
+        "vpos" => true,
+        other => return Err(format!("--testbed must be pos or vpos, got {other}")),
+    };
+    let site_replicas: usize = flag(&opts, "site-replicas", lanes)?;
+    let mut run_opts = RunOptions::new(&results);
+    run_opts.testbed_flavor = if virtualized { "vpos" } else { "pos" }.into();
+    if let Some(&file) = opts.get("disk-faults") {
+        run_opts.vfs = load_disk_faults(file)?;
+    }
+    let mut target: Box<dyn pos::dag::ExecutionTarget> =
+        match opts.get("target").copied().unwrap_or("in-process") {
+            "in-process" | "inprocess" => Box::new(pos::dag::InProcessTarget::new(
+                seed,
+                virtualized,
+                site_replicas,
+            )),
+            "sim-batch" | "batch" => {
+                let partition: usize = flag(&opts, "partition", site_replicas)?;
+                Box::new(pos::dag::SimBatchTarget::new(seed, virtualized, partition))
+            }
+            other => {
+                return Err(format!(
+                    "--target must be in-process or sim-batch, got {other}"
+                ))
+            }
+        };
+
     println!(
-        "running DAG `{}` ({} stages, {} lanes, seed {}, target {})...",
+        "running DAG `{}` ({} stages, {lanes} lanes, seed {seed}, target {})...",
         dag.name,
         dag.stages.len(),
-        dag_opts.lanes,
-        dag_opts.seed,
         target.name()
     );
     print!("{}", pos::dag::viz::render_ascii(&dag, Some(&spec)));
-    let out = match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, target.as_mut()) {
-        Ok(out) => out,
-        Err(e) => return dag_checkpointed_or_error(e, &resume_hint(&results)),
-    };
-    print_dag_outcome(&out);
-    Ok(if out.failed_runs == 0 {
-        Completion::Clean
-    } else {
-        Completion::Degraded
-    })
-}
-
-fn cmd_dag_resume(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
-    let [dir] = pos_args.as_slice() else {
-        return Err("usage: pos dag resume <result-dir> [options]".into());
-    };
-    let dag_dir = Path::new(dir);
-    // The resume root only matters for the options plumbing; the tree
-    // location is authoritative.
-    let results = PathBuf::from(opts.get("results").copied().unwrap_or("results"));
-    let (run_opts, dag_opts, mut target) = dag_exec_setup(&opts, &results)?;
-    println!(
-        "resuming DAG tree {} ({} lanes, seed {}, target {})...",
-        dag_dir.display(),
-        dag_opts.lanes,
-        dag_opts.seed,
-        target.name()
-    );
-    let out = match pos::dag::resume_dag(dag_dir, &run_opts, &dag_opts, target.as_mut()) {
-        Ok(out) => out,
-        Err(e) => return dag_checkpointed_or_error(e, dir),
-    };
-    print_dag_outcome(&out);
-    Ok(if out.failed_runs == 0 {
-        Completion::Clean
-    } else {
-        Completion::Degraded
-    })
+    let dag_opts = pos::dag::DagOptions::new(lanes, seed);
+    match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, target.as_mut()) {
+        Ok(out) => Ok(print_dag_outcome(&out)),
+        Err(e) => checkpointed_or_error(e, &resume_hint(&results)),
+    }
 }
 
 fn cmd_dag_viz(args: &[String]) -> Result<(), String> {
@@ -1184,11 +1104,7 @@ fn cmd_dag_viz(args: &[String]) -> Result<(), String> {
     match opts.get("format").copied().unwrap_or("ascii") {
         "ascii" => print!("{}", pos::dag::viz::render_ascii(&dag, spec.as_ref())),
         "dot" => {
-            let seed: u64 = opts
-                .get("seed")
-                .map(|s| s.parse().map_err(|_| format!("bad --seed {s}")))
-                .transpose()?
-                .unwrap_or(0x707);
+            let seed: u64 = flag(&opts, "seed", 0x707)?;
             let topology = spec.as_ref().and_then(|s| {
                 case_study_testbed(s, seed, false, false)
                     .ok()
@@ -1236,7 +1152,7 @@ fn cmd_scrub(args: &[String]) -> Result<Completion, String> {
             "scrub: {} run(s) have no intact donor; re-executing via resume",
             report.reexecution_required.len()
         );
-        let _ = cmd_resume(&[dir.to_string()])?;
+        let _ = cmd_resume(&[dir.to_string()], false)?;
         report = pos::core::scrub::scrub(result_dir, repair).map_err(|e| e.to_string())?;
     }
 

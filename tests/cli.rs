@@ -542,3 +542,91 @@ fn cli_fsck_names_a_campaign_record_in_a_ledger() {
     );
     assert!(!stdout.contains("corrupt"), "{stdout}");
 }
+
+/// Colliding trees of one experiment are named `vt-…`, `vt-…-1`, …,
+/// `vt-…-10`: the resume hint of a checkpointed run must name the tree
+/// that run created (`-11`), not the lexicographically largest (`-9`).
+#[test]
+fn cli_resume_hint_names_the_youngest_tree() {
+    let dir = TempDir::new("cli-resume-hint");
+    init_small_exp(&dir);
+    std::fs::write(
+        dir.join("exp/loop-variables.yml"),
+        "pkt_sz: [64]\npkt_rate: [20000]\n",
+    )
+    .unwrap();
+    for n in 0..11 {
+        let (ok, _, stderr) = run(&dir, &["run", "exp", "--results", "res"]);
+        assert!(ok, "run {n} failed: {stderr}");
+    }
+    std::fs::write(
+        dir.join("enospc.json"),
+        r#"{"seed": 7, "faults": [{"Enospc": {"after_bytes": 200, "file": "journal.log"}}]}"#,
+    )
+    .unwrap();
+    let (_, _, stderr) = run(
+        &dir,
+        &[
+            "run",
+            "exp",
+            "--results",
+            "res",
+            "--disk-faults",
+            "enospc.json",
+        ],
+    );
+    assert!(
+        stderr.contains("vt-0000000000-11` to complete"),
+        "hint must name the checkpointed tree:\n{stderr}"
+    );
+}
+
+/// A DAG tree carries its seed, testbed and target in its journal:
+/// `pos dag resume` and `pos resume` both pick it up with no flags.
+#[test]
+fn cli_dag_resumes_from_its_journal_alone() {
+    let dir = TempDir::new("cli-dag-resume-flagless");
+    let (ok, _, stderr) = run(&dir, &["dag", "init", "exp"]);
+    assert!(ok, "dag init failed: {stderr}");
+    std::fs::write(
+        dir.join("exp/loop-variables.yml"),
+        "pkt_sz: [64]\npkt_rate: [20000, 40000]\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("exp/global-variables.yml"),
+        "dut_ip0: 10.0.0.1\ndut_ip1: 10.0.1.1\nrun_secs: 1\n",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = run(
+        &dir,
+        &[
+            "dag",
+            "run",
+            "exp",
+            "--results",
+            "res",
+            "--seed",
+            "9",
+            "--testbed",
+            "vpos",
+            "--target",
+            "sim-batch",
+        ],
+    );
+    assert!(ok, "dag run failed: {stderr}");
+    let tree = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("results: "))
+        .expect("DAG tree printed")
+        .trim()
+        .to_owned();
+    for args in [
+        &["dag", "resume", tree.as_str()][..],
+        &["resume", tree.as_str()],
+    ] {
+        let (ok, stdout, stderr) = run(&dir, args);
+        assert!(ok, "{args:?} failed: {stderr}");
+        assert!(stdout.contains("verified, skipped"), "{args:?}:\n{stdout}");
+    }
+}

@@ -16,10 +16,11 @@ use pos::core::fsck::{fsck, RunStatus};
 use pos::core::journal::{Journal, JOURNAL_FILE};
 use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::tree::{self, find_result_dir};
 use pos_testutil::TempDir;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -49,57 +50,12 @@ fn spec() -> ExperimentSpec {
     linux_router_experiment("vriga", "vtartu", 1, 1)
 }
 
-/// Every file under `dir` (relative path → contents), minus the journal.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut files = BTreeMap::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(current) = stack.pop() {
-        for entry in std::fs::read_dir(&current).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else {
-                let rel = path
-                    .strip_prefix(dir)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                if rel != JOURNAL_FILE {
-                    files.insert(rel, std::fs::read(&path).unwrap());
-                }
-            }
-        }
-    }
-    files
-}
-
-/// The single `<root>/<user>/<experiment>/vt-*` dir a campaign created.
-fn find_result_dir(root: &Path) -> PathBuf {
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(current) = stack.pop() {
-        if current.join(JOURNAL_FILE).exists() {
-            return current;
-        }
-        if current.is_dir() {
-            for entry in std::fs::read_dir(&current).unwrap() {
-                stack.push(entry.unwrap().path());
-            }
-        }
-    }
-    panic!("no result dir with a journal under {}", root.display());
-}
-
+/// [`tree::assert_tree_matches`], which skips every `journal*` file,
+/// held to comparing every file but `journal.log`: a sequential tree
+/// keeps no other journal.
 fn assert_trees_equal(reference: &BTreeMap<String, Vec<u8>>, resumed: &Path, context: &str) {
-    let got = snapshot(resumed);
-    let want_names: Vec<&String> = reference.keys().collect();
-    let got_names: Vec<&String> = got.keys().collect();
-    assert_eq!(got_names, want_names, "{context}: file sets differ");
-    for (name, want) in reference {
-        assert_eq!(
-            &got[name], want,
-            "{context}: {name} diverges from the uninterrupted tree"
-        );
-    }
+    assert_eq!(tree::journals(resumed), [JOURNAL_FILE], "{context}");
+    tree::assert_tree_matches(reference, resumed, context);
 }
 
 /// The uninterrupted reference: tree snapshot plus journal facts.
@@ -128,7 +84,8 @@ fn reference_tree() -> Reference {
         .unwrap()
         .records
         .len() as u64;
-    (snapshot(&outcome.result_dir), appended)
+    assert_eq!(tree::journals(&outcome.result_dir), [JOURNAL_FILE]);
+    (tree::snapshot(&outcome.result_dir), appended)
 }
 
 #[test]

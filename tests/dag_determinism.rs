@@ -17,7 +17,7 @@ use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::journal::{Journal, JOURNAL_FILE};
 use pos::dag::{fsck_dag, linux_router_dag, InProcessTarget, SimBatchTarget};
 use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec, ExecutionTarget};
-use pos_testutil::TempDir;
+use pos_testutil::{tree, TempDir};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,47 +37,6 @@ fn dag() -> DagSpec {
 
 fn in_process() -> InProcessTarget {
     InProcessTarget::new(SEED, true, 2)
-}
-
-/// Every file under `root` (relative path → bytes), excluding journals
-/// at any depth — the DAG journal and each sweep's campaign journal
-/// record *how* the tree was produced, not its content.
-fn tree_snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let name = path.file_name().unwrap().to_string_lossy();
-                if name.starts_with("journal") {
-                    continue;
-                }
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.insert(rel, fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(root, root, &mut out);
-    out
-}
-
-fn assert_matches_reference(reference: &BTreeMap<String, Vec<u8>>, dag_dir: &Path, what: &str) {
-    let got = tree_snapshot(dag_dir);
-    let want_names: Vec<&String> = reference.keys().collect();
-    let got_names: Vec<&String> = got.keys().collect();
-    assert_eq!(got_names, want_names, "{what}: file sets differ");
-    for (rel, want) in reference {
-        assert_eq!(
-            &got[rel], want,
-            "{what}: `{rel}` diverges from the sequential reference"
-        );
-    }
 }
 
 /// The uninterrupted reference: tree snapshot plus journal facts.
@@ -112,7 +71,7 @@ fn reference_tree() -> Reference {
         .unwrap()
         .records
         .len() as u64;
-    (tree_snapshot(&out.dag_dir), records)
+    (tree::snapshot(&out.dag_dir), records)
 }
 
 #[test]
@@ -129,7 +88,7 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
             &mut in_process(),
         )
         .unwrap_or_else(|e| panic!("--lanes {lanes} failed: {e}"));
-        assert_matches_reference(want, &out.dag_dir, &format!("--lanes {lanes}"));
+        tree::assert_tree_matches(want, &out.dag_dir, &format!("--lanes {lanes}"));
     }
 
     // The simulated batch target queues jobs and clamps lanes to its
@@ -144,7 +103,7 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
         &mut batch,
     )
     .expect("batch target DAG succeeds");
-    assert_matches_reference(want, &out.dag_dir, "sim-batch target");
+    tree::assert_tree_matches(want, &out.dag_dir, "sim-batch target");
     let report = batch.report();
     assert_eq!(report.target, "sim-batch");
     assert!(
@@ -206,7 +165,7 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
             )
             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(out.nodes.len(), 3, "{label}");
-            assert_matches_reference(want, &out.dag_dir, &label);
+            tree::assert_tree_matches(want, &out.dag_dir, &label);
             let report = fsck_dag(&out.dag_dir).unwrap();
             assert!(
                 report.is_clean(),
@@ -243,7 +202,7 @@ fn resume_fast_forwards_digest_verified_nodes() {
     .expect("resume completes");
     assert_eq!(out.verified_nodes, 3, "all nodes fast-forwarded");
     assert!(out.nodes.iter().all(|n| n.verified));
-    assert_matches_reference(want, &out.dag_dir, "fast-forward resume");
+    tree::assert_tree_matches(want, &out.dag_dir, "fast-forward resume");
 }
 
 #[test]
@@ -275,7 +234,7 @@ fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
         &mut in_process(),
     )
     .expect("DAG resume routes through the scheduler's resume");
-    assert_matches_reference(want, &out.dag_dir, "inner-crash resume");
+    tree::assert_tree_matches(want, &out.dag_dir, "inner-crash resume");
     let report = fsck_dag(&out.dag_dir).unwrap();
     assert!(report.is_clean(), "fsck not clean:\n{}", report.render());
 }

@@ -20,9 +20,10 @@ use pos::core::scrub::scrub;
 use pos::core::vfs::{DiskFault, FaultPlan, Vfs};
 use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::tree::{self, find_result_dir};
 use pos_testutil::TempDir;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 
 const SEED: u64 = 0xD15C;
@@ -45,61 +46,6 @@ fn testbed() -> Testbed {
 /// matrix, small enough that the full fault sweep stays fast.
 fn spec() -> ExperimentSpec {
     linux_router_experiment("vriga", "vtartu", 1, 1)
-}
-
-/// Every file under `dir` (relative path → contents), minus journals.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut files = BTreeMap::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(current) = stack.pop() {
-        for entry in std::fs::read_dir(&current).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else {
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                if name.starts_with("journal") {
-                    continue;
-                }
-                let rel = path
-                    .strip_prefix(dir)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                files.insert(rel, std::fs::read(&path).unwrap());
-            }
-        }
-    }
-    files
-}
-
-/// The single `<root>/<user>/<experiment>/vt-*` dir a campaign created.
-fn find_result_dir(root: &Path) -> PathBuf {
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(current) = stack.pop() {
-        if current.join(JOURNAL_FILE).exists() {
-            return current;
-        }
-        if current.is_dir() {
-            for entry in std::fs::read_dir(&current).unwrap() {
-                stack.push(entry.unwrap().path());
-            }
-        }
-    }
-    panic!("no result dir with a journal under {}", root.display());
-}
-
-fn assert_trees_equal(reference: &BTreeMap<String, Vec<u8>>, resumed: &Path, context: &str) {
-    let got = snapshot(resumed);
-    let want_names: Vec<&String> = reference.keys().collect();
-    let got_names: Vec<&String> = got.keys().collect();
-    assert_eq!(got_names, want_names, "{context}: file sets differ");
-    for (name, want) in reference {
-        assert_eq!(
-            &got[name], want,
-            "{context}: {name} diverges from the uninterrupted tree"
-        );
-    }
 }
 
 /// Byte offsets at which the journal image is a clean prefix: 0 and the
@@ -144,7 +90,7 @@ fn reference_tree() -> Reference {
         report.render()
     );
     let journal = std::fs::read(outcome.result_dir.join(JOURNAL_FILE)).unwrap();
-    (snapshot(&outcome.result_dir), journal)
+    (tree::snapshot(&outcome.result_dir), journal)
 }
 
 fn journal_fault_opts(root: &Path, fault: DiskFault) -> RunOptions {
@@ -182,7 +128,7 @@ fn crash_then_resume_converges(
     }
     let outcome = resumed.unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
     assert_eq!(outcome.successes(), 2, "{label}");
-    assert_trees_equal(want, &result_dir, label);
+    tree::assert_tree_matches(want, &result_dir, label);
     let report = fsck(&result_dir).unwrap();
     assert!(
         report.is_clean(),
@@ -237,7 +183,7 @@ fn enospc_at_every_journal_boundary_then_resume_converges() {
             }
             let outcome = resumed.unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(outcome.successes(), 2, "{label}");
-            assert_trees_equal(want, &result_dir, &label);
+            tree::assert_tree_matches(want, &result_dir, &label);
             assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
         }
     }
@@ -296,7 +242,7 @@ fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
         if replay.finished() {
             // The unpromised record was CampaignFinished itself: the
             // tree is already complete and verifiable as-is.
-            assert_trees_equal(want, &result_dir, &label);
+            tree::assert_tree_matches(want, &result_dir, &label);
             assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
             continue;
         }
@@ -306,7 +252,7 @@ fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
             .resume_experiment(&result_dir, &spec(), &RunOptions::new(&root))
             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
         assert_eq!(outcome.successes(), 2, "{label}");
-        assert_trees_equal(want, &result_dir, &label);
+        tree::assert_tree_matches(want, &result_dir, &label);
         assert!(fsck(&result_dir).unwrap().is_clean(), "{label}");
     }
 }
@@ -374,7 +320,7 @@ fn bit_flips_detected_by_scrub_and_healed_to_byte_identity() {
     }
     let confirm = scrub(&result_dir, false).unwrap();
     assert!(confirm.clean, "after repair:\n{}", confirm.render());
-    assert_trees_equal(want, &result_dir, "bit-flip heal");
+    tree::assert_tree_matches(want, &result_dir, "bit-flip heal");
     assert!(fsck(&result_dir).unwrap().is_clean());
 }
 
@@ -394,7 +340,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
         &mut |_, _| Ok(testbed()),
     )
     .expect("clean parallel campaign succeeds");
-    assert_trees_equal(want, &out.outcome.result_dir, "parallel clean");
+    tree::assert_tree_matches(want, &out.outcome.result_dir, "parallel clean");
     let sched_journal = std::fs::read(out.outcome.result_dir.join(JOURNAL_FILE)).unwrap();
     let boundaries = frame_boundaries(&sched_journal);
     assert!(boundaries.len() > 4, "scheduler journal too short to cut");
@@ -422,7 +368,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
     )
     .expect("parallel resume completes once space returns");
     assert_eq!(out.outcome.successes(), 2);
-    assert_trees_equal(want, &result_dir, "parallel ENOSPC resume");
+    tree::assert_tree_matches(want, &result_dir, "parallel ENOSPC resume");
     assert!(fsck(&result_dir).unwrap().is_clean());
 }
 

@@ -22,8 +22,9 @@ use pos::sched::{
     ParallelOptions, ParallelOutcome,
 };
 use pos::testbed::{clone_virtual, CloneOptions, HardwareSpec, InitInterface, PortId, Testbed};
+use pos_testutil::tree::{assert_trees_identical, find_result_dir};
 use pos_testutil::TempDir;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -63,51 +64,6 @@ fn lane_testbed(flavor: LaneFlavor) -> Testbed {
 
 fn small_spec() -> ExperimentSpec {
     linux_router_experiment("vriga", "vtartu", 3, 1)
-}
-
-/// Every file under `root` (relative path → bytes), excluding the
-/// journals — they record *how* the tree was produced, not its content.
-fn tree_snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in fs::read_dir(dir).unwrap() {
-            let entry = entry.unwrap();
-            let path = entry.path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let name = path.file_name().unwrap().to_string_lossy();
-                if name.starts_with("journal") {
-                    continue;
-                }
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.insert(rel, fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(root, root, &mut out);
-    out
-}
-
-fn assert_trees_identical(a: &Path, b: &Path, what: &str) {
-    let ta = tree_snapshot(a);
-    let tb = tree_snapshot(b);
-    let keys_a: Vec<&String> = ta.keys().collect();
-    let keys_b: Vec<&String> = tb.keys().collect();
-    assert_eq!(keys_a, keys_b, "{what}: file sets differ");
-    for (rel, bytes) in &ta {
-        assert_eq!(
-            bytes,
-            &tb[rel],
-            "{what}: `{rel}` differs between {} and {}",
-            a.display(),
-            b.display()
-        );
-    }
 }
 
 fn make_lane(_lane: usize, flavor: LaneFlavor) -> Result<Testbed, ControllerError> {
@@ -236,22 +192,6 @@ fn disk_state_counts_runs_completed_in_lane_journals() {
             total_runs: Some(6),
         }
     );
-}
-
-/// Descends `<root>/<user>/<exp>/vt-*/` to the single result dir.
-fn find_result_dir(root: &Path) -> PathBuf {
-    let mut dir = root.to_path_buf();
-    for _ in 0..3 {
-        let mut entries: Vec<PathBuf> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.is_dir())
-            .collect();
-        entries.sort();
-        assert_eq!(entries.len(), 1, "expected one subdir in {}", dir.display());
-        dir = entries.remove(0);
-    }
-    dir
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
 //!   their idempotency token, acknowledged ones deduplicated;
 //! * the same holds for a machine death at campaign-journal boundaries
 //!   while a dispatched campaign is executing;
+//! * and for a DAG tenant on 2 lanes, killed at every ledger append and
+//!   at every DAG-journal append;
 //! * SIGTERM drain semantics: a drained-empty daemon exits 0, a daemon
 //!   that leaves work pending (or checkpoints its in-flight campaign on
 //!   an urgent second signal) exits 3, and a later session finishes the
@@ -16,12 +18,13 @@
 //!   hint, over the engine API and as an HTTP 429 `Retry-After` header.
 
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
+use pos::dag::linux_router_dag;
 use pos::serve::{
     fsck_queue, http_request, DrainAck, HttpServer, ServeEngine, ServeOptions, ServeStatus,
     StepOutcome, SubmitAck, SubmitRequest, SubmitResponse,
 };
+use pos_testutil::tree::assert_trees_identical;
 use pos_testutil::TempDir;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,6 +69,33 @@ fn storm(root: &Path) -> Vec<Tenant> {
         .collect()
 }
 
+/// Worker lanes of the DAG tenant's daemon, as in perfbench's storm.
+const DAG_LANES: usize = 2;
+
+/// One DAG tenant: the `pos dag init` 3-stage DAG (setup → rate sweep →
+/// gather) over 3 rate steps × 2 packet sizes, one virtual second per
+/// run.
+fn dag_storm(root: &Path) -> Vec<Tenant> {
+    let dir = root.join("specs").join("dag");
+    fs::create_dir_all(&dir).unwrap();
+    let mut spec = linux_router_experiment("vriga", "vtartu", 3, 1);
+    spec.user = "carol".into();
+    spec.to_dir(&dir).unwrap();
+    linux_router_dag().to_dir(&dir).unwrap();
+    vec![Tenant {
+        user: "carol",
+        token: "tok-dag",
+        priority: 1,
+        dir,
+    }]
+}
+
+fn options(state: &Path, results: &Path, lanes: usize) -> ServeOptions {
+    let mut opts = ServeOptions::new(state, results);
+    opts.lanes = lanes;
+    opts
+}
+
 fn request(t: &Tenant) -> SubmitRequest {
     SubmitRequest {
         user: Some(t.user.into()),
@@ -91,55 +121,11 @@ fn drive(engine: &ServeEngine) -> Result<(), String> {
     panic!("daemon did not go idle within 50 dispatch steps");
 }
 
-/// Every file under `root` (relative path → bytes), journals excluded —
-/// they record *how* the tree was produced, not its content.
-fn tree_snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let name = path.file_name().unwrap().to_string_lossy();
-                if name.starts_with("journal") {
-                    continue;
-                }
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.insert(rel, fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(root, root, &mut out);
-    out
-}
-
-fn assert_trees_identical(reference: &Path, recovered: &Path, what: &str) {
-    let want = tree_snapshot(reference);
-    let got = tree_snapshot(recovered);
-    let keys_want: Vec<&String> = want.keys().collect();
-    let keys_got: Vec<&String> = got.keys().collect();
-    assert_eq!(keys_want, keys_got, "{what}: file sets differ");
-    for (rel, bytes) in &want {
-        assert_eq!(
-            bytes,
-            &got[rel],
-            "{what}: `{rel}` differs between {} and {}",
-            reference.display(),
-            recovered.display()
-        );
-    }
-}
-
 /// Builds the uninterrupted reference: the full storm served by one
-/// crash-free daemon session.
-fn reference_trees(root: &Path, tenants: &[Tenant]) -> PathBuf {
+/// crash-free daemon session on `lanes` lanes.
+fn reference_trees(root: &Path, tenants: &[Tenant], lanes: usize) -> PathBuf {
     let results = root.join("results-reference");
-    let engine = ServeEngine::start(ServeOptions::new(root.join("state-reference"), &results))
+    let engine = ServeEngine::start(options(&root.join("state-reference"), &results, lanes))
         .expect("reference daemon starts");
     for t in tenants {
         assert!(
@@ -165,10 +151,11 @@ fn crash_and_recover(
     state: &Path,
     results: &Path,
     tenants: &[Tenant],
+    lanes: usize,
     inject: impl FnOnce(&mut ServeOptions),
     what: &str,
 ) -> bool {
-    let mut opts = ServeOptions::new(state, results);
+    let mut opts = options(state, results, lanes);
     inject(&mut opts);
     let crashed = match ServeEngine::start(opts) {
         Err(_) => true,
@@ -195,7 +182,7 @@ fn crash_and_recover(
     // Restart: replay the ledger, retry every submission under its
     // idempotency token (acknowledged ones dedupe), finish everything.
     let engine =
-        ServeEngine::start(ServeOptions::new(state, results)).expect("recovery session starts");
+        ServeEngine::start(options(state, results, lanes)).expect("recovery session starts");
     for t in tenants {
         match engine.submit(&request(t)).unwrap() {
             SubmitResponse::Accepted { .. } | SubmitResponse::Duplicate { .. } => {}
@@ -222,7 +209,7 @@ fn crash_and_recover(
 fn restart_matrix_converges_to_uninterrupted_trees() {
     let root = TempDir::new("serve-matrix");
     let tenants = storm(&root);
-    let reference = reference_trees(&root, &tenants);
+    let reference = reference_trees(&root, &tenants, 1);
 
     // An uninterrupted session appends ServeStarted + one Accepted,
     // Dispatched, Finished triple per submission.
@@ -236,6 +223,7 @@ fn restart_matrix_converges_to_uninterrupted_trees() {
             &state,
             &results,
             &tenants,
+            1,
             |o| {
                 o.ledger_crash_after = Some(k);
                 o.ledger_torn_write = torn;
@@ -260,6 +248,7 @@ fn restart_matrix_converges_to_uninterrupted_trees() {
             &state,
             &results,
             &tenants,
+            1,
             |o| {
                 o.campaign_crash_after = Some(k);
                 o.campaign_torn_write = torn;
@@ -271,6 +260,71 @@ fn restart_matrix_converges_to_uninterrupted_trees() {
         }
         assert_trees_identical(&reference, &results, &what);
     }
+}
+
+/// The DAG tenant under the same contract: kill the daemon at every
+/// ledger append and at every DAG-journal append (`campaign_crash_after`
+/// arms the DAG journal of a DAG submission), restart, and require the
+/// uninterrupted daemon's tree. `torn` tears the failing frame.
+fn dag_tenant_matrix(torn: bool) {
+    let root = TempDir::new(&format!("serve-dag-matrix-{torn}"));
+    let tenants = dag_storm(&root);
+    let reference = reference_trees(&root, &tenants, DAG_LANES);
+
+    let ledger_appends = 1 + 3 * tenants.len() as u64;
+    // DagStarted, NodeStarted + NodeFinished per stage, the gather's
+    // GatherSealed, and DagFinished.
+    let dag_appends = 9;
+    for k in 0..=ledger_appends {
+        let what = format!("DAG tenant, ledger boundary {k} (torn {torn})");
+        let state = root.join(format!("state-l{k}"));
+        let results = root.join(format!("results-l{k}"));
+        let crashed = crash_and_recover(
+            &state,
+            &results,
+            &tenants,
+            DAG_LANES,
+            |o| {
+                o.ledger_crash_after = Some(k);
+                o.ledger_torn_write = torn;
+            },
+            &what,
+        );
+        assert_eq!(
+            crashed,
+            k < ledger_appends,
+            "{what}: boundary census drifted"
+        );
+        assert_trees_identical(&reference, &results, &what);
+    }
+    for k in 0..=dag_appends {
+        let what = format!("DAG tenant, DAG-journal boundary {k} (torn {torn})");
+        let state = root.join(format!("state-d{k}"));
+        let results = root.join(format!("results-d{k}"));
+        let crashed = crash_and_recover(
+            &state,
+            &results,
+            &tenants,
+            DAG_LANES,
+            |o| {
+                o.campaign_crash_after = Some(k);
+                o.campaign_torn_write = torn;
+            },
+            &what,
+        );
+        assert_eq!(crashed, k < dag_appends, "{what}: boundary census drifted");
+        assert_trees_identical(&reference, &results, &what);
+    }
+}
+
+#[test]
+fn dag_tenant_restart_matrix_converges_clean_kills() {
+    dag_tenant_matrix(false);
+}
+
+#[test]
+fn dag_tenant_restart_matrix_converges_torn_kills() {
+    dag_tenant_matrix(true);
 }
 
 /// A daemon drained with nothing left exits 0.
@@ -333,7 +387,7 @@ fn drain_with_backlog_exits_degraded_and_backlog_survives() {
 fn urgent_cancel_checkpoints_in_flight_and_resumes() {
     let root = TempDir::new("serve-urgent");
     let tenants = storm(&root);
-    let reference = reference_trees(&root, &tenants[..1]);
+    let reference = reference_trees(&root, &tenants[..1], 1);
     let state = root.join("state");
     let results = root.join("results");
 
