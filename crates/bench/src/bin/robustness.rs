@@ -30,6 +30,7 @@
 //!      `POS_CHAOS_RUN_SECS` (campaign run length, default 30).
 
 use pos_bench::{chaos_campaign, env_f64, failover, robustness, storage};
+use pos_testutil::TempDir;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -83,11 +84,7 @@ fn main() {
     let seed = env_f64("POS_CHAOS_SEED", 3.0) as u64;
     let chaos_run_secs = env_f64("POS_CHAOS_RUN_SECS", 30.0) as u64;
     println!("chaos campaign (seed {seed:#x}, {chaos_run_secs} s runs)...");
-    let root = std::env::temp_dir().join(format!(
-        "pos-bench-robustness-{seed}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new(&format!("bench-robustness-{seed}"));
     let (report, result_dir) = chaos_campaign::run_campaign_at(seed, chaos_run_secs, &root);
     println!(
         "  events scheduled:       {}\n\
@@ -133,12 +130,10 @@ fn main() {
          \x20 repair pass:            {} µs ({} manifest rebuilt after injected rot)",
         scrub.runs_scanned, scrub.files_scanned, scrub.detect_us, scrub.repair_us, scrub.repaired,
     );
-    let _ = std::fs::remove_dir_all(&root);
+    drop(root);
 
     // ---- ENOSPC recovery: checkpoint at the outage, resume to finish
-    let enospc_root =
-        std::env::temp_dir().join(format!("pos-bench-enospc-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&enospc_root);
+    let enospc_root = TempDir::new(&format!("bench-enospc-{seed}"));
     let enospc = storage::measure_enospc_recovery(chaos_run_secs.max(1), &enospc_root);
     println!(
         "ENOSPC recovery (disk fills mid-campaign, resume finishes it):\n\
@@ -152,7 +147,7 @@ fn main() {
         enospc.runs_total,
         enospc.resume_us,
     );
-    let _ = std::fs::remove_dir_all(&enospc_root);
+    drop(enospc_root);
 
     // ---- lane-failover overhead: a 4-lane campaign loses lane 1
     let failover_run_secs = env_f64("POS_FAILOVER_RUN_SECS", 5.0) as u64;

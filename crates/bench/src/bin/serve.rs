@@ -28,6 +28,7 @@ use pos_bench::env_f64;
 use pos_core::experiment::linux_router_experiment;
 use pos_sched::SubmissionQueue;
 use pos_serve::{ServeEngine, ServeOptions, StepOutcome, SubmitRequest, SubmitResponse};
+use pos_testutil::TempDir;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -82,8 +83,7 @@ fn main() {
     let users = env_usize("POS_SERVE_USERS", 4).max(1);
     let campaigns = env_usize("POS_SERVE_CAMPAIGNS", 2).min(storm);
 
-    let root = std::env::temp_dir().join(format!("pos-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("bench-serve");
     let state = root.join("state");
     let results = root.join("results");
 
@@ -229,5 +229,4 @@ fn main() {
     )
     .expect("write BENCH_serve.json");
     println!("wrote {out}");
-    let _ = std::fs::remove_dir_all(&root);
 }

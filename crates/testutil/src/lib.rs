@@ -1,8 +1,9 @@
 //! # pos-testutil
 //!
 //! Test support shared by the workspace: the crates' unit tests and the
-//! integration tests take it as a dev-dependency only. [`TempDir`] gives
-//! each call a scratch directory; [`tree`] compares result trees.
+//! integration tests take it as a dev-dependency, and the `pos-bench`
+//! binaries use its [`TempDir`] for their scratch trees. [`TempDir`]
+//! gives each call a scratch directory; [`tree`] compares result trees.
 
 #![warn(missing_docs)]
 

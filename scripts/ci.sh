@@ -2,8 +2,8 @@
 # CI gate for the pos reproduction. Offline by design: all dependencies are
 # vendored path crates, so no step may touch the network.
 #
-#   sh scripts/ci.sh            # build + full test suite + crash matrix + bench smoke
-#   POS_CI_SKIP_BENCH=1 sh …    # skip the bench smoke (fastest useful signal)
+#   sh scripts/ci.sh            # build + full test suite + crash matrix + bench gate
+#   POS_CI_SKIP_BENCH=1 sh …    # skip the bench gate (fastest useful signal)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -256,53 +256,36 @@ fi
 "$POS" fsck "$SERVE_DIR/state" >/dev/null
 rm -rf "$SERVE_DIR"
 
+# Bench trajectory: each bench binary runs in a scratch directory at the
+# sizes its committed BENCH_*.json (repository root) was generated at, and
+# `bench-compare` judges the fresh output against the committed one: every
+# count, virtual-time figure and key must match exactly, a `_per_sec`
+# throughput must stay above a fixed fraction of its committed value, and
+# `_us` / `_ms` wall times are only reported. To regenerate after a
+# deliberate change, run the same commands from the repository root and
+# commit the rewritten files.
 if [ "${POS_CI_SKIP_BENCH:-0}" != "1" ]; then
-    echo "==> bench smoke: robustness (sweep + chaos + resume + failover + scrub/ENOSPC)"
-    POS_RUN_SECS=0.05 POS_CHAOS_RUN_SECS=5 POS_FAILOVER_RUN_SECS=2 \
-        cargo run --release -p pos-bench --bin robustness >/dev/null
-    # Replay-determinism caveat: BENCH_robustness.json is byte-stable EXCEPT
-    # the wall-clock fields — every key ending in `_us` (resume replay/verify,
-    # scrub detect/repair, ENOSPC resume) varies between runs and machines.
-    # To compare two runs, drop those lines first, e.g.:
-    #   grep -v '_us"' BENCH_robustness.json
-    # Everything else (sweep rows, campaign counters, checkpoint record
-    # counts) must be identical for identical seeds.
-    test -s BENCH_robustness.json
-    rm -f BENCH_robustness.json
-
-    echo "==> bench smoke: parallel (lane-count speedup + merge overhead)"
-    # Shrunk rate keeps the packet simulation cheap; the virtual-time
-    # speedup (>=2x at 4 lanes) is rate-independent, so the smoke still
-    # exercises the real acceptance numbers.
-    POS_PAR_RATE=2000 \
-        cargo run --release -p pos-bench --bin parallel >/dev/null
-    test -s BENCH_parallel.json
-    rm -f BENCH_parallel.json
-
-    echo "==> bench smoke: serve (admission latency + stride fairness + restart replay)"
-    POS_SERVE_STORM=24 \
-        cargo run --release -p pos-bench --bin serve >/dev/null
-    test -s BENCH_serve.json
-    rm -f BENCH_serve.json
-
-    echo "==> bench smoke: dag (node dispatch + scatter throughput + gather barrier)"
-    POS_DAG_RUN_SECS=1 POS_DAG_RATE_STEPS=3 \
-        cargo run --release -p pos-bench --bin dag >/dev/null
-    test -s BENCH_dag.json
-    rm -f BENCH_dag.json
-
-    echo "==> bench smoke: kernel (event churn + packet path, regression floors)"
-    # Floors sit at ~25% of current dev-machine numbers (16M events/s,
-    # 6.6M pkts/s @64B, 5.1M pkts/s @1500B) so slow CI hosts pass but a
-    # return to the pre-wheel/pre-zero-copy kernel (9M / 1.25M / 0.9M)
-    # trips loudly. The binary exits nonzero on a floor violation.
-    POS_KERNEL_EVENTS=1000000 POS_KERNEL_RUN_SECS=0.2 \
-        POS_KERNEL_FLOOR_EPS=4000000 \
-        POS_KERNEL_FLOOR_PPS64=1600000 \
-        POS_KERNEL_FLOOR_PPS1500=1300000 \
-        cargo run --release -p pos-bench --bin kernel >/dev/null
-    test -s BENCH_kernel.json
-    rm -f BENCH_kernel.json
+    BIN=$PWD/target/release
+    BENCH_DIR=$(mktemp -d)
+    bench() {
+        name=$1
+        shift
+        echo "==> bench: $name (vs committed BENCH_$name.json)"
+        (cd "$BENCH_DIR" && env "$@" "$BIN/$name" >/dev/null)
+        "$BIN/bench-compare" "BENCH_$name.json" "$BENCH_DIR/BENCH_$name.json"
+    }
+    # Sweep + chaos campaign + resume + lane failover + scrub/ENOSPC.
+    bench robustness POS_RUN_SECS=0.05 POS_CHAOS_RUN_SECS=5 POS_FAILOVER_RUN_SECS=2
+    # Lane-count speedup + merge overhead. The shrunk rate keeps the packet
+    # simulation cheap; the virtual-time speedup is rate-independent.
+    bench parallel POS_PAR_RATE=2000
+    # Admission latency + stride fairness + restart replay.
+    bench serve POS_SERVE_STORM=24
+    # Node dispatch + DAG and raw-sweep wall time + gather barrier.
+    bench dag POS_DAG_RUN_SECS=1 POS_DAG_RATE_STEPS=3
+    # Event-queue churn + packet path.
+    bench kernel POS_KERNEL_EVENTS=1000000 POS_KERNEL_RUN_SECS=0.2
+    rm -rf "$BENCH_DIR"
 fi
 
 echo "==> ci: OK"
