@@ -16,6 +16,11 @@
 //! per-user backlog — backpressure, not a wedge. [`SubmissionQueue::close`]
 //! starts a preemption-free drain: no new submissions are accepted, but
 //! everything already admitted runs to completion.
+//!
+//! The queue itself is not persisted. Its scheduling decisions are pure
+//! functions of the submissions and admissions fed into it, so the serve
+//! ledger (`pos_serve::ledger`) journals those transitions and rebuilds
+//! the queue by replaying them through this same code.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -37,7 +42,8 @@ pub struct Submission {
     /// the server has already accepted is recognized as the same
     /// submission, not a new campaign — how a client safely retries
     /// after an ack it never saw (daemon killed between journal append
-    /// and response). `default` keeps pre-token `queue.json` loadable.
+    /// and response). The serve ledger journals it with the submission;
+    /// a JSON submission without the key has no token.
     #[serde(default)]
     pub token: Option<String>,
 }
@@ -175,8 +181,6 @@ pub struct QueueStatus {
     pub capacity: usize,
     /// Submissions currently queued.
     pub depth: usize,
-    /// False once a drain started.
-    pub open: bool,
     /// Pending submissions in stored order.
     pub pending: Vec<Submission>,
     /// Total admissions so far.
@@ -188,10 +192,10 @@ pub struct QueueStatus {
 
 /// The bounded fair-share submission queue.
 ///
-/// The whole state is serializable, so the CLI can persist it as
-/// `queue.json` between invocations; scheduling decisions are pure
-/// functions of that state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Scheduling decisions are pure functions of the queue's state, which
+/// is itself a pure function of the submit/admit/record calls made on
+/// it: replaying the same calls rebuilds the same queue.
+#[derive(Debug, Clone)]
 pub struct SubmissionQueue {
     capacity: usize,
     open: bool,
@@ -201,25 +205,13 @@ pub struct SubmissionQueue {
     /// Per-user stride pass: smallest pass is admitted next.
     passes: BTreeMap<String, f64>,
     /// Completion ledger: every admitted submission ends up here with
-    /// its outcome, degraded completions included. `default` keeps
-    /// `queue.json` files from before the ledger loadable.
-    #[serde(default)]
+    /// its outcome, degraded completions included.
     completed: Vec<CompletedSubmission>,
-    /// Per-user pending cap; 0 disables the cap. `default` keeps older
-    /// `queue.json` files loadable.
-    #[serde(default)]
+    /// Per-user pending cap; 0 disables the cap.
     user_backlog: usize,
     /// Nominal wall-clock duration of one campaign, seconds — the unit
-    /// of the deterministic `retry_after` hints. `default` keeps older
-    /// `queue.json` files loadable (and 0 simply yields a 0s hint).
-    #[serde(default = "default_nominal_campaign_secs")]
+    /// of the deterministic `retry_after` hints (0 yields a 0s hint).
     nominal_campaign_secs: u64,
-}
-
-/// Ten minutes: generous for the tiny case-study campaigns, the right
-/// order of magnitude for the paper's real ones.
-fn default_nominal_campaign_secs() -> u64 {
-    600
 }
 
 impl SubmissionQueue {
@@ -235,7 +227,9 @@ impl SubmissionQueue {
             passes: BTreeMap::new(),
             completed: Vec::new(),
             user_backlog: 0,
-            nominal_campaign_secs: default_nominal_campaign_secs(),
+            // Ten minutes: generous for the tiny case-study campaigns,
+            // the right order of magnitude for the paper's real ones.
+            nominal_campaign_secs: 600,
         }
     }
 
@@ -267,11 +261,6 @@ impl SubmissionQueue {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// True until a drain starts.
-    pub fn is_open(&self) -> bool {
-        self.open
     }
 
     /// Queues a campaign. Bounded: at capacity the submission is rejected
@@ -382,17 +371,6 @@ impl SubmissionQueue {
         self.open = false;
     }
 
-    /// Drains the queue: closes it and returns every remaining submission
-    /// in fair-share admission order.
-    pub fn drain(&mut self) -> Vec<Submission> {
-        self.close();
-        let mut out = Vec::with_capacity(self.pending.len());
-        while let Some(sub) = self.admit() {
-            out.push(sub);
-        }
-        out
-    }
-
     /// Records how an admitted submission's campaign ended. A degraded
     /// completion is a *completion*: the submission is done and must not
     /// be re-admitted by a later drain.
@@ -403,17 +381,11 @@ impl SubmissionQueue {
         });
     }
 
-    /// The completion ledger, in recording order.
-    pub fn completed(&self) -> &[CompletedSubmission] {
-        &self.completed
-    }
-
     /// Snapshot for `pos queue status`.
     pub fn status(&self) -> QueueStatus {
         QueueStatus {
             capacity: self.capacity,
             depth: self.pending.len(),
-            open: self.open,
             pending: self.pending.clone(),
             admitted: self.admitted,
             completed: self.completed.clone(),
@@ -503,18 +475,23 @@ mod tests {
         assert!(q.submit("carol", "c0", 1).is_ok());
     }
 
+    /// Everything still admittable, in fair-share admission order.
+    fn admit_all(q: &mut SubmissionQueue) -> Vec<Submission> {
+        std::iter::from_fn(|| q.admit()).collect()
+    }
+
     #[test]
-    fn drain_closes_and_empties_in_fair_order() {
+    fn close_keeps_the_backlog_admittable_in_fair_order() {
         let mut q = SubmissionQueue::new(8);
         q.submit("alice", "a0", 1).unwrap();
         q.submit("alice", "a1", 1).unwrap();
         q.submit("bob", "b0", 1).unwrap();
-        let drained = q.drain();
+        q.close();
+        let drained = admit_all(&mut q);
         assert_eq!(drained.len(), 3);
         assert_eq!(drained[0].user, "alice");
         assert_eq!(drained[1].user, "bob");
         assert!(q.is_empty());
-        assert!(!q.is_open());
         assert_eq!(q.submit("alice", "a2", 1), Err(QueueError::Closed));
     }
 
@@ -542,48 +519,18 @@ mod tests {
         let mut q = SubmissionQueue::new(8);
         q.submit("alice", "exp-degraded", 1).unwrap();
         q.submit("bob", "exp-clean", 1).unwrap();
-        let drained = q.drain();
+        let drained = admit_all(&mut q);
         assert_eq!(drained.len(), 2);
         q.record_outcome(drained[0].clone(), CompletionOutcome::CompletedDegraded);
         q.record_outcome(drained[1].clone(), CompletionOutcome::Completed);
         // The queue is empty: a second drain re-admits nothing.
-        assert!(q.drain().is_empty());
-        let ledger = q.completed();
+        assert!(q.admit().is_none());
+        let ledger = q.status().completed;
         assert_eq!(ledger.len(), 2);
         assert_eq!(ledger[0].outcome, CompletionOutcome::CompletedDegraded);
         assert_eq!(ledger[0].submission.experiment, "exp-degraded");
         assert_eq!(ledger[1].outcome, CompletionOutcome::Completed);
         assert_eq!(q.status().completed.len(), 2);
-    }
-
-    #[test]
-    fn ledger_survives_json_and_old_files_load_without_it() {
-        let mut q = SubmissionQueue::new(4);
-        q.submit("alice", "a0", 1).unwrap();
-        let sub = q.admit().unwrap();
-        q.record_outcome(sub, CompletionOutcome::Failed);
-        let json = serde_json::to_string(&q).unwrap();
-        let back: SubmissionQueue = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.completed().len(), 1);
-        assert_eq!(back.completed()[0].outcome, CompletionOutcome::Failed);
-        // A queue.json written before the ledger existed has no
-        // `completed` key; it must still load.
-        let old_json = r#"{"capacity":4,"open":true,"next_id":1,"admitted":1,
-                           "pending":[],"passes":{"alice":1.0}}"#;
-        let old: SubmissionQueue = serde_json::from_str(old_json).unwrap();
-        assert!(old.completed().is_empty());
-        assert_eq!(old.status().admitted, 1);
-    }
-
-    #[test]
-    fn state_roundtrips_through_json() {
-        let mut q = SubmissionQueue::new(4);
-        q.submit("alice", "a0", 2).unwrap();
-        q.submit("bob", "b0", 1).unwrap();
-        let json = serde_json::to_string(&q).unwrap();
-        let mut back: SubmissionQueue = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.admit().unwrap().user, q.admit().unwrap().user);
     }
 
     #[test]
@@ -634,14 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn token_survives_queue_and_json() {
+    fn token_survives_admission_and_json() {
         let mut q = SubmissionQueue::new(4);
         q.submit_with_token("alice", "a0", 1, Some("tok-1".into()))
             .unwrap();
-        let json = serde_json::to_string(&q).unwrap();
-        let mut back: SubmissionQueue = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.admit().unwrap().token.as_deref(), Some("tok-1"));
-        // Pre-token queue.json files (no `token` key) still load.
+        let sub = q.admit().unwrap();
+        assert_eq!(sub.token.as_deref(), Some("tok-1"));
+        let json = serde_json::to_string(&sub).unwrap();
+        let back: Submission = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, sub);
+        // A submission without a `token` key still loads.
         let old = r#"{"id":7,"user":"u","experiment":"e","priority":1}"#;
         let sub: Submission = serde_json::from_str(old).unwrap();
         assert_eq!(sub.token, None);

@@ -26,10 +26,12 @@
 //! experiment's otherwise:
 //!
 //! * no tree → the crash hit before the tree existed: run it fresh;
-//! * tree without a journal → the crash hit during scaffolding, before
-//!   the write-ahead journal was created: wipe the husk and run fresh
-//!   (keeping the canonical `vt-<time>` path free, so the re-run lands
-//!   byte-identically where the uninterrupted run would have);
+//! * tree without a journal, or whose journal records no completed run
+//!   (or DAG node) → the crash hit before anything a resume would keep
+//!   was durable, perhaps before the tree's stored experiment was whole:
+//!   wipe the husk and run fresh (keeping the canonical `vt-<time>` path
+//!   free, so the re-run lands byte-identically where the uninterrupted
+//!   run would have);
 //! * tree with an unfinished journal → the `pos resume` entry point,
 //!   [`Resumable`], completes it from the last consistent checkpoint on
 //!   the identity its journal recorded;
@@ -74,7 +76,8 @@ use std::time::Duration;
 /// Configuration of one daemon session.
 #[derive(Clone)]
 pub struct ServeOptions {
-    /// Where the ledger and the `queue.json` interop snapshot live.
+    /// Where the ledger (`ledger.log`) lives: the whole queue state,
+    /// shared by `pos serve --state <dir>` and `pos queue --queue <dir>`.
     pub state_dir: PathBuf,
     /// Root of the result trees the daemon's campaigns write.
     pub results_root: PathBuf,
@@ -93,8 +96,8 @@ pub struct ServeOptions {
     /// planned duration — the lane supervisor's grace notion applied at
     /// the daemon level.
     pub grace_factor: f64,
-    /// Durable-I/O layer for ledger appends and snapshots (fault
-    /// injection goes through here).
+    /// Durable-I/O layer for ledger appends (fault injection goes
+    /// through here).
     pub vfs: Vfs,
     /// Deterministic daemon-death injection: the zero-based n-th ledger
     /// append *of this session* fails, as if the machine died there.
@@ -146,7 +149,7 @@ pub enum ServeError {
     /// Ledger replay reached an impossible state (corrupt history, or a
     /// mismatch between the ledger and the deterministic scheduler).
     State(String),
-    /// Daemon-level I/O outside the ledger (state dir, snapshots).
+    /// Daemon-level I/O outside the ledger (state and results dirs).
     Io(io::Error),
 }
 
@@ -396,18 +399,23 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Opens (or creates) the state directory, replays the ledger,
-    /// restores the queue bounds, journals this session's `ServeStarted`
+    /// applies this session's queue bounds, journals its `ServeStarted`
     /// and returns the ready engine. In-flight submissions recovered
     /// from the ledger are settled lazily by [`Self::run_next`], through
     /// the same code path a crash during recovery would re-enter.
+    ///
+    /// The results root binds at the first `CampaignDispatched`: before
+    /// it no tree exists under the recorded root, so a session may move
+    /// it; after it, a different root is refused.
     pub fn start(opts: ServeOptions) -> Result<ServeEngine, ServeError> {
         std::fs::create_dir_all(&opts.state_dir)?;
         std::fs::create_dir_all(&opts.results_root)?;
         let results_root = opts.results_root.canonicalize()?;
         let (mut journal, replay) = ledger::open_ledger(&opts.state_dir, opts.vfs.clone())?;
         let recovered = ledger::rebuild(&replay)?;
+        let dispatched = !recovered.in_flight.is_empty() || !recovered.finished.is_empty();
         if let Some(prev) = &recovered.results_root {
-            if Path::new(prev) != results_root.as_path() {
+            if dispatched && Path::new(prev) != results_root.as_path() {
                 return Err(ServeError::State(format!(
                     "ledger was written for results root {prev}, this session \
                      was started with {}; pass the original --results",
@@ -453,7 +461,6 @@ impl ServeEngine {
                 seed: engine.opts.seed,
             };
             engine.append(&mut c, &rec)?;
-            engine.snapshot_queue(&c)?;
         }
         Ok(engine)
     }
@@ -473,19 +480,6 @@ impl ServeEngine {
                 source: e,
             }
         })
-    }
-
-    /// Writes the `queue.json` interop snapshot (what `pos queue status
-    /// --queue <state>` reads). Written at campaign boundaries and at
-    /// shutdown, not per submission: the ledger, not the snapshot, is
-    /// the source of truth, so the snapshot can be lazy.
-    fn snapshot_queue(&self, c: &Control) -> Result<(), ServeError> {
-        let json = serde_json::to_string_pretty(&c.queue)
-            .map_err(|e| ServeError::State(format!("queue snapshot serialization: {e}")))?;
-        self.opts
-            .vfs
-            .atomic_write(&self.opts.state_dir.join("queue.json"), json.as_bytes())?;
-        Ok(())
     }
 
     /// True once a ledger append failed; every further transition is
@@ -622,7 +616,6 @@ impl ServeEngine {
                         .fetch_add(1, Ordering::Relaxed),
                     CompletionOutcome::Failed => self.totals.failed.fetch_add(1, Ordering::Relaxed),
                 };
-                self.snapshot_queue(&c)?;
                 Ok(StepOutcome::Finished {
                     id: sub.id,
                     outcome,
@@ -698,7 +691,7 @@ impl ServeEngine {
     /// result tree under `base` (`<root>/<user>/<name>`) not yet claimed
     /// by a finished submission — the only tree it can have been writing.
     /// A sealed tree is adopted, an unfinished one resumed, a husk with
-    /// nothing durable wiped. `None` means there is nothing to settle:
+    /// no completed run wiped. `None` means there is nothing to settle:
     /// run the submission fresh.
     fn settle(
         &self,
@@ -722,14 +715,19 @@ impl ServeEngine {
                 // append: the tree is done and sealed — adopt it.
                 Ok(Some(done(failed == 0, &dir)))
             }
-            CampaignDiskState::InProgress { .. } => self.resume(&dir).map(Some),
-            CampaignDiskState::NoJournal => {
-                // Scaffolding husk with no durable record: wipe it so the
-                // fresh run recreates the canonical vt-<time> path
-                // instead of a `-1` collision sibling.
+            CampaignDiskState::NoJournal
+            | CampaignDiskState::InProgress {
+                runs_completed: 0, ..
+            } => {
+                // A husk with no completed run holds nothing a resume
+                // would keep, and a kill right after the journal's first
+                // record can leave its stored experiment partial. Wipe
+                // it so the fresh run recreates the canonical vt-<time>
+                // path instead of a `-1` collision sibling.
                 std::fs::remove_dir_all(&dir)?;
                 Ok(None)
             }
+            CampaignDiskState::InProgress { .. } => self.resume(&dir).map(Some),
             CampaignDiskState::Unreadable(reason) => {
                 eprintln!(
                     "pos-serve: #{}: result tree {result_dir} unreadable: {reason}",
@@ -874,7 +872,6 @@ impl ServeEngine {
             c.queue.close();
             let pending = c.queue.len();
             self.append(&mut c, &LedgerRecord::DrainStarted { pending })?;
-            self.snapshot_queue(&c)?;
             return Ok(pending);
         }
         Ok(c.queue.len())
@@ -902,13 +899,11 @@ impl ServeEngine {
         }
     }
 
-    /// Final snapshot and exit verdict. `clean` (exit 0) iff nothing was
-    /// cut short or imperfect: no pending or in-flight submissions left
-    /// behind, and no failed, degraded, or checkpointed campaigns this
-    /// session.
+    /// Exit verdict. `clean` (exit 0) iff nothing was cut short or
+    /// imperfect: no pending or in-flight submissions left behind, and no
+    /// failed, degraded, or checkpointed campaigns this session.
     pub fn shutdown(&self) -> Result<ExitReport, ServeError> {
         let c = self.lock();
-        self.snapshot_queue(&c)?;
         let totals = self.totals.snapshot();
         let pending = c.queue.len();
         let in_flight = c.in_flight.len();

@@ -44,11 +44,13 @@ pub const LEDGER_FILE: &str = "ledger.log";
 /// One daemon state transition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LedgerRecord {
-    /// A `pos serve` daemon process came up on this state directory.
+    /// A `pos serve` daemon or `pos queue` command came up on this state
+    /// directory.
     ///
-    /// First record of every daemon session in the queue ledger
-    /// ([`LEDGER_FILE`]); restart recovery uses the *last* one to learn
-    /// where result trees live and what admission limits were configured.
+    /// First record of every session in the queue ledger
+    /// ([`LEDGER_FILE`]); a restarting session uses the *last* one to learn
+    /// where result trees live and, where its flags are absent, which
+    /// admission limits and seed to apply.
     ServeStarted {
         /// Absolute path of the results root the daemon writes trees to.
         results_root: String,

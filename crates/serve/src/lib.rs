@@ -1,10 +1,9 @@
 //! # pos-serve
 //!
 //! `pos serve` — the long-running, crash-surviving, multi-tenant face of
-//! the toolchain. Where `pos queue drain` is a batch command (load
-//! `queue.json`, run everything, exit), the daemon keeps the fair-share
-//! queue live behind a local HTTP endpoint and makes *every* state
-//! transition durable before acknowledging it:
+//! the toolchain: the fair-share queue live behind a local HTTP endpoint
+//! (`pos queue --queue <dir>` runs the same engine offline), with
+//! *every* state transition made durable before it is acknowledged:
 //!
 //! * [`ledger`] — the write-ahead serve ledger (`ledger.log`, the same
 //!   `POSJ1` frame format as the campaign journal). Session start,

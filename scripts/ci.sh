@@ -79,6 +79,12 @@ cargo test -q --test dag_determinism
 echo "==> serve restart matrix (tests/serve_restart_matrix.rs)"
 cargo test -q --test serve_restart_matrix
 
+# The offline front end of the same engine: `kill -9` a `pos queue drain`
+# mid-campaign, drain again, and demand both submissions complete with a
+# clean ledger.
+echo "==> queue kill-mid-drain (tests/cli.rs)"
+cargo test -q --test cli cli_queue_drain_survives_kill
+
 # The matrices prove byte-identical trees within one build; the golden pins
 # the journal frame bytes across versions — a campaign, a DAG and a ledger
 # record each, decoded back through the vocabulary that owns it — so trees
@@ -283,8 +289,10 @@ if [ "${POS_CI_SKIP_BENCH:-0}" != "1" ]; then
     bench serve POS_SERVE_STORM=24
     # Node dispatch + DAG and raw-sweep wall time + gather barrier.
     bench dag POS_DAG_RUN_SECS=1 POS_DAG_RATE_STEPS=3
-    # Event-queue churn + packet path.
-    bench kernel POS_KERNEL_EVENTS=1000000 POS_KERNEL_RUN_SECS=0.2
+    # Event-queue churn + packet path. One virtual second per packet row
+    # keeps even the vpos row near 100 ms of wall time, so its committed
+    # rate is a steady reference rather than one noisy 10 ms sample.
+    bench kernel POS_KERNEL_EVENTS=1000000 POS_KERNEL_RUN_SECS=1.0
     rm -rf "$BENCH_DIR"
 fi
 

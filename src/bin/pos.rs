@@ -13,8 +13,9 @@
 //! pos resume <result-dir> [options]     pick up an interrupted campaign or DAG
 //!     --testbed pos|vpos   refuse unless the tree ran on this testbed
 //! pos serve [options]                   crash-surviving campaign daemon
-//!     --state <dir>        ledger + snapshots     (default: ./serve-state)
+//!     --state <dir>        its ledger             (default: ./serve-state)
 //!     --listen <addr>      HTTP endpoint          (default: 127.0.0.1:0)
+//! pos queue ... --queue <dir>           the same ledger, offline (default: ./queue)
 //! pos queue ... --daemon <addr>         speak to a running daemon
 //! pos dag init|run|resume|viz ...       experiment DAGs (scatter/gather stages)
 //! pos fsck <result-dir>                 verify journal + per-run checksums
@@ -43,12 +44,13 @@ use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
 use pos::publish::website::{attach_site, SiteInfo};
 use pos::sched::{
-    run_parallel, CompletionOutcome, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions,
-    ParallelOutcome, Resumed, SubmissionQueue,
+    run_parallel, LaneFaultPlan, LaneFlavor, LaneRecovery, ParallelOptions, ParallelOutcome,
+    Resumed, Submission, SubmissionQueue,
 };
 use pos::serve::{
-    http_request, signal as serve_signal, DrainAck, ErrorBody, HttpServer, ServeEngine,
-    ServeOptions, ServeStatus, SubmitAck, SubmitRequest,
+    http_request, rebuild, signal as serve_signal, DrainAck, ErrorBody, ExitReport, HttpServer,
+    LedgerRecord, RecoveredState, ServeEngine, ServeOptions, ServeStatus, StepOutcome, SubmitAck,
+    SubmitRequest, SubmitResponse, LEDGER_FILE,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -129,12 +131,14 @@ fn usage() -> &'static str {
      \x20         [--capacity <n>] [--user-backlog <n>] [--seed <n>] [--lanes <n>]\n\
      \x20         crash-surviving daemon: journals before acknowledging, survives\n\
      \x20         kill -9 + restart; SIGTERM drains (twice: checkpoint in-flight)\n\
-     \x20         exit codes: 0 everything completed clean, 3 otherwise\n\
-     \x20 pos queue submit <exp-dir> [--user <u>] [--priority <n>] [--queue <dir>]\n\
-     \x20         [--daemon <addr>] [--token <t>]    submit over HTTP to pos serve\n\
-     \x20 pos queue status [--queue <dir>] [--daemon <addr>]\n\
-     \x20 pos queue drain [--queue <dir>] [--results <root>] [--seed <n>] [--lanes <n>]\n\
-     \x20 pos queue drain --daemon <addr>    ask a running daemon to drain\n\
+     \x20         exit codes: 0 everything completed clean, 3 otherwise; an absent\n\
+     \x20         flag takes the last session's value (first: results, 64, 4, 1799)\n\
+     \x20 pos queue submit <exp-dir> [--user <u>] [--priority <n>] [--token <t>]\n\
+     \x20 pos queue status | drain [--results <root>] [--seed <n>] [--lanes <n>]\n\
+     \x20         --daemon <addr>: over HTTP to pos serve (drain keeps the backlog);\n\
+     \x20         else offline on the pos serve state dir [--queue <dir>] (./queue):\n\
+     \x20         drain runs the backlog (exit 0 or 3), a later submit reopens it;\n\
+     \x20         flags as for pos serve (first session: capacity 8, no backlog cap)\n\
      \x20 pos dag init <dir>                 scaffold experiment + 3-stage dag.yml\n\
      \x20 pos dag run <dir> [--results <root>] [--seed <n>] [--lanes <n>]\n\
      \x20         [--testbed pos|vpos] [--site-replicas <n>]\n\
@@ -603,14 +607,6 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
     }
 }
 
-/// Multi-campaign admission: `pos queue submit|status|drain`.
-///
-/// The queue state lives in `<queue-dir>/queue.json` (default `queue/`),
-/// so submissions survive between invocations; `drain` closes the queue
-/// and runs every admitted campaign to completion, preemption-free, in
-/// fair-share order. The ledger is persisted through the same atomic
-/// write (temp sibling → fsync → rename → dir fsync) as every result
-/// artifact: a crash mid-save never leaves a torn queue.
 /// `pos serve` — the long-running, crash-surviving campaign daemon.
 ///
 /// Every state transition is journaled to the queue ledger *before* it
@@ -621,7 +617,9 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
 /// campaign, keep the backlog durable); a second SIGTERM checkpoints
 /// the in-flight campaign too. Exit code 0 means every accepted
 /// submission completed cleanly; 3 means something is left pending,
-/// degraded, failed, or checkpointed.
+/// degraded, failed, or checkpointed. Absent `--results`, `--capacity`,
+/// `--user-backlog` and `--seed` take the last session's recorded values
+/// (first session: `results`, 64, 4 and 1799).
 fn cmd_serve(args: &[String]) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
     if !pos_args.is_empty() {
@@ -631,14 +629,10 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
                 .into(),
         );
     }
-    let state = opts.get("state").copied().unwrap_or("serve-state");
-    let results = opts.get("results").copied().unwrap_or("results");
+    let state = Path::new(opts.get("state").copied().unwrap_or("serve-state"));
     let listen = opts.get("listen").copied().unwrap_or("127.0.0.1:0");
-    let mut sopts = ServeOptions::new(state, results);
-    sopts.capacity = flag(&opts, "capacity", sopts.capacity)?;
-    sopts.user_backlog = flag(&opts, "user-backlog", sopts.user_backlog)?;
-    sopts.seed = flag(&opts, "seed", sopts.seed)?;
-    sopts.lanes = flag(&opts, "lanes", sopts.lanes)?;
+    let _lock = lock_state_dir(state)?;
+    let (_, sopts) = resolve_session(ServeOptions::new(state, "results"), &opts)?;
     serve_signal::install();
     let engine = Arc::new(ServeEngine::start(sopts).map_err(|e| e.to_string())?);
     let server = HttpServer::bind(listen).map_err(|e| e.to_string())?;
@@ -646,7 +640,7 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
     // Scripts discover an ephemeral port from `<state>/addr`; humans
     // from stdout — flushed explicitly, because a daemon whose stdout
     // is a pipe block-buffers and the announcement would sit unseen.
-    std::fs::write(Path::new(state).join("addr"), addr.to_string()).map_err(|e| e.to_string())?;
+    std::fs::write(state.join("addr"), addr.to_string()).map_err(|e| e.to_string())?;
     println!("pos-serve: listening on {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -658,8 +652,13 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
     stop.store(true, Ordering::SeqCst);
     let _ = handle.join();
     let report = report.map_err(|e| e.to_string())?;
+    Ok(verdict("pos-serve", &report))
+}
+
+/// Prints a session's exit report; clean (exit 0) or degraded (3).
+fn verdict(who: &str, report: &ExitReport) -> Completion {
     println!(
-        "pos-serve: drained ({} completed, {} degraded, {} failed, {} checkpointed, \
+        "{who}: drained ({} completed, {} degraded, {} failed, {} checkpointed, \
          {} pending, {} in flight)",
         report.totals.completed,
         report.totals.completed_degraded,
@@ -669,14 +668,70 @@ fn cmd_serve(args: &[String]) -> Result<Completion, String> {
         report.in_flight,
     );
     if report.clean {
-        Ok(Completion::Clean)
+        Completion::Clean
     } else {
-        Ok(Completion::Degraded)
+        Completion::Degraded
     }
 }
 
+/// Holds `<state>/lock` for a session that appends to the ledger: two
+/// processes appending to one ledger would interleave records no replay
+/// reconciles. The lock dies with its process, so a kill leaves none.
+fn lock_state_dir(state: &Path) -> Result<std::fs::File, String> {
+    std::fs::create_dir_all(state).map_err(|e| format!("{}: {e}", state.display()))?;
+    let lock = std::fs::File::create(state.join("lock")).map_err(|e| e.to_string())?;
+    match lock.try_lock() {
+        Ok(()) => Ok(lock),
+        Err(_) => Err(format!("{} is in use by another session", state.display())),
+    }
+}
+
+/// Folds the ledger under `defaults.state_dir` read-only (the replay
+/// and rebuild that a restarting session and `pos fsck` run; nothing is
+/// appended) and resolves the session's options: each of `--results`,
+/// `--capacity`, `--user-backlog` and `--seed` comes from its flag, else
+/// from the last session the ledger recorded, else from the front end's
+/// `defaults`. The fold is `None` while the directory holds no ledger.
+fn resolve_session(
+    defaults: ServeOptions,
+    opts: &std::collections::BTreeMap<&str, &str>,
+) -> Result<(Option<RecoveredState>, ServeOptions), String> {
+    let mut sopts = defaults;
+    let path = sopts.state_dir.join(LEDGER_FILE);
+    let mut recovered = None;
+    if path.exists() {
+        let replay = pos_core::journal::Journal::<LedgerRecord>::replay(&path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        recovered = Some(rebuild(&replay).map_err(|e| format!("{}: {e}", path.display()))?);
+        let started = |r: &&LedgerRecord| matches!(r, LedgerRecord::ServeStarted { .. });
+        if let Some(LedgerRecord::ServeStarted {
+            results_root,
+            capacity,
+            user_backlog,
+            seed,
+        }) = replay.records.iter().rev().find(started)
+        {
+            sopts.results_root = results_root.into();
+            sopts.capacity = *capacity;
+            sopts.user_backlog = *user_backlog;
+            sopts.seed = *seed;
+        }
+    }
+    if let Some(&results) = opts.get("results") {
+        sopts.results_root = PathBuf::from(results);
+    }
+    sopts.capacity = flag(opts, "capacity", sopts.capacity)?;
+    if sopts.capacity == 0 {
+        return Err("--capacity must be at least 1".into());
+    }
+    sopts.user_backlog = flag(opts, "user-backlog", sopts.user_backlog)?;
+    sopts.seed = flag(opts, "seed", sopts.seed)?;
+    sopts.lanes = lanes_flag(opts)?;
+    Ok((recovered, sopts))
+}
+
 /// `pos queue … --daemon <addr>` — the same verbs, spoken over HTTP to
-/// a running `pos serve` daemon instead of the on-disk queue file.
+/// a running `pos serve` daemon instead of run on its ledger directly.
 fn cmd_queue_daemon(
     addr: &str,
     pos_args: &[&str],
@@ -773,145 +828,116 @@ fn cmd_queue_daemon(
     }
 }
 
+/// `pos queue submit|status|drain [--queue <dir>]` — the offline front
+/// end of the `pos serve` engine on the state directory `<dir>` (default
+/// `queue/`), whose `ledger.log` is the whole queue. `submit` journals
+/// the submission before acknowledging it, `status` folds the ledger
+/// read-only, and `drain` runs the backlog (first a campaign a killed
+/// drain left in flight) until the queue is empty, exiting 0 when all
+/// completed clean and 3 otherwise. A drain closes only its own
+/// session: a later `submit` is accepted and the next `drain` runs it.
+/// Absent flags resolve as for `pos serve` (first session: capacity 8,
+/// no per-user cap).
 fn cmd_queue(args: &[String]) -> Result<Completion, String> {
     let (pos_args, opts) = parse_opts(args)?;
     if let Some(addr) = opts.get("daemon") {
         return cmd_queue_daemon(addr, &pos_args, &opts);
     }
-    let queue_dir = PathBuf::from(opts.get("queue").copied().unwrap_or("queue"));
-    let queue_file = queue_dir.join("queue.json");
-
-    let load = || -> Result<SubmissionQueue, String> {
-        if queue_file.exists() {
-            let json = std::fs::read_to_string(&queue_file).map_err(|e| e.to_string())?;
-            serde_json::from_str(&json)
-                .map_err(|e| format!("{} is not a valid queue: {e}", queue_file.display()))
-        } else {
-            let capacity = flag(&opts, "capacity", 8)?;
-            Ok(SubmissionQueue::new(capacity))
-        }
+    let state = Path::new(opts.get("queue").copied().unwrap_or("queue"));
+    let _lock = match pos_args.as_slice() {
+        ["status"] => None,
+        _ => Some(lock_state_dir(state)?),
     };
-    let save = |q: &SubmissionQueue| -> Result<(), String> {
-        std::fs::create_dir_all(&queue_dir).map_err(|e| e.to_string())?;
-        let json = serde_json::to_string_pretty(q).map_err(|e| e.to_string())?;
-        pos::core::resultstore::atomic_write(&queue_file, json.as_bytes())
-            .map_err(|e| e.to_string())
-    };
+    let mut defaults = ServeOptions::new(state, "results");
+    defaults.capacity = 8;
+    defaults.user_backlog = 0;
+    let (recovered, sopts) = resolve_session(defaults, &opts)?;
 
     match pos_args.as_slice() {
         ["submit", exp_dir] => {
-            // Reject garbage up front: a queue full of unloadable specs
-            // would wedge the drain, not the submitter.
-            let spec = ExperimentSpec::from_dir(Path::new(exp_dir))
-                .map_err(|e| format!("cannot load experiment from {exp_dir}: {e}"))?;
-            spec.validate().map_err(|e| e.to_string())?;
-            let user = opts.get("user").copied().unwrap_or(spec.user.as_str());
-            let priority: u32 = flag(&opts, "priority", 1)?;
-            let mut q = load()?;
-            let id = q
-                .submit(user, *exp_dir, priority)
-                .map_err(|e| e.to_string())?;
-            save(&q)?;
-            println!(
-                "submission {id} queued for {user} (depth {}/{})",
-                q.status().depth,
-                q.status().capacity
-            );
+            let engine = ServeEngine::start(sopts).map_err(|e| e.to_string())?;
+            let req = SubmitRequest {
+                user: opts.get("user").map(|s| s.to_string()),
+                experiment: exp_dir.to_string(),
+                priority: flag(&opts, "priority", 1)?,
+                token: opts.get("token").map(|s| s.to_string()),
+            };
+            match engine.submit(&req).map_err(|e| e.to_string())? {
+                SubmitResponse::Accepted { id } => {
+                    let q = engine.status().queue;
+                    let user = q
+                        .pending
+                        .iter()
+                        .find(|s| s.id == id)
+                        .map_or("", |s| &s.user);
+                    println!(
+                        "submission {id} queued for {user} (depth {}/{})",
+                        q.depth, q.capacity
+                    );
+                }
+                SubmitResponse::Duplicate { id } => {
+                    println!("submission {id} already queued (token dedupe)")
+                }
+                SubmitResponse::Rejected { error: e, .. }
+                | SubmitResponse::Invalid { reason: e } => return Err(e),
+            }
             Ok(Completion::Clean)
         }
         ["status"] => {
-            let q = load()?;
-            let st = q.status();
+            let (q, in_flight) = match recovered {
+                Some(r) => (r.queue.status(), r.in_flight),
+                None => (SubmissionQueue::new(sopts.capacity).status(), Vec::new()),
+            };
             println!(
-                "queue: {}/{} queued, {} admitted so far, {}",
-                st.depth,
-                st.capacity,
-                st.admitted,
-                if st.open { "open" } else { "draining" }
+                "queue: {}/{} queued, {} admitted so far, {} in flight",
+                q.depth,
+                sopts.capacity,
+                q.admitted,
+                in_flight.len()
             );
-            for s in &st.pending {
-                println!(
-                    "  #{} {} {} (priority {})",
-                    s.id, s.user, s.experiment, s.priority
-                );
+            for s in &in_flight {
+                println!("  {} (in flight; `pos queue drain` resumes it)", label(s));
             }
-            for c in &st.completed {
-                println!(
-                    "  #{} {} {} -> {}",
-                    c.submission.id, c.submission.user, c.submission.experiment, c.outcome
-                );
+            for s in &q.pending {
+                println!("  {} (priority {})", label(s), s.priority);
+            }
+            for c in &q.completed {
+                println!("  {} -> {}", label(&c.submission), c.outcome);
             }
             Ok(Completion::Clean)
         }
         ["drain"] => {
-            let mut q = load()?;
-            let admitted = q.drain();
-            save(&q)?;
-            if admitted.is_empty() {
-                println!("queue empty, nothing to drain");
-                return Ok(Completion::Clean);
+            let engine = ServeEngine::start(sopts).map_err(|e| e.to_string())?;
+            let st = engine.status();
+            match st.queue.depth + st.in_flight.len() {
+                0 => println!("queue empty, nothing to drain"),
+                n => println!("draining {n} campaign(s) in fair-share order"),
             }
-            println!(
-                "draining {} campaign(s) in fair-share order",
-                admitted.len()
-            );
-            let results = opts
-                .get("results")
-                .copied()
-                .unwrap_or("results")
-                .to_string();
-            let seed = opts.get("seed").copied().unwrap_or("1799").to_string();
-            let lanes = opts.get("lanes").copied();
-            // A degraded campaign is a *completed* campaign: record it in
-            // the ledger rather than dropping or re-admitting it, and keep
-            // draining. Only hard errors stop counting as completion.
-            let mut drain_completion = Completion::Clean;
-            let mut failures = Vec::new();
-            for sub in admitted {
-                println!("== #{} {} {} ==", sub.id, sub.user, sub.experiment);
-                let mut run_args = vec![
-                    sub.experiment.clone(),
-                    "--results".into(),
-                    results.clone(),
-                    "--seed".into(),
-                    seed.clone(),
-                ];
-                if let Some(lanes) = lanes {
-                    run_args.push("--lanes".into());
-                    run_args.push(lanes.to_string());
+            loop {
+                match engine.run_next().map_err(|e| e.to_string())? {
+                    StepOutcome::Idle => break,
+                    StepOutcome::Finished { result_dir, .. } => {
+                        let st = engine.status();
+                        if let Some(c) = st.queue.completed.last() {
+                            println!("{} -> {} {result_dir}", label(&c.submission), c.outcome);
+                        }
+                    }
+                    StepOutcome::Checkpointed { id } => {
+                        println!("#{id} checkpointed; `pos queue drain` resumes it");
+                        break;
+                    }
                 }
-                let outcome = match cmd_run(&run_args) {
-                    Ok(Completion::Clean) => CompletionOutcome::Completed,
-                    Ok(Completion::Degraded) => {
-                        drain_completion = Completion::Degraded;
-                        CompletionOutcome::CompletedDegraded
-                    }
-                    Err(msg) => {
-                        eprintln!("pos: submission #{} failed: {msg}", sub.id);
-                        failures.push(sub.id);
-                        CompletionOutcome::Failed
-                    }
-                };
-                q.record_outcome(sub, outcome);
-                save(&q)?;
             }
-            for c in q.completed() {
-                println!(
-                    "#{} {} {} -> {}",
-                    c.submission.id, c.submission.user, c.submission.experiment, c.outcome
-                );
-            }
-            if failures.is_empty() {
-                Ok(drain_completion)
-            } else {
-                Err(format!(
-                    "{} submission(s) failed to run: {failures:?}",
-                    failures.len()
-                ))
-            }
+            let report = engine.shutdown().map_err(|e| e.to_string())?;
+            Ok(verdict("pos-queue", &report))
         }
         _ => Err("usage: pos queue submit <exp-dir> | status | drain [options]".into()),
     }
+}
+
+/// `#<id> <user> <experiment>`, how `pos queue` names a submission.
+fn label(s: &Submission) -> String {
+    format!("#{} {} {}", s.id, s.user, s.experiment)
 }
 
 fn cmd_fsck(args: &[String]) -> Result<(), String> {

@@ -4,10 +4,39 @@
 use pos::core::journal::encode_frame;
 use pos_testutil::TempDir;
 use std::path::Path;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 fn pos_bin() -> &'static str {
     env!("CARGO_BIN_EXE_pos")
+}
+
+/// A `pos` child process, killed (if still running) when dropped, so a
+/// failing assertion leaves no daemon behind.
+struct Spawned(Child);
+
+impl Spawned {
+    fn new(dir: &Path, args: &[&str]) -> Spawned {
+        let child = Command::new(pos_bin())
+            .args(args)
+            .current_dir(dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn pos binary");
+        Spawned(child)
+    }
+
+    fn running(&mut self) -> bool {
+        self.0.try_wait().unwrap().is_none()
+    }
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 fn run(dir: &Path, args: &[&str]) -> (bool, String, String) {
@@ -370,21 +399,131 @@ fn cli_queue_submit_status_drain() {
     );
     assert!(ok, "drain failed: {stderr}");
     assert!(stdout.contains("draining 2 campaign(s)"), "{stdout}");
-    assert!(stdout.contains("== #0 alice exp =="), "{stdout}");
-    assert!(stdout.contains("== #1 bob exp =="), "{stdout}");
-    assert_eq!(stdout.matches("done: 2/2 runs").count(), 2, "{stdout}");
+    // Fair-share order, and every run of both campaigns completed.
+    let alice = completed_tree(&stdout, "#0 alice exp");
+    let bob = completed_tree(&stdout, "#1 bob exp");
+    assert!(
+        stdout.find("#0 alice exp") < stdout.find("#1 bob exp"),
+        "{stdout}"
+    );
+    for tree in [&alice, &bob] {
+        let (ok, fsck, _) = run(&dir, &["fsck", tree]);
+        assert!(ok && fsck.contains("runs: 2/2 verified"), "{fsck}");
+    }
 
-    // The queue is drained and closed: empty status, submissions refused.
+    // The queue is drained: empty status, a clean ledger.
     let (ok, stdout, _) = run(&dir, &["queue", "status", "--queue", "q"]);
     assert!(ok);
     assert!(stdout.contains("queue: 0/8 queued"), "{stdout}");
-    assert!(stdout.contains("draining"), "{stdout}");
-    let (ok, _, stderr) = run(
+    let (ok, stdout, _) = run(&dir, &["fsck", "q"]);
+    assert!(ok, "drained queue ledger must be clean:\n{stdout}");
+
+    // A drain closes only its own session: a later submit is accepted,
+    // and a second drain runs it.
+    let (ok, stdout, stderr) = run(
         &dir,
         &["queue", "submit", "exp", "--user", "carol", "--queue", "q"],
     );
-    assert!(!ok, "a drained queue must refuse submissions");
-    assert!(stderr.contains("queue closed"), "{stderr}");
+    assert!(ok, "submit after a drain failed: {stderr}");
+    assert!(stdout.contains("submission 2 queued for carol"), "{stdout}");
+    let (ok, stdout, stderr) = run(&dir, &["queue", "drain", "--queue", "q"]);
+    assert!(ok, "second drain failed: {stderr}");
+    completed_tree(&stdout, "#2 carol exp");
+}
+
+/// The result tree a `pos queue drain` line reports for a completed
+/// submission (`<#id user experiment> -> completed <tree>`).
+fn completed_tree(stdout: &str, submission: &str) -> String {
+    let prefix = format!("{submission} -> completed ");
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{stdout}"))
+        .trim()
+        .to_owned()
+}
+
+/// True once a campaign journal exists anywhere under `root`.
+fn journal_under(root: &Path) -> bool {
+    std::fs::read_dir(root)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .any(|e| {
+            let path = e.path();
+            path.ends_with("journal.log") || (path.is_dir() && journal_under(&path))
+        })
+}
+
+/// `kill -9` in the middle of `pos queue drain` loses nothing: the
+/// submissions are journaled in the queue's ledger, so a second drain
+/// resumes the interrupted campaign, runs the rest, and leaves a clean
+/// ledger.
+#[test]
+fn cli_queue_drain_survives_kill() {
+    let dir = TempDir::new("cli-queue-kill");
+    init_small_exp(&dir);
+    // A longer sweep than the other queue tests, so the drain is still
+    // running when the first campaign's journal appears.
+    std::fs::write(
+        dir.join("exp/loop-variables.yml"),
+        "pkt_sz: [64]\npkt_rate: [10000, 20000, 30000, 40000, 50000, 60000, 70000, 80000]\n",
+    )
+    .unwrap();
+    for user in ["alice", "bob"] {
+        let (ok, _, stderr) = run(
+            &dir,
+            &["queue", "submit", "exp", "--user", user, "--queue", "q"],
+        );
+        assert!(ok, "submit failed: {stderr}");
+    }
+    let drain = [
+        "queue",
+        "drain",
+        "--queue",
+        "q",
+        "--results",
+        "res",
+        "--seed",
+        "5",
+    ];
+    let mut child = Spawned::new(&dir, &drain);
+    let res = dir.join("res");
+    while !journal_under(&res) {
+        assert!(
+            child.running(),
+            "drain exited before the first campaign's journal appeared"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        child.running(),
+        "drain finished before the kill; enlarge the sweep"
+    );
+    drop(child);
+    let (ok, stdout, _) = run(&dir, &["queue", "status", "--queue", "q"]);
+    assert!(ok);
+    assert!(
+        stdout.contains("1 admitted so far, 1 in flight")
+            && stdout.contains("#0 alice exp (in flight"),
+        "the kill lands in the first campaign:\n{stdout}"
+    );
+
+    let (ok, stdout, stderr) = run(&dir, &drain);
+    assert!(ok, "drain after the kill failed: {stderr}\n{stdout}");
+    let (ok, stdout, _) = run(&dir, &["queue", "status", "--queue", "q"]);
+    assert!(ok);
+    assert!(
+        stdout.contains("queue: 0/8 queued, 2 admitted so far, 0 in flight"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("#0 alice exp -> completed"), "{stdout}");
+    assert!(stdout.contains("#1 bob exp -> completed"), "{stdout}");
+    let (ok, stdout, _) = run(&dir, &["fsck", "q"]);
+    assert!(
+        ok,
+        "queue ledger must be clean after the second drain:\n{stdout}"
+    );
 }
 
 #[test]
@@ -416,6 +555,74 @@ fn cli_queue_bounded_with_diagnostic() {
     assert!(stderr.contains("queue full: 3/3"), "{stderr}");
     assert!(stderr.contains("alice=2"), "{stderr}");
     assert!(stderr.contains("bob=1"), "{stderr}");
+}
+
+/// The address a `pos serve` child publishes in `<state>/addr`.
+fn serve_addr(state: &Path, daemon: &mut Spawned) -> String {
+    for _ in 0..1000 {
+        match std::fs::read_to_string(state.join("addr")) {
+            Ok(addr) if !addr.is_empty() => return addr,
+            _ => assert!(daemon.running(), "pos serve exited before listening"),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("pos serve never published its address");
+}
+
+/// A restarted session that omits `--capacity`, `--user-backlog` and
+/// `--results` keeps the values the last session recorded in the
+/// ledger, for `pos serve` and for `pos queue` on the same directory.
+#[test]
+fn cli_serve_restart_keeps_recorded_admission_limits() {
+    let dir = TempDir::new("cli-serve-limits");
+    init_small_exp(&dir);
+    let state = dir.join("s");
+    let mut daemon = Spawned::new(
+        &dir,
+        &[
+            "serve",
+            "--state",
+            "s",
+            "--results",
+            "res",
+            "--capacity",
+            "2",
+            "--user-backlog",
+            "1",
+        ],
+    );
+    serve_addr(&state, &mut daemon);
+    drop(daemon);
+    std::fs::remove_file(state.join("addr")).unwrap();
+
+    let mut daemon = Spawned::new(&dir, &["serve", "--state", "s", "--results", "res"]);
+    let addr = serve_addr(&state, &mut daemon);
+    let (ok, stdout, stderr) = run(&dir, &["queue", "status", "--daemon", &addr]);
+    drop(daemon);
+    assert!(ok, "status failed: {stderr}");
+    assert!(stdout.contains("queue: 0/2 queued"), "{stdout}");
+
+    for user in ["alice", "bob"] {
+        let (ok, _, stderr) = run(
+            &dir,
+            &["queue", "submit", "exp", "--user", user, "--queue", "s"],
+        );
+        assert!(ok, "submit failed: {stderr}");
+    }
+    let (ok, _, stderr) = run(
+        &dir,
+        &["queue", "submit", "exp", "--user", "alice", "--queue", "s"],
+    );
+    assert!(!ok && stderr.contains("over backlog cap: 1/1"), "{stderr}");
+    let (ok, _, stderr) = run(
+        &dir,
+        &["queue", "submit", "exp", "--user", "carol", "--queue", "s"],
+    );
+    assert!(!ok && stderr.contains("queue full: 2/2"), "{stderr}");
+    assert!(
+        !dir.join("results").exists(),
+        "the recorded results root holds"
+    );
 }
 
 /// Writes `records` (externally tagged JSON, one per record) as the

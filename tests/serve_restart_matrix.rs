@@ -569,3 +569,33 @@ fn http_endpoints_speak_the_protocol() {
     stop.store(true, Ordering::SeqCst);
     handle.join().unwrap();
 }
+
+/// The results root binds at the first dispatch: before it no tree
+/// exists under the recorded root, so a later session may move it;
+/// after it, a session on another root is refused.
+#[test]
+fn results_root_binds_at_first_dispatch() {
+    let root = TempDir::new("serve-root-binds");
+    let tenants = storm(&root);
+    let state = root.join("state");
+    let engine = ServeEngine::start(options(&state, &root.join("first"), 1)).unwrap();
+    assert!(matches!(
+        engine.submit(&request(&tenants[0])).unwrap(),
+        SubmitResponse::Accepted { .. }
+    ));
+    drop(engine);
+
+    let engine = ServeEngine::start(options(&state, &root.join("second"), 1))
+        .expect("nothing dispatched yet: the results root may move");
+    drive(&engine).unwrap();
+    drop(engine);
+
+    let err = ServeEngine::start(options(&state, &root.join("third"), 1))
+        .err()
+        .expect("a dispatch bound the results root");
+    let msg = err.to_string();
+    assert!(msg.contains("pass the original --results"), "{msg}");
+    assert!(msg.contains("second"), "{msg}");
+    ServeEngine::start(options(&state, &root.join("second"), 1))
+        .expect("the bound results root still starts");
+}
