@@ -92,6 +92,13 @@ cargo test -q --test cli cli_queue_drain_survives_kill
 echo "==> journal-format golden (tests/journal_format_golden.rs)"
 cargo test -q --test journal_format_golden
 
+# The goldens above pin parts of the output; this one pins whole result
+# trees across versions: the sorted (path, SHA-256) listing of a pos, a
+# vpos, a --lanes 2, a chaos and a DAG tree against tests/tree_golden.txt
+# (x86_64 Linux). Refactor and perf changes must leave it untouched.
+echo "==> tree golden (tests/tree_golden.rs)"
+cargo test -q --test tree_golden
+
 # Flake gate: the four matrices above are the oracle every refactor is
 # judged by, so one green pass is not enough — they must stay green under a
 # wide parallel harness, run after run.
