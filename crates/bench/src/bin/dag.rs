@@ -21,7 +21,7 @@
 //!      `POS_DAG_RATE_STEPS` (offered-rate points, default 30 → 60 runs;
 //!      CI shrinks this).
 
-use pos_bench::{dag, env_f64};
+use pos_bench::{dag, env_f64, GeneratedBy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,6 +30,7 @@ struct BenchOutput {
     rate_steps: usize,
     total_runs: usize,
     rows: Vec<dag::DagBenchReport>,
+    generated_by: GeneratedBy,
 }
 
 fn main() {
@@ -78,6 +79,7 @@ fn main() {
             rate_steps,
             total_runs: 2 * rate_steps,
             rows,
+            generated_by: GeneratedBy::here(),
         })
         .expect("serialize"),
     )

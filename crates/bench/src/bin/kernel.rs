@@ -20,7 +20,7 @@
 //! committed `BENCH_kernel.json`; the event and packet counts must match
 //! it exactly.
 
-use pos_bench::{env_f64, kernel};
+use pos_bench::{env_f64, kernel, GeneratedBy};
 use pos_loadgen::scenario::Platform;
 use serde::Serialize;
 
@@ -28,6 +28,7 @@ use serde::Serialize;
 struct BenchOutput {
     churn: kernel::QueueChurnReport,
     packet_path: Vec<kernel::PacketPathReport>,
+    generated_by: GeneratedBy,
 }
 
 fn main() {
@@ -76,6 +77,7 @@ fn main() {
         serde_json::to_string_pretty(&BenchOutput {
             churn,
             packet_path: rows,
+            generated_by: GeneratedBy::here(),
         })
         .expect("serialize"),
     )

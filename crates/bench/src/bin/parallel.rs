@@ -8,6 +8,10 @@
 //! result tree (journals excepted) — the speedup is free of
 //! reproducibility cost.
 //!
+//! A `sequential` row times the plain `pos run` of the case-study sweep
+//! at its real rates (12 runs of 2 virtual seconds, fixed size): the
+//! wall-clock cost of one campaign on one testbed.
+//!
 //! Emits `BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p pos-bench --bin parallel`
@@ -16,7 +20,7 @@
 //!      `POS_PAR_RATE` (top offered rate in pps, default 300000; CI
 //!      shrinks this — virtual-time speedup is rate-independent).
 
-use pos_bench::{env_f64, parallel};
+use pos_bench::{env_f64, parallel, GeneratedBy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,6 +30,8 @@ struct BenchOutput {
     max_rate_pps: i64,
     total_runs: usize,
     lanes: Vec<parallel::LaneReport>,
+    sequential: parallel::SequentialReport,
+    generated_by: GeneratedBy,
 }
 
 fn main() {
@@ -67,12 +73,20 @@ fn main() {
         four.speedup
     );
 
+    let sequential = parallel::sequential();
+    println!(
+        "sequential pos run of the case-study sweep: {} runs in {} ms ({:.1} runs/s)",
+        sequential.runs, sequential.sequential_wall_ms, sequential.sequential_runs_per_sec
+    );
+
     let output = BenchOutput {
         run_secs,
         rate_steps,
         max_rate_pps: max_rate,
         total_runs: 2 * rate_steps,
         lanes: reports,
+        sequential,
+        generated_by: GeneratedBy::here(),
     };
     let out = "BENCH_parallel.json";
     std::fs::write(

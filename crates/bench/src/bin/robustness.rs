@@ -29,7 +29,7 @@
 //!      that land mid-sweep and are all recovered),
 //!      `POS_CHAOS_RUN_SECS` (campaign run length, default 30).
 
-use pos_bench::{chaos_campaign, env_f64, failover, robustness, storage};
+use pos_bench::{chaos_campaign, env_f64, failover, robustness, storage, GeneratedBy};
 use pos_testutil::TempDir;
 use serde::Serialize;
 
@@ -56,6 +56,7 @@ struct BenchOutput {
     scrub: storage::ScrubOverhead,
     enospc_recovery: storage::EnospcRecovery,
     failover: Vec<failover::FailoverReport>,
+    generated_by: GeneratedBy,
 }
 
 fn main() {
@@ -187,6 +188,7 @@ fn main() {
         scrub,
         enospc_recovery: enospc,
         failover: failover_reports,
+        generated_by: GeneratedBy::here(),
     };
     let out = "BENCH_robustness.json";
     std::fs::write(

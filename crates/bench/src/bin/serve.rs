@@ -24,7 +24,7 @@
 //!      `POS_SERVE_CAMPAIGNS` (campaigns actually executed so the
 //!      ledger holds every record kind, default 2).
 
-use pos_bench::env_f64;
+use pos_bench::{env_f64, GeneratedBy};
 use pos_core::experiment::linux_router_experiment;
 use pos_sched::SubmissionQueue;
 use pos_serve::{ServeEngine, ServeOptions, StepOutcome, SubmitRequest, SubmitResponse};
@@ -67,6 +67,7 @@ struct BenchOutput {
     admission: LatencyOut,
     fairness: FairnessOut,
     restart: RestartOut,
+    generated_by: GeneratedBy,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -221,6 +222,7 @@ fn main() {
         admission,
         fairness,
         restart,
+        generated_by: GeneratedBy::here(),
     };
     let out = "BENCH_serve.json";
     std::fs::write(

@@ -12,6 +12,9 @@
 //! * anything else — a count, a virtual-time figure or a label. The
 //!   benches are seeded, so it must match exactly; so must the set of
 //!   keys.
+//!
+//! A `generated_by` object (the commit and machine that wrote the file)
+//! is provenance, not a result: it is skipped on both sides.
 
 use serde::Value;
 
@@ -23,6 +26,9 @@ use serde::Value;
 /// A rate bound by fsync latency spreads several-fold on a shared disk,
 /// so the benches report such rates as `_ms` wall times instead.
 pub const MIN_THROUGHPUT_RATIO: f64 = 0.4;
+
+/// Key of the provenance object the comparison skips.
+pub const PROVENANCE: &str = "generated_by";
 
 /// What comparing two bench outputs found.
 #[derive(Debug, Default)]
@@ -51,7 +57,7 @@ struct Leaf<'a> {
 fn leaves<'a>(value: &'a Value, path: String, key: &'a str, out: &mut Vec<Leaf<'a>>) {
     match value {
         Value::Map(entries) if !entries.is_empty() => {
-            for (k, v) in entries {
+            for (k, v) in entries.iter().filter(|(k, _)| k != PROVENANCE) {
                 let child = if path.is_empty() {
                     k.clone()
                 } else {
@@ -199,6 +205,27 @@ mod tests {
         // At the bound still passes.
         let fresh = COMMITTED.replace("12000000.0", &format!("{bound:.1}"));
         assert!(compare(&json(COMMITTED), &json(&fresh)).passed());
+    }
+
+    #[test]
+    fn provenance_is_skipped_on_both_sides() {
+        let stamped = COMMITTED.replacen(
+            '{',
+            r#"{"generated_by": {"commit": "abc", "nproc": 2, "result_fs": "ext4"},"#,
+            1,
+        );
+        let other = stamped
+            .replace("abc", "def")
+            .replace("\"nproc\": 2", "\"nproc\": 64");
+        for (committed, fresh) in [
+            (&stamped, &other),
+            (&stamped, &COMMITTED.to_string()),
+            (&COMMITTED.to_string(), &stamped),
+        ] {
+            let c = compare(&json(committed), &json(fresh));
+            assert!(c.passed(), "{:?}", c.failures);
+            assert_eq!(c.report.len(), 3, "{:?}", c.report);
+        }
     }
 
     #[test]

@@ -23,6 +23,8 @@ pub mod ablations;
 pub mod compare;
 pub mod figures;
 
+use std::path::Path;
+
 /// Reads an `f64` knob from the environment, falling back to a default —
 /// used to scale run durations between quick CI runs and full
 /// paper-fidelity sweeps.
@@ -31,6 +33,72 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Which commit, on what machine, wrote a `BENCH_*.json`: its
+/// `generated_by` object, which `bench-compare` skips.
+#[derive(Debug, serde::Serialize)]
+pub struct GeneratedBy {
+    /// The checked-out commit of the source tree the bench was built
+    /// from, read from its `.git`; `unknown` outside a git checkout.
+    pub commit: String,
+    /// Logical CPUs available to the bench process.
+    pub nproc: usize,
+    /// Filesystem type of the scratch directory the result trees go to.
+    pub result_fs: String,
+}
+
+impl GeneratedBy {
+    /// Provenance of the running bench binary.
+    pub fn here() -> GeneratedBy {
+        GeneratedBy {
+            commit: git_commit(Path::new(env!("CARGO_MANIFEST_DIR"))),
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            result_fs: fs_type(&std::env::temp_dir()),
+        }
+    }
+}
+
+/// The commit checked out in the git work tree holding `dir`, read from
+/// `.git` without running git; `unknown` outside a git checkout.
+fn git_commit(dir: &Path) -> String {
+    let Some(git) = dir.ancestors().map(|d| d.join(".git")).find(|g| g.is_dir()) else {
+        return "unknown".into();
+    };
+    let read = |p: &str| std::fs::read_to_string(git.join(p)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_owned();
+    };
+    read(reference)
+        .map(|id| id.trim().to_owned())
+        .or_else(|| {
+            read("packed-refs")?.lines().find_map(|l| {
+                let (id, name) = l.split_once(' ')?;
+                (name == reference).then(|| id.to_owned())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Filesystem type of the mount holding `path` (the longest matching
+/// mount point in `/proc/self/mounts`), or `unknown`.
+fn fs_type(path: &Path) -> String {
+    let path = path.canonicalize().unwrap_or_else(|_| path.to_path_buf());
+    let mounts = std::fs::read_to_string("/proc/self/mounts").unwrap_or_default();
+    mounts
+        .lines()
+        .filter_map(|l| {
+            let mut f = l.split_whitespace();
+            let (_, point, kind) = (f.next()?, f.next()?, f.next()?);
+            path.starts_with(point)
+                .then(|| (point.len(), kind.to_owned()))
+        })
+        .max_by_key(|(len, _)| *len)
+        .map_or_else(|| "unknown".to_owned(), |(_, kind)| kind)
 }
 
 #[cfg(test)]
@@ -330,7 +398,7 @@ pub mod robustness {
 /// 1/2/4/8 worker lanes, see the `parallel` binary.
 pub mod parallel {
     use pos_core::commands::case_study_testbed;
-    use pos_core::controller::RunOptions;
+    use pos_core::controller::{Controller, RunOptions};
     use pos_core::experiment::{linux_router_experiment, ExperimentSpec};
     use pos_core::vars::VarValue;
     use pos_sched::{run_parallel, LaneFlavor, ParallelOptions};
@@ -409,6 +477,53 @@ pub mod parallel {
             parallel_virtual_secs: out.parallel_elapsed.as_nanos() as f64 / 1e9,
             speedup: out.speedup(),
             merge_wall_us: (out.merge_wall_secs * 1e6) as u64,
+        }
+    }
+
+    /// The sequential row of `BENCH_parallel.json`: the paper's default
+    /// `pos run`, one campaign on one testbed, of the §5 case-study
+    /// sweep at the perfbench size (2 sizes × 6 rates from 10 to 300
+    /// kpps, 2 virtual seconds per run) on bare-metal pos. Unlike the
+    /// lane rows it runs at the case study's real rates, so netsim, not
+    /// fsync, sets its wall time.
+    #[derive(Debug, Serialize)]
+    pub struct SequentialReport {
+        /// Measurement runs executed (all succeeded).
+        pub runs: usize,
+        /// Median wall time of [`SEQUENTIAL_CAMPAIGNS`] campaigns.
+        pub sequential_wall_ms: u64,
+        /// `runs` over the median wall time.
+        pub sequential_runs_per_sec: f64,
+    }
+
+    /// Campaigns the sequential row times; it reports their median.
+    pub const SEQUENTIAL_CAMPAIGNS: usize = 3;
+
+    /// Times [`SEQUENTIAL_CAMPAIGNS`] sequential `pos run` campaigns of
+    /// the case-study sweep, each into a fresh scratch directory.
+    pub fn sequential() -> SequentialReport {
+        let spec = linux_router_experiment("vriga", "vtartu", 6, 2);
+        let mut runs = 0;
+        let mut walls: Vec<f64> = (0..SEQUENTIAL_CAMPAIGNS)
+            .map(|_| {
+                let root = TempDir::new("bench-parallel-sequential");
+                let tb = case_study_testbed(&spec, SEED, false, false).expect("case-study testbed");
+                let t0 = std::time::Instant::now();
+                let outcome = Controller::owning(tb)
+                    .run_experiment(&spec, &RunOptions::new(&root))
+                    .expect("chaos-free campaign succeeds");
+                let wall = t0.elapsed().as_secs_f64();
+                assert_eq!(outcome.successes(), outcome.runs.len());
+                runs = outcome.runs.len();
+                wall
+            })
+            .collect();
+        walls.sort_by(f64::total_cmp);
+        let median = walls[walls.len() / 2];
+        SequentialReport {
+            runs,
+            sequential_wall_ms: (median * 1e3) as u64,
+            sequential_runs_per_sec: runs as f64 / median,
         }
     }
 

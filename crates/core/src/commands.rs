@@ -11,11 +11,13 @@
 
 use crate::controller::ControllerError;
 use crate::experiment::ExperimentSpec;
-use pos_loadgen::scenario::{run_forwarding_experiment, ForwardingScenario, Platform};
+use pos_loadgen::scenario::{
+    run_forwarding_experiment, ForwardingScenario, Platform, ScenarioResult,
+};
 use pos_simkernel::{SimDuration, SimRng};
 use pos_testbed::{
-    clone_virtual, CloneOptions, CommandResult, DeviceKind, HardwareSpec, InitInterface, PortId,
-    Testbed,
+    clone_virtual, CloneOptions, CommandResult, Deferred, DeferredOutput, DeviceKind, HardwareSpec,
+    InitInterface, PortId, Testbed,
 };
 use std::rc::Rc;
 
@@ -345,33 +347,47 @@ fn moongen_command(tb: &mut Testbed, host: &str, argv: &[String]) -> CommandResu
         imix,
         link_fault,
     };
-    let result = run_forwarding_experiment(&scenario);
-
-    // Store the capture in the host's filesystem; the controller collects
-    // everything under /srv/results/ into the run's artifacts.
-    if let Some(path) = pcap_path {
-        let mut writer = match pos_packet::pcap::PcapWriter::new(Vec::new()) {
-            Ok(w) => w,
-            Err(e) => return CommandResult::fail(1, format!("moongen: pcap: {e}")),
-        };
-        for cap in &result.tx_capture {
-            if let Err(e) = writer.write(cap.ts_ns, &cap.frame) {
-                return CommandResult::fail(1, format!("moongen: pcap: {e}"));
-            }
-        }
-        match writer.finish() {
-            Ok(bytes) => {
-                tb.host_mut(host)
-                    .expect("reachability checked by exec")
-                    .fs
-                    .insert(path, bytes);
-            }
-            Err(e) => return CommandResult::fail(1, format!("moongen: pcap: {e}")),
-        }
-    }
-
+    // The simulation runs on the worker pool; the virtual timeline only
+    // needs its duration, known now. The worker builds, runs and renders
+    // it (frames never leave its thread) and returns text and pcap bytes.
     let elapsed = scenario.duration + SimDuration::from_millis(200);
-    CommandResult::ok(result.report.render_text()).with_duration(elapsed)
+    let record_pcap = pcap_path.is_some();
+    let job = crate::pool::submit(move || {
+        let ScenarioResult {
+            report, tx_capture, ..
+        } = run_forwarding_experiment(&scenario);
+        let pcap = record_pcap.then(|| {
+            let mut writer =
+                pos_packet::pcap::PcapWriter::new(Vec::new()).expect("in-memory pcap header");
+            for cap in &tx_capture {
+                writer
+                    .write(cap.ts_ns, &cap.frame)
+                    .expect("in-memory pcap record");
+            }
+            writer.finish().expect("in-memory pcap flush")
+        });
+        drop(tx_capture);
+        let stdout = report.into_text();
+        // The worker may idle until the next run; its frame pool would
+        // keep this simulation's buffers resident until then.
+        pos_packet::builder::free_pool();
+        (stdout, pcap)
+    });
+    let output = Deferred::new(move || {
+        let (stdout, pcap) = job.wait();
+        DeferredOutput {
+            stdout,
+            files: pcap_path.into_iter().zip(pcap).collect(),
+        }
+    });
+    // The capture lands in the host's filesystem; the controller collects
+    // everything under /srv/results/ into the run's artifacts.
+    if let Some(path) = args.get("pcap") {
+        tb.host_mut(host)
+            .expect("reachability checked by exec")
+            .defer_file(path.as_str(), output.clone());
+    }
+    CommandResult::ok_deferred(output).with_duration(elapsed)
 }
 
 /// The `iperf` command: `iperf --rate <pps> --size <bytes> --time <secs>`.

@@ -39,8 +39,8 @@ use crate::vars::Variables;
 use crate::vfs::Vfs;
 use pos_netsim::{ChaosEvent, ChaosPlan};
 use pos_simkernel::{Backoff, SimDuration, SimTime, TraceLevel};
-use pos_testbed::{CommandResult, ExecError, PowerError, Testbed};
-use std::collections::BTreeMap;
+use pos_testbed::{CommandResult, ExecError, HostFile, PowerError, Testbed};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -901,14 +901,15 @@ impl<'t> Controller<'t> {
 
     /// Executes one script phase on all roles in lockstep: between
     /// barriers, every role's segment runs in its own time lane; the
-    /// barrier completes at the latest lane end. Returns the captured
-    /// stdout of all commands per role.
+    /// barrier completes at the latest lane end. Returns every command's
+    /// result per role, in order, with deferred output still unread
+    /// ([`role_output`] joins them).
     fn run_scripts_lockstep(
         &mut self,
         spec: &ExperimentSpec,
         phase: &str,
         run: Option<&RunParams>,
-    ) -> Result<BTreeMap<String, CommandResult>, Box<ScriptFailure>> {
+    ) -> Result<RoleResults, Box<ScriptFailure>> {
         // Instantiate all scripts up front.
         let instantiated: Vec<Vec<Step>> = spec
             .roles
@@ -941,7 +942,7 @@ impl<'t> Controller<'t> {
             .collect();
         let n_segments = segmented.iter().map(Vec::len).max().unwrap_or(1);
 
-        let mut aggregated: BTreeMap<String, CommandResult> = BTreeMap::new();
+        let mut aggregated = RoleResults::new();
         for seg_idx in 0..n_segments {
             let barrier_start = self.tb.now();
             let mut barrier_end = barrier_start;
@@ -952,7 +953,7 @@ impl<'t> Controller<'t> {
                 // This role's lane starts at the barrier instant.
                 self.tb.set_now(barrier_start);
                 for cmd in commands {
-                    let result = self.tb.exec(&role.host, cmd).map_err(|e| {
+                    let result = self.tb.exec_deferred(&role.host, cmd).map_err(|e| {
                         Box::new(ScriptFailure {
                             role: role.role.clone(),
                             command: cmd.clone(),
@@ -960,23 +961,7 @@ impl<'t> Controller<'t> {
                             exec: Some(e),
                         })
                     })?;
-                    let entry = aggregated.entry(role.role.clone()).or_insert_with(|| {
-                        CommandResult::ok("").with_duration(pos_simkernel::SimDuration::ZERO)
-                    });
-                    if !result.stdout.is_empty() {
-                        entry.stdout.push_str(&result.stdout);
-                        if !result.stdout.ends_with('\n') {
-                            entry.stdout.push('\n');
-                        }
-                    }
-                    if !result.stderr.is_empty() {
-                        entry.stderr.push_str(&result.stderr);
-                        if !result.stderr.ends_with('\n') {
-                            entry.stderr.push('\n');
-                        }
-                    }
                     if !result.success() {
-                        entry.exit_code = result.exit_code;
                         return Err(Box::new(ScriptFailure {
                             role: role.role.clone(),
                             command: cmd.clone(),
@@ -984,6 +969,10 @@ impl<'t> Controller<'t> {
                             exec: None,
                         }));
                     }
+                    aggregated
+                        .entry(role.role.clone())
+                        .or_default()
+                        .push(result);
                 }
                 if self.tb.now() > barrier_end {
                     barrier_end = self.tb.now();
@@ -1284,11 +1273,7 @@ impl<'t> Controller<'t> {
 
         // -------------------------------------------- measurement phase
         let total = runs.len();
-        let mut records = Vec::with_capacity(total);
-        let mut total_recoveries = 0u32;
-        let mut failed_runs: Vec<usize> = Vec::new();
-        let mut quarantined_hosts: Vec<String> = Vec::new();
-        let mut total_recovery_time = SimDuration::ZERO;
+        let mut tally = Tally::default();
         // Quarantines journaled before the last durable run are history
         // the skipped runs executed under; restore them silently (no Info
         // log — the uninterrupted session logged the transition at fault
@@ -1300,10 +1285,27 @@ impl<'t> Controller<'t> {
                 "controller",
                 format!("resume: {host} restored as quarantined"),
             );
-            quarantined_hosts.push(host.clone());
+            tally.quarantined_hosts.push(host.clone());
         }
+        // Simulate ahead, commit in order: runs execute on the virtual
+        // timeline while the packet simulations of earlier runs finish on
+        // the worker pool, and commit strictly in run order. At most
+        // `window` runs are uncommitted at once; an aborting run, a
+        // skipped run and a cancel commit everything before them first.
+        let window = crate::pool::workers();
+        let mut in_flight: VecDeque<RunAhead> = VecDeque::new();
         for run in &runs {
             if let Some(done) = resume.completed.get(&run.index) {
+                self.commit_window(
+                    spec,
+                    opts,
+                    &store,
+                    &mut journal,
+                    &mut in_flight,
+                    0,
+                    total,
+                    &mut tally,
+                )?;
                 // Verified complete by an earlier session: fast-forward
                 // the virtual clock to the recorded run end and seek the
                 // shared management RNG stream to its recorded cursor —
@@ -1326,44 +1328,72 @@ impl<'t> Controller<'t> {
                     "controller",
                     format!("resume: run {} verified, skipped", run.index),
                 );
-                total_recoveries += done.recoveries;
-                total_recovery_time += SimDuration::from_nanos(done.recovery_time_ns);
-                if !done.success {
-                    failed_runs.push(run.index);
-                }
                 let run_dir = store.run_dir(run.index)?;
                 let outputs = Self::reload_run_outputs(spec, &run_dir)?;
                 self.emit(Progress::RunSkipped {
                     index: run.index,
                     total,
                 });
-                records.push(RunRecord {
-                    params: run.clone(),
-                    outputs,
-                    attempts: done.attempts,
-                    success: done.success,
-                    recoveries: done.recoveries,
-                    fault_trace: done.fault_trace.clone(),
-                });
+                tally.add(
+                    RunRecord {
+                        params: run.clone(),
+                        outputs,
+                        attempts: done.attempts,
+                        success: done.success,
+                        recoveries: done.recoveries,
+                        fault_trace: done.fault_trace.clone(),
+                    },
+                    done.recoveries,
+                    SimDuration::from_nanos(done.recovery_time_ns),
+                );
                 continue;
             }
             // Cooperative checkpoint: an urgent drain trips the token and
             // the campaign stops *here*, between runs — every journaled
             // record is consistent, so resume picks up at this exact run.
             if opts.cancel.is_canceled() {
+                self.commit_window(
+                    spec,
+                    opts,
+                    &store,
+                    &mut journal,
+                    &mut in_flight,
+                    0,
+                    total,
+                    &mut tally,
+                )?;
                 return Err(ControllerError::Canceled {
-                    completed_runs: records.len(),
+                    completed_runs: tally.records.len(),
                 });
             }
-            let step = self.execute_one_run(spec, opts, &store, &mut journal, run, total)?;
-            total_recoveries += step.recoveries;
-            total_recovery_time += step.recovery_time;
-            quarantined_hosts.extend(step.quarantined);
-            if !step.record.success {
-                failed_runs.push(run.index);
-            }
-            records.push(step.record);
+            let ahead = self.run_ahead(spec, opts, run);
+            let keep = if ahead.stops_campaign(opts) {
+                0
+            } else {
+                window - 1
+            };
+            in_flight.push_back(ahead);
+            self.commit_window(
+                spec,
+                opts,
+                &store,
+                &mut journal,
+                &mut in_flight,
+                keep,
+                total,
+                &mut tally,
+            )?;
         }
+        self.commit_window(
+            spec,
+            opts,
+            &store,
+            &mut journal,
+            &mut in_flight,
+            0,
+            total,
+            &mut tally,
+        )?;
 
         // ------------------------------------------------------ wrap-up
         // controller.log is rendered Info-and-above: the deterministic
@@ -1378,54 +1408,65 @@ impl<'t> Controller<'t> {
         )?;
         journal.append(&JournalRecord::CampaignFinished {
             finished_ns: finished.as_nanos(),
-            succeeded: records.iter().filter(|r| r.success).count(),
-            failed: failed_runs.len(),
+            succeeded: tally.records.iter().filter(|r| r.success).count(),
+            failed: tally.failed_runs.len(),
         })?;
         self.tb.calendar.release(reservation);
         Ok(ExperimentOutcome {
             result_dir: store.dir().to_path_buf(),
-            runs: records,
+            runs: tally.records,
             started,
             finished,
-            recoveries: total_recoveries,
-            failed_runs,
-            quarantined_hosts,
+            recoveries: tally.recoveries,
+            failed_runs: tally.failed_runs,
+            quarantined_hosts: tally.quarantined_hosts,
             quarantined_runs: Vec::new(),
-            total_recovery_time,
+            total_recovery_time: tally.recovery_time,
         })
     }
 
-    /// Executes one measurement run at the testbed's current virtual
-    /// instant: wipes leftovers, journals `RunStarted`, runs the
-    /// measurement scripts with the full retry/recovery/quarantine
-    /// machinery, captures artifacts, seals the run, and journals
-    /// `RunCompleted`.
-    ///
-    /// This is the unit a parallel scheduler dispatches to a worker lane:
-    /// the lane's controller keeps its own health map and journal, while
-    /// `store` may be shared (runs write disjoint `run-NNNN` directories).
-    /// An aborting failure (unsuccessful run without
-    /// [`RunOptions::continue_on_run_failure`]) writes `controller.log`
-    /// and returns [`ControllerError::RunFailed`], leaving the run
-    /// journaled as started-only so a resume retries it.
-    pub fn execute_one_run(
+    /// Commits the oldest runs of `in_flight`, in order, until at most
+    /// `keep` remain uncommitted.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_window(
         &mut self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
         store: &ResultStore,
         journal: &mut Journal,
-        run: &RunParams,
+        in_flight: &mut VecDeque<RunAhead>,
+        keep: usize,
         total: usize,
-    ) -> Result<RunStep, ControllerError> {
-        let mut quarantined: Vec<String> = Vec::new();
-        // Not durable: clear any partial leftovers first, so what the
-        // crash happened to leave behind cannot influence convergence.
-        store.wipe_run(run.index)?;
+        tally: &mut Tally,
+    ) -> Result<(), ControllerError> {
+        while in_flight.len() > keep {
+            let ahead = in_flight.pop_front().expect("more than `keep` runs");
+            let step = self.commit_run(spec, opts, store, journal, ahead, total)?;
+            tally.quarantined_hosts.extend(step.quarantined);
+            tally.add(step.record, step.recoveries, step.recovery_time);
+        }
+        Ok(())
+    }
+
+    /// Executes one measurement run on the virtual timeline, at the
+    /// testbed's current instant: deploys the loop variables, runs the
+    /// measurement scripts with the full retry/recovery/quarantine
+    /// machinery, and takes the files the scripts left under
+    /// `/srv/results/` off the hosts, so the next run starts empty.
+    ///
+    /// It touches no disk. The run's journal records, artifacts and
+    /// metadata wait in the returned [`RunAhead`] for
+    /// [`Self::commit_run`], and its packet simulations may still be
+    /// running on the worker pool: nothing on the virtual timeline reads
+    /// them. A parallel scheduler's lane calls the two back to back.
+    pub fn run_ahead(
+        &mut self,
+        spec: &ExperimentSpec,
+        opts: &RunOptions,
+        run: &RunParams,
+    ) -> RunAhead {
+        let mut quarantined: Vec<(String, u64)> = Vec::new();
         let run_started = self.tb.now();
-        journal.append(&JournalRecord::RunStarted {
-            index: run.index,
-            started_ns: run_started.as_nanos(),
-        })?;
         // Sequence number of the next trace entry; robust against ring
         // eviction (`len` alone would drift once entries are dropped).
         let trace_mark = self.tb.trace.len() as u64 + self.tb.trace.dropped();
@@ -1434,6 +1475,7 @@ impl<'t> Controller<'t> {
         let mut run_recovery_time = SimDuration::ZERO;
         let mut outputs = BTreeMap::new();
         let mut success = false;
+        let mut error = None;
         let mut backoff = self.backoff(opts, &format!("run/{}", run.index));
 
         // Runs depending on a quarantined host fail fast: burning the
@@ -1498,7 +1540,10 @@ impl<'t> Controller<'t> {
             let suspects: Vec<String> = match f.exec {
                 Some(ExecError::HostUnreachable { ref host, .. })
                 | Some(ExecError::Timeout { ref host, .. }) => vec![host.clone()],
-                Some(e) => return Err(ControllerError::Exec(e)),
+                Some(e) => {
+                    error = Some(ControllerError::Exec(e));
+                    break 'attempts;
+                }
                 None => spec
                     .roles
                     .iter()
@@ -1551,27 +1596,124 @@ impl<'t> Controller<'t> {
                     }
                     Err(e) => {
                         self.set_health(&host, HostHealth::Quarantined);
-                        quarantined.push(host.clone());
                         self.log_now(
                             TraceLevel::Error,
                             "controller",
                             format!("{host}: recovery failed, quarantined ({e})"),
                         );
                         self.emit(Progress::HostQuarantined { host: host.clone() });
-                        journal.append(&JournalRecord::HostQuarantined {
-                            host: host.clone(),
-                            at_ns: self.tb.now().as_nanos(),
-                        })?;
-                        if opts.continue_on_run_failure {
-                            break 'attempts;
+                        quarantined.push((host.clone(), self.tb.now().as_nanos()));
+                        if !opts.continue_on_run_failure {
+                            error = Some(e);
                         }
-                        return Err(e);
+                        break 'attempts;
                     }
                 }
             }
         }
 
+        // Files the scripts left under /srv/results/ on the hosts (pcap
+        // dumps etc.) become the run's artifacts; a simulation may still
+        // be producing them.
+        let mut files = Vec::new();
+        if error.is_none() {
+            for role in &spec.roles {
+                if let Some(host) = self.tb.host_mut(&role.host) {
+                    for (path, file) in host.take_files("/srv/results/") {
+                        files.push((role.role.clone(), path, file));
+                    }
+                }
+            }
+        }
+        // Everything Warn-and-above since the run started is this run's
+        // fault story — empty for clean runs.
+        let skip = trace_mark.saturating_sub(self.tb.trace.dropped()) as usize;
+        let fault_trace: Vec<String> = self
+            .tb
+            .trace
+            .iter()
+            .skip(skip)
+            .filter(|e| e.level >= TraceLevel::Warn)
+            .map(|e| e.to_string())
+            .collect();
+        RunAhead {
+            run: run.clone(),
+            started: run_started,
+            finished: self.tb.now(),
+            rng_cursor: self.tb.rng_cursor(),
+            attempts,
+            success,
+            recoveries,
+            recovery_time: run_recovery_time,
+            quarantined,
+            outputs,
+            files,
+            fault_trace,
+            error,
+        }
+    }
+
+    /// Writes a run that [`Self::run_ahead`] executed: wipes leftovers,
+    /// journals `RunStarted` (and any `HostQuarantined`), waits for the
+    /// run's simulations, writes its outputs, host files and metadata,
+    /// seals the run and journals `RunCompleted`. These are the records
+    /// and bytes, in the order, an uninterrupted execution leaves, so a
+    /// crash between any two of them resumes as before; a run that never
+    /// committed left nothing on disk and is re-executed.
+    ///
+    /// `store` may be shared between lanes (runs write disjoint
+    /// `run-NNNN` directories). An aborting failure (unsuccessful run
+    /// without [`RunOptions::continue_on_run_failure`]) writes
+    /// `controller.log` and returns [`ControllerError::RunFailed`],
+    /// leaving the run journaled as started-only so a resume retries it;
+    /// the caller must not have run ahead past it, so the log ends with
+    /// this run.
+    pub fn commit_run(
+        &mut self,
+        spec: &ExperimentSpec,
+        opts: &RunOptions,
+        store: &ResultStore,
+        journal: &mut Journal,
+        ahead: RunAhead,
+        total: usize,
+    ) -> Result<RunStep, ControllerError> {
+        let RunAhead {
+            run,
+            started,
+            finished,
+            rng_cursor,
+            attempts,
+            success,
+            recoveries,
+            recovery_time,
+            quarantined,
+            outputs,
+            files,
+            fault_trace,
+            error,
+        } = ahead;
+        // Not durable: clear any partial leftovers first, so what the
+        // crash happened to leave behind cannot influence convergence.
+        store.wipe_run(run.index)?;
+        journal.append(&JournalRecord::RunStarted {
+            index: run.index,
+            started_ns: started.as_nanos(),
+        })?;
+        for (host, at_ns) in &quarantined {
+            journal.append(&JournalRecord::HostQuarantined {
+                host: host.clone(),
+                at_ns: *at_ns,
+            })?;
+        }
+        if let Some(e) = error {
+            return Err(e);
+        }
+
         // Capture per-run artifacts: command output...
+        let outputs: BTreeMap<String, CommandResult> = outputs
+            .into_iter()
+            .map(|(role, results)| (role, role_output(results)))
+            .collect();
         for (role, result) in &outputs {
             store.write_run_output(
                 run.index,
@@ -1581,22 +1723,11 @@ impl<'t> Controller<'t> {
                 result.exit_code,
             )?;
         }
-        // ...plus any files the scripts left under /srv/results/ on
-        // the hosts (pcap dumps etc.), uploaded to the controller and
-        // cleared so the next run starts empty.
-        for role in &spec.roles {
-            if let Some(host) = self.tb.host_mut(&role.host) {
-                let keys: Vec<String> = host
-                    .fs
-                    .keys()
-                    .filter(|k| k.starts_with("/srv/results/"))
-                    .cloned()
-                    .collect();
-                for key in keys {
-                    let data = host.fs.remove(&key).expect("key just listed");
-                    let base = key.rsplit('/').next().expect("non-empty path");
-                    store.write_run_file(run.index, &format!("{}_{base}", role.role), data)?;
-                }
+        // ...plus the files taken off the hosts.
+        for (role, path, file) in files {
+            if let Some(data) = file.contents(&path) {
+                let base = path.rsplit('/').next().expect("non-empty path");
+                store.write_run_file(run.index, &format!("{role}_{base}"), data)?;
             }
         }
         let hosts_map: BTreeMap<String, String> = spec
@@ -1605,12 +1736,7 @@ impl<'t> Controller<'t> {
             .map(|r| (r.role.clone(), r.host.clone()))
             .collect();
         store.write_run_metadata(&run_metadata(
-            run,
-            run_started,
-            self.tb.now(),
-            attempts,
-            success,
-            hosts_map,
+            &run, started, finished, attempts, success, hosts_map,
         ))?;
         // Seal the run: the checksum manifest is the last artifact
         // written, so its presence certifies every other one.
@@ -1634,43 +1760,31 @@ impl<'t> Controller<'t> {
                 attempts,
             });
         }
-        // Everything Warn-and-above since the run started is this run's
-        // fault story — empty for clean runs.
-        let skip = trace_mark.saturating_sub(self.tb.trace.dropped()) as usize;
-        let fault_trace: Vec<String> = self
-            .tb
-            .trace
-            .iter()
-            .skip(skip)
-            .filter(|e| e.level >= TraceLevel::Warn)
-            .map(|e| e.to_string())
-            .collect();
-        let finished = self.tb.now();
         journal.append(&JournalRecord::RunCompleted {
             index: run.index,
             success,
             attempts,
             recoveries,
-            recovery_time_ns: run_recovery_time.as_nanos(),
-            started_ns: run_started.as_nanos(),
+            recovery_time_ns: recovery_time.as_nanos(),
+            started_ns: started.as_nanos(),
             finished_ns: finished.as_nanos(),
-            rng_cursor: self.tb.rng_cursor(),
+            rng_cursor,
             digest: digest.clone(),
             fault_trace: fault_trace.clone(),
         })?;
         Ok(RunStep {
             record: RunRecord {
-                params: run.clone(),
+                params: run,
                 outputs,
                 attempts,
                 success,
                 recoveries,
                 fault_trace,
             },
-            quarantined,
+            quarantined: quarantined.into_iter().map(|(host, _)| host).collect(),
             recoveries,
-            recovery_time: run_recovery_time,
-            started: run_started,
+            recovery_time,
+            started,
             finished,
             digest,
         })
@@ -1720,8 +1834,89 @@ pub struct CampaignSetup {
     pub started: SimTime,
 }
 
-/// What [`Controller::execute_one_run`] produced: the run's record plus
-/// the bookkeeping a campaign (or scheduler) accumulates across runs.
+/// Every command result of one script phase, per role, in order.
+type RoleResults = BTreeMap<String, Vec<CommandResult>>;
+
+/// One role's measurement output: its commands' results, waited for and
+/// joined line by line (each non-empty stdout and stderr ends in a
+/// newline).
+fn role_output(results: Vec<CommandResult>) -> CommandResult {
+    let mut joined = CommandResult::ok("").with_duration(SimDuration::ZERO);
+    for result in results {
+        let result = result.resolved();
+        for (all, part) in [
+            (&mut joined.stdout, &result.stdout),
+            (&mut joined.stderr, &result.stderr),
+        ] {
+            if !part.is_empty() {
+                all.push_str(part);
+                if !part.ends_with('\n') {
+                    all.push('\n');
+                }
+            }
+        }
+    }
+    joined
+}
+
+/// A run [`Controller::run_ahead`] executed on the virtual timeline and
+/// [`Controller::commit_run`] has yet to write: its journal facts, its
+/// outputs (possibly still simulating) and the files taken off its hosts.
+pub struct RunAhead {
+    run: RunParams,
+    started: SimTime,
+    finished: SimTime,
+    /// The shared management RNG's position at the run's end.
+    rng_cursor: u64,
+    attempts: u32,
+    success: bool,
+    recoveries: u32,
+    recovery_time: SimDuration,
+    /// Hosts quarantined during the run, with the virtual instant.
+    quarantined: Vec<(String, u64)>,
+    outputs: RoleResults,
+    /// `(role, host path, file)` of each file left under `/srv/results/`.
+    files: Vec<(String, String, HostFile)>,
+    fault_trace: Vec<String>,
+    /// An aborting error, raised at commit after the run's `RunStarted`
+    /// and `HostQuarantined` records, before any artifact.
+    error: Option<ControllerError>,
+}
+
+impl RunAhead {
+    /// True when committing this run ends the campaign: an aborting
+    /// error, or a failed run without
+    /// [`RunOptions::continue_on_run_failure`]. Nothing may run ahead of
+    /// such a run.
+    pub fn stops_campaign(&self, opts: &RunOptions) -> bool {
+        self.error.is_some() || (!self.success && !opts.continue_on_run_failure)
+    }
+}
+
+/// What a campaign accumulates over its committed (or skipped) runs, in
+/// run order.
+#[derive(Default)]
+struct Tally {
+    records: Vec<RunRecord>,
+    failed_runs: Vec<usize>,
+    quarantined_hosts: Vec<String>,
+    recoveries: u32,
+    recovery_time: SimDuration,
+}
+
+impl Tally {
+    fn add(&mut self, record: RunRecord, recoveries: u32, recovery_time: SimDuration) {
+        self.recoveries += recoveries;
+        self.recovery_time += recovery_time;
+        if !record.success {
+            self.failed_runs.push(record.params.index);
+        }
+        self.records.push(record);
+    }
+}
+
+/// What [`Controller::commit_run`] produced: the run's record plus the
+/// bookkeeping a campaign (or scheduler) accumulates across runs.
 #[derive(Debug)]
 pub struct RunStep {
     /// The run's record (outputs, attempts, success, fault trace).
@@ -2122,6 +2317,69 @@ mod tests {
             .fs
             .keys()
             .all(|k| !k.starts_with("/srv/results/")));
+    }
+
+    #[test]
+    fn a_script_reads_the_capture_its_simulation_is_still_writing() {
+        // The measurement runs ahead of its simulation; `cat` of the
+        // capture must wait for it rather than find no file.
+        let mut tb = case_study_testbed(16);
+        let mut spec = small_spec();
+        spec.loop_vars = crate::vars::Variables::new().with("pkt_rate", vec![10_000i64, 20_000]);
+        spec.global_vars.set("pkt_sz", 64i64);
+        spec.roles[0].measurement = crate::script::Script::parse(
+            "moongen --rate $pkt_rate --size $pkt_sz --time $run_secs --pcap /srv/results/tx.pcap\n\
+             cat /srv/results/tx.pcap\n\
+             pos_sync run_done\n",
+        );
+        let root = TempDir::new("ctl-pcapcat");
+        let outcome = Controller::new(&mut tb)
+            .run_experiment(&spec, &RunOptions::new(&root))
+            .unwrap();
+        assert_eq!(outcome.successes(), 2, "cat found the capture");
+        for idx in 0..2 {
+            let run_dir = outcome.result_dir.join(format!("run-{idx:04}"));
+            let pcap = std::fs::read(run_dir.join("loadgen_tx.pcap")).unwrap();
+            assert_eq!(&pcap[..4], &0xA1B2_C3D4u32.to_le_bytes());
+            let log = std::fs::read_to_string(run_dir.join("loadgen_measurement.log")).unwrap();
+            assert!(log.starts_with("# moongen-sim:"), "{log}");
+            assert!(
+                log.contains(&*String::from_utf8_lossy(&pcap)),
+                "run {idx}: cat printed the collected capture"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_simulation_fails_the_campaign_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut tb = case_study_testbed(17);
+                tb.register_command(
+                    "explode",
+                    std::rc::Rc::new(|_: &mut Testbed, _: &str, _: &[String]| {
+                        let job = crate::pool::submit(|| -> pos_testbed::DeferredOutput {
+                            panic!("simulation blew up")
+                        });
+                        CommandResult::ok_deferred(pos_testbed::Deferred::new(move || job.wait()))
+                    }),
+                );
+                let mut spec = small_spec();
+                spec.roles[0].measurement =
+                    crate::script::Script::parse("explode\npos_sync run_done\n");
+                let root = TempDir::new("ctl-explode");
+                let _ = Controller::new(&mut tb).run_experiment(&spec, &RunOptions::new(&root));
+            });
+            let message = outcome
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the campaign must not hang on a panicked simulation");
+        assert_eq!(message.as_deref(), Some("simulation blew up"));
     }
 
     #[test]

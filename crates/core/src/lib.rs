@@ -47,6 +47,7 @@ pub mod fsck;
 pub mod hash;
 pub mod journal;
 pub mod loopvars;
+pub mod pool;
 pub mod recovery;
 pub mod requirements;
 pub mod resultstore;
@@ -57,7 +58,7 @@ pub mod vfs;
 
 pub use controller::{
     CampaignSetup, CancelToken, Controller, ControllerError, ExperimentOutcome, HostHealth,
-    Progress, ProgressCounters, ProgressSnapshot, RunOptions, RunRecord, RunStep,
+    Progress, ProgressCounters, ProgressSnapshot, RunAhead, RunOptions, RunRecord, RunStep,
 };
 pub use experiment::{ExperimentSpec, RoleSpec};
 pub use loopvars::{expand_cross_product, RunParams};

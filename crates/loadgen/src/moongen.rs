@@ -308,10 +308,11 @@ impl MoonGen {
         }
     }
 
-    /// Builds the final report. `tx_frames`/`tx_bytes` come from the port
-    /// counters (what actually hit the wire), which the caller reads from
-    /// the engine.
-    pub fn report(&self, tx_frames: u64, tx_bytes: u64) -> MoonGenReport {
+    /// Builds the final report, moving the latency samples and interval
+    /// counters out of the generator (a second call reports none).
+    /// `tx_frames`/`tx_bytes` come from the port counters (what actually
+    /// hit the wire), which the caller reads from the engine.
+    pub fn report(&mut self, tx_frames: u64, tx_bytes: u64) -> MoonGenReport {
         MoonGenReport {
             offered_pps: self.config.rate_pps,
             wire_size: self.config.size.mean_wire_size().round() as usize,
@@ -324,8 +325,8 @@ impl MoonGen {
             rx_bytes: self.rx_bytes,
             lost: self.lost,
             reordered: self.reordered,
-            latency_samples_ns: self.latency_samples_ns.clone(),
-            intervals: self.intervals.clone(),
+            latency_samples_ns: std::mem::take(&mut self.latency_samples_ns),
+            intervals: std::mem::take(&mut self.intervals),
         }
     }
 }
@@ -460,7 +461,7 @@ mod tests {
         let (mut sim, gen) = loopback(cfg);
         sim.run_until(SimTime::from_secs(2));
         let c = sim.port_counters(gen, 0);
-        let mg = sim.element_as::<MoonGen>(gen).unwrap();
+        let mg = sim.element_as_mut::<MoonGen>(gen).unwrap();
         let report = mg.report(c.tx_frames, c.tx_bytes);
         assert_eq!(report.tx_attempted, 100_000);
         assert_eq!(report.tx_frames, 100_000);
@@ -490,7 +491,7 @@ mod tests {
         let (mut sim, gen) = loopback(cfg);
         sim.run_until(SimTime::from_secs(2));
         let c = sim.port_counters(gen, 0);
-        let mg = sim.element_as::<MoonGen>(gen).unwrap();
+        let mg = sim.element_as_mut::<MoonGen>(gen).unwrap();
         let report = mg.report(c.tx_frames, c.tx_bytes);
         assert!(report.tx_nic_drops > 0, "NIC must be the bottleneck");
         let achieved = report.tx_mpps();
@@ -505,8 +506,8 @@ mod tests {
         let cfg = config(50_000.0, 64, 3);
         let (mut sim, gen) = loopback(cfg);
         sim.run_until(SimTime::from_secs(4));
-        let mg = sim.element_as::<MoonGen>(gen).unwrap();
         let c = sim.port_counters(gen, 0);
+        let mg = sim.element_as_mut::<MoonGen>(gen).unwrap();
         let report = mg.report(c.tx_frames, c.tx_bytes);
         assert_eq!(report.intervals.len(), 3);
         for iv in &report.intervals {
@@ -565,7 +566,7 @@ mod tests {
         let (mut sim, gen) = loopback(cfg);
         sim.run_until(SimTime::from_secs(2));
         let c = sim.port_counters(gen, 0);
-        let mg = sim.element_as::<MoonGen>(gen).unwrap();
+        let mg = sim.element_as_mut::<MoonGen>(gen).unwrap();
         let report = mg.report(c.tx_frames, c.tx_bytes);
         assert_eq!(report.tx_frames, 30_000);
         assert_eq!(report.rx_frames, 30_000, "all sizes survive the loopback");
@@ -598,7 +599,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(2));
         let c = sim.port_counters(gen, 0);
-        let mg = sim.element_as::<MoonGen>(gen).unwrap();
+        let mg = sim.element_as_mut::<MoonGen>(gen).unwrap();
         let report = mg.report(c.tx_frames, c.tx_bytes);
         let loss = report.loss_fraction();
         assert!((0.08..0.12).contains(&loss), "loss {loss} should be ≈0.10");

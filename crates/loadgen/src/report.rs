@@ -108,6 +108,20 @@ impl MoonGenReport {
     /// interval, a final cumulative pair, then a `Samples:` line when
     /// latency was measured.
     pub fn render_text(&self) -> String {
+        self.render_with_samples(&mut self.latency_samples_ns.clone())
+    }
+
+    /// [`MoonGenReport::render_text`] of an owned report: the samples
+    /// are sorted in place instead of copied, so rendering a report
+    /// holds one copy of them, not two.
+    pub fn into_text(mut self) -> String {
+        let mut samples = std::mem::take(&mut self.latency_samples_ns);
+        self.render_with_samples(&mut samples)
+    }
+
+    /// Renders the report with `samples` (its latency samples in arrival
+    /// order) as the latency data; leaves `samples` sorted.
+    fn render_with_samples(&self, samples: &mut [u64]) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "# moongen-sim: rate={} pps, size={} B, duration={}\n",
@@ -133,16 +147,18 @@ impl MoonGenReport {
             "[Device: id=1] RX: {} packets with {} bytes (incl. CRC), {} lost, {} reordered\n",
             self.rx_frames, self.rx_bytes, self.lost, self.reordered
         ));
-        if !self.latency_samples_ns.is_empty() {
-            let mut sorted = self.latency_samples_ns.clone();
-            sorted.sort_unstable();
-            let mean = self.latency_mean_ns().expect("non-empty samples");
-            let var = self
-                .latency_samples_ns
+        if !samples.is_empty() {
+            // Mean and variance sum in arrival order, as
+            // `latency_mean_ns` does; only then are the samples sorted.
+            let n = samples.len() as f64;
+            let mean = samples.iter().map(|&v| v as f64).sum::<f64>() / n;
+            let var = samples
                 .iter()
                 .map(|&v| (v as f64 - mean).powi(2))
                 .sum::<f64>()
-                / sorted.len() as f64;
+                / n;
+            samples.sort_unstable();
+            let sorted = &*samples;
             let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
             out.push_str(&format!(
                 "Samples: {}, Average: {:.1} ns, StdDev: {:.1} ns, Quartiles: {}/{}/{} ns\n",
@@ -208,6 +224,17 @@ mod tests {
     fn loss_fraction_zero_when_nothing_sent() {
         let r = MoonGenReport::default();
         assert_eq!(r.loss_fraction(), 0.0);
+    }
+
+    #[test]
+    fn owned_render_matches_borrowed_render() {
+        let mut r = sample_report();
+        r.latency_samples_ns = vec![900, 17, 433, 433, 5, 1_000_001, 250, 3];
+        assert_eq!(r.clone().into_text(), r.render_text());
+        assert_eq!(
+            r.latency_samples_ns[0], 900,
+            "render_text keeps arrival order"
+        );
     }
 
     #[test]

@@ -254,7 +254,9 @@ pub fn run_forwarding_experiment(s: &ForwardingScenario) -> ScenarioResult {
 }
 
 /// Runs a simulation built by [`build`] for the scenario's measurement and
-/// collects the results; the simulation stays available for inspection.
+/// collects the results; the simulation stays available for inspection,
+/// but the generator's samples, intervals and capture move into the
+/// result.
 pub fn measure(
     s: &ForwardingScenario,
     sim: &mut NetSim,
@@ -266,9 +268,11 @@ pub fn measure(
     let drain = SimDuration::from_millis(200);
     sim.run_until(SimTime::ZERO + s.duration + drain);
     let counters = sim.port_counters(gen, 0);
-    let generator = sim.element_as::<MoonGen>(gen).expect("generator element");
+    let generator = sim
+        .element_as_mut::<MoonGen>(gen)
+        .expect("generator element");
     let report = generator.report(counters.tx_frames, counters.tx_bytes);
-    let tx_capture = generator.tx_capture.clone();
+    let tx_capture = std::mem::take(&mut generator.tx_capture);
     let router = sim
         .element_as::<LinuxRouter>(dut)
         .expect("router element")

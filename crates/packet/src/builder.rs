@@ -31,6 +31,13 @@ thread_local! {
     static POOL: RefCell<Vec<Rc<FrameBuf>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Frees the buffers this thread's pool retains. A thread done
+/// simulating for a while calls it, so a finished simulation's buffers
+/// do not stay resident until its next one.
+pub fn free_pool() {
+    let _ = POOL.try_with(|p| std::mem::take(&mut *p.borrow_mut()));
+}
+
 /// A uniquely held frame with room for `capacity` bytes, whose bytes
 /// `fill` writes. The buffer comes from the thread's pool when it has one.
 fn pooled(capacity: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Frame {

@@ -444,12 +444,13 @@ impl<'a> LaneSupervisor<'a> {
                 // regardless of lane count or failover history.
                 let controller = &mut self.lanes[lane];
                 controller.testbed_mut().set_now(cursor);
-                let step = controller.execute_one_run(
+                let ahead = controller.run_ahead(self.spec, self.opts, run);
+                let step = controller.commit_run(
                     self.spec,
                     self.opts,
                     store,
                     &mut self.lane_journals[lane],
-                    run,
+                    ahead,
                     self.total,
                 )?;
                 let dur = step.finished - step.started;

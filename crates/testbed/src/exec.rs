@@ -5,13 +5,21 @@
 //! testbed tokenizes them shell-style and dispatches to a command registry
 //! (builtins live in [`crate::testbed`]; experiment-specific commands like
 //! `moongen` are registered by higher layers).
+//!
+//! A command may hand back a [`Deferred`] output: its exit code and
+//! virtual duration are settled when it returns, but its text and files
+//! are still being produced elsewhere (a packet simulation on a worker
+//! thread). The testbed's timeline never reads them, so the controller
+//! can run ahead and collect them later.
 
 use pos_simkernel::SimDuration;
-use serde::{Deserialize, Serialize};
+use std::cell::{RefCell, RefMut};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Outcome of one executed command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandResult {
     /// Process exit code; 0 is success.
     pub exit_code: i32,
@@ -21,6 +29,9 @@ pub struct CommandResult {
     pub stderr: String,
     /// Virtual time the command consumed.
     pub duration: SimDuration,
+    /// Standard output still being produced, which follows `stdout`;
+    /// [`CommandResult::resolved`] waits for it.
+    pub deferred: Option<Deferred>,
 }
 
 impl CommandResult {
@@ -31,6 +42,15 @@ impl CommandResult {
             stdout: stdout.into(),
             stderr: String::new(),
             duration: SimDuration::from_millis(1),
+            deferred: None,
+        }
+    }
+
+    /// A successful result whose stdout `output` is still producing.
+    pub fn ok_deferred(output: Deferred) -> CommandResult {
+        CommandResult {
+            deferred: Some(output),
+            ..CommandResult::ok("")
         }
     }
 
@@ -41,7 +61,17 @@ impl CommandResult {
             stdout: String::new(),
             stderr: stderr.into(),
             duration: SimDuration::from_millis(1),
+            deferred: None,
         }
+    }
+
+    /// The result with its deferred output, if any, waited for and
+    /// appended to `stdout`.
+    pub fn resolved(mut self) -> CommandResult {
+        if let Some(output) = self.deferred.take() {
+            self.stdout.push_str(&output.ready().stdout);
+        }
+        self
     }
 
     /// Sets the consumed duration.
@@ -53,6 +83,71 @@ impl CommandResult {
     /// True on exit code zero.
     pub fn success(&self) -> bool {
         self.exit_code == 0
+    }
+}
+
+/// What a deferred command leaves once it has run: its standard output
+/// and the files it writes on its host, by path.
+#[derive(Debug, Default)]
+pub struct DeferredOutput {
+    /// The command's standard output.
+    pub stdout: String,
+    /// Files for the host's filesystem, by absolute path.
+    pub files: BTreeMap<String, Vec<u8>>,
+}
+
+/// A handle on a [`DeferredOutput`] still being produced. The command's
+/// result and its host's pending files share one handle; the first read
+/// waits for the producer, later reads see the same output. Dropping
+/// every handle before the first read drops the producer unread.
+#[derive(Clone)]
+pub struct Deferred(Rc<RefCell<Slot>>);
+
+struct Slot {
+    wait: Option<Box<dyn FnOnce() -> DeferredOutput>>,
+    output: DeferredOutput,
+}
+
+impl Deferred {
+    /// A handle whose output `wait` produces (blocking) on first read.
+    pub fn new(wait: impl FnOnce() -> DeferredOutput + 'static) -> Deferred {
+        Deferred(Rc::new(RefCell::new(Slot {
+            wait: Some(Box::new(wait)),
+            output: DeferredOutput::default(),
+        })))
+    }
+
+    /// The output, waited for on first use.
+    fn ready(&self) -> RefMut<'_, DeferredOutput> {
+        let mut slot = self.0.borrow_mut();
+        if let Some(wait) = slot.wait.take() {
+            slot.output = wait();
+        }
+        RefMut::map(slot, |slot| &mut slot.output)
+    }
+
+    /// Moves the file at `path` out of the output, waiting for it first.
+    pub fn take_file(&self, path: &str) -> Option<Vec<u8>> {
+        self.ready().files.remove(path)
+    }
+}
+
+impl PartialEq for Deferred {
+    fn eq(&self, other: &Deferred) -> bool {
+        Rc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Deferred {}
+
+impl fmt::Debug for Deferred {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = match self.0.try_borrow() {
+            Ok(slot) if slot.wait.is_some() => "pending",
+            Ok(_) => "ready",
+            Err(_) => "resolving",
+        };
+        write!(f, "Deferred({state})")
     }
 }
 

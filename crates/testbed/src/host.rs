@@ -7,6 +7,7 @@
 //! is exactly the live-image clean-slate guarantee the paper builds on.
 
 use crate::config_iface::ConfigInterface;
+use crate::exec::Deferred;
 use crate::image::ImageId;
 use crate::power::InitInterface;
 use pos_simkernel::SimTime;
@@ -163,8 +164,12 @@ pub struct Host {
     pub selected_image: Option<ImageId>,
     /// Kernel boot parameters for the next boot.
     pub boot_params: Vec<String>,
-    /// In-memory filesystem: path -> contents. Wiped on boot.
+    /// In-memory filesystem: path -> contents. Wiped on boot. A file a
+    /// deferred command is still producing is not here yet: read files
+    /// through [`Host::file`] and write them through [`Host::write_file`].
     pub fs: BTreeMap<String, Vec<u8>>,
+    /// Files deferred commands are still producing, by path.
+    pending: BTreeMap<String, Deferred>,
     /// pos-deployed variables. Wiped on boot.
     pub vars: BTreeMap<String, String>,
     /// Kernel tunables (`sysctl`). Wiped on boot to image defaults.
@@ -180,6 +185,26 @@ pub struct Host {
     pub wedged: bool,
 }
 
+/// A file taken off a host by [`Host::take_files`].
+#[derive(Debug, Clone)]
+pub enum HostFile {
+    /// Its contents.
+    Ready(Vec<u8>),
+    /// The deferred command still producing it.
+    Pending(Deferred),
+}
+
+impl HostFile {
+    /// The file's contents, waiting for them if needed; `None` when the
+    /// deferred command did not write the file after all.
+    pub fn contents(self, path: &str) -> Option<Vec<u8>> {
+        match self {
+            HostFile::Ready(contents) => Some(contents),
+            HostFile::Pending(output) => output.take_file(path),
+        }
+    }
+}
+
 impl Host {
     /// Creates a powered-off host.
     pub fn new(name: impl Into<String>, spec: HardwareSpec, init: InitInterface) -> Host {
@@ -193,6 +218,7 @@ impl Host {
             selected_image: None,
             boot_params: Vec::new(),
             fs: BTreeMap::new(),
+            pending: BTreeMap::new(),
             vars: BTreeMap::new(),
             sysctls: BTreeMap::new(),
             netconf: BTreeMap::new(),
@@ -219,6 +245,7 @@ impl Host {
     /// reset to the image's pristine defaults.
     pub(crate) fn apply_clean_slate(&mut self, image: ImageId) {
         self.fs.clear();
+        self.pending.clear();
         self.vars.clear();
         self.netconf.clear();
         self.console.clear();
@@ -226,6 +253,54 @@ impl Host {
         self.power = PowerState::On { image };
         self.boots += 1;
         self.wedged = false;
+    }
+
+    /// Writes the file at `path`, replacing whatever was there.
+    pub fn write_file(&mut self, path: impl Into<String>, contents: Vec<u8>) {
+        let path = path.into();
+        self.pending.remove(&path);
+        self.fs.insert(path, contents);
+    }
+
+    /// Declares that `output` will write the file at `path`: from now on
+    /// the file is `output`'s, and the first read waits for it.
+    pub fn defer_file(&mut self, path: impl Into<String>, output: Deferred) {
+        let path = path.into();
+        self.fs.remove(&path);
+        self.pending.insert(path, output);
+    }
+
+    /// The file at `path`, waiting first for a deferred command that is
+    /// still producing it.
+    pub fn file(&mut self, path: &str) -> Option<&Vec<u8>> {
+        if let Some(output) = self.pending.remove(path) {
+            if let Some(contents) = output.take_file(path) {
+                self.fs.insert(path.to_owned(), contents);
+            }
+        }
+        self.fs.get(path)
+    }
+
+    /// Removes every file whose path starts with `prefix`, in path order,
+    /// without waiting for the ones still being produced.
+    pub fn take_files(&mut self, prefix: &str) -> Vec<(String, HostFile)> {
+        let mut taken = Vec::new();
+        self.fs.retain(|path, contents| {
+            let take = path.starts_with(prefix);
+            if take {
+                taken.push((path.clone(), HostFile::Ready(std::mem::take(contents))));
+            }
+            !take
+        });
+        self.pending.retain(|path, output| {
+            let take = path.starts_with(prefix);
+            if take {
+                taken.push((path.clone(), HostFile::Pending(output.clone())));
+            }
+            !take
+        });
+        taken.sort_by(|a, b| a.0.cmp(&b.0));
+        taken
     }
 
     /// Simulates a crash: the host stops responding in-band.

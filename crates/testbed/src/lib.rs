@@ -37,8 +37,8 @@ pub mod vtestbed;
 
 pub use calendar::{Calendar, Reservation, ReservationError, ReservationId};
 pub use config_iface::ConfigInterface;
-pub use exec::{split_command_line, CommandResult, ExecError};
-pub use host::{DeviceKind, HardwareSpec, Host, NicSpec, PowerState};
+pub use exec::{split_command_line, CommandResult, Deferred, DeferredOutput, ExecError};
+pub use host::{DeviceKind, HardwareSpec, Host, HostFile, NicSpec, PowerState};
 pub use image::{Image, ImageId, ImageStore};
 pub use power::{InitInterface, PowerError};
 pub use testbed::Testbed;

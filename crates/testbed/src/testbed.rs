@@ -474,7 +474,7 @@ impl Testbed {
                 ),
             });
         }
-        h.fs.insert(path.to_owned(), contents.to_vec());
+        h.write_file(path, contents.to_vec());
         self.advance(SimDuration::from_millis(50));
         Ok(())
     }
@@ -483,7 +483,7 @@ impl Testbed {
     pub fn download(&mut self, host: &str, path: &str) -> Result<Vec<u8>, ExecError> {
         self.apply_due_crashes();
         let h = self.reachable_host_mut(host)?;
-        h.fs.get(path).cloned().ok_or(ExecError::BadCommandLine {
+        h.file(path).cloned().ok_or(ExecError::BadCommandLine {
             reason: format!("{path}: no such file"),
         })
     }
@@ -508,6 +508,27 @@ impl Testbed {
     /// command yields exit code 127 (shell convention), not an `Err` —
     /// experiment scripts decide how to react to failing commands.
     pub fn exec(&mut self, host: &str, command_line: &str) -> Result<CommandResult, ExecError> {
+        self.dispatch(host, command_line, false)
+    }
+
+    /// [`Testbed::exec`] that returns as soon as the command's exit code
+    /// and virtual duration are settled: output a command defers (see
+    /// [`crate::exec::Deferred`]) is left in the result, unread, and is
+    /// not copied to the host's console.
+    pub fn exec_deferred(
+        &mut self,
+        host: &str,
+        command_line: &str,
+    ) -> Result<CommandResult, ExecError> {
+        self.dispatch(host, command_line, true)
+    }
+
+    fn dispatch(
+        &mut self,
+        host: &str,
+        command_line: &str,
+        defer: bool,
+    ) -> Result<CommandResult, ExecError> {
         self.apply_due_crashes();
         let iface = self.reachable_host_mut(host)?.config_interface;
         let argv = split_command_line(command_line)?;
@@ -538,7 +559,12 @@ impl Testbed {
         }
 
         let result = if let Some(handler) = self.commands.get(&argv[0]).cloned() {
-            handler(self, host, &argv)
+            let result = handler(self, host, &argv);
+            if defer {
+                result
+            } else {
+                result.resolved()
+            }
         } else if iface.has_shell() {
             self.builtin(host, &argv)
         } else {
@@ -703,7 +729,7 @@ impl Testbed {
             }
             "lspci" | "pos-hardware-info" => CommandResult::ok(h.spec.render()),
             "cat" => match argv.get(1) {
-                Some(path) => match h.fs.get(path.as_str()) {
+                Some(path) => match h.file(path) {
                     Some(data) => CommandResult::ok(String::from_utf8_lossy(data).into_owned()),
                     None => CommandResult::fail(1, format!("cat: {path}: No such file")),
                 },

@@ -161,7 +161,7 @@ fn link_fault_demo() {
         sim.run_until(SimTime::from_secs(2));
         let counters = sim.port_counters(gen, 0);
         let report = sim
-            .element_as::<pos::loadgen::moongen::MoonGen>(gen)
+            .element_as_mut::<pos::loadgen::moongen::MoonGen>(gen)
             .expect("generator")
             .report(counters.tx_frames, counters.tx_bytes);
         let (link_drops, _) = sim.link_fault_stats(gen, 0).expect("wired");
