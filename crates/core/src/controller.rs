@@ -1291,88 +1291,21 @@ impl<'t> Controller<'t> {
         // timeline while the packet simulations of earlier runs finish on
         // the worker pool, and commit strictly in run order. At most
         // `window` runs are uncommitted at once; an aborting run, a
-        // skipped run and a cancel commit everything before them first.
+        // skipped run and a cancel commit everything in flight first.
         let window = crate::pool::workers();
         let mut in_flight: VecDeque<RunAhead> = VecDeque::new();
         for run in &runs {
-            if let Some(done) = resume.completed.get(&run.index) {
-                self.commit_window(
-                    spec,
-                    opts,
-                    &store,
-                    &mut journal,
-                    &mut in_flight,
-                    0,
-                    total,
-                    &mut tally,
-                )?;
-                // Verified complete by an earlier session: fast-forward
-                // the virtual clock to the recorded run end and seek the
-                // shared management RNG stream to its recorded cursor —
-                // the timeline continues exactly as if this session had
-                // executed the run itself. Chaos events due inside the
-                // skipped window: a journaled recovery means the original
-                // session consumed them (host rebooted, setup re-run), so
-                // they are discarded; with no recovery a crash in the
-                // window went *undetected* — the host died mid-run with
-                // nothing touching it — and the event is left scheduled,
-                // so it fires at the next executed command exactly where
-                // the original session first observed it.
-                self.tb.set_now(SimTime::from_nanos(done.finished_ns));
-                if done.recoveries > 0 {
-                    self.tb.discard_due_faults();
-                }
-                self.tb.rng_seek(done.rng_cursor);
-                self.log_now(
-                    TraceLevel::Debug,
-                    "controller",
-                    format!("resume: run {} verified, skipped", run.index),
-                );
-                let run_dir = store.run_dir(run.index)?;
-                let outputs = Self::reload_run_outputs(spec, &run_dir)?;
-                self.emit(Progress::RunSkipped {
-                    index: run.index,
-                    total,
-                });
-                tally.add(
-                    RunRecord {
-                        params: run.clone(),
-                        outputs,
-                        attempts: done.attempts,
-                        success: done.success,
-                        recoveries: done.recoveries,
-                        fault_trace: done.fault_trace.clone(),
-                    },
-                    done.recoveries,
-                    SimDuration::from_nanos(done.recovery_time_ns),
-                );
-                continue;
-            }
+            let skipped = resume.completed.get(&run.index);
             // Cooperative checkpoint: an urgent drain trips the token and
             // the campaign stops *here*, between runs — every journaled
             // record is consistent, so resume picks up at this exact run.
-            if opts.cancel.is_canceled() {
-                self.commit_window(
-                    spec,
-                    opts,
-                    &store,
-                    &mut journal,
-                    &mut in_flight,
-                    0,
-                    total,
-                    &mut tally,
-                )?;
-                return Err(ControllerError::Canceled {
-                    completed_runs: tally.records.len(),
-                });
-            }
-            let ahead = self.run_ahead(spec, opts, run);
-            let keep = if ahead.stops_campaign(opts) {
-                0
-            } else {
-                window - 1
+            let canceled = skipped.is_none() && opts.cancel.is_canceled();
+            let ahead = (skipped.is_none() && !canceled).then(|| self.run_ahead(spec, opts, run));
+            let keep = match &ahead {
+                Some(ahead) if !ahead.stops_campaign(opts) => window - 1,
+                _ => 0,
             };
-            in_flight.push_back(ahead);
+            in_flight.extend(ahead);
             self.commit_window(
                 spec,
                 opts,
@@ -1383,6 +1316,52 @@ impl<'t> Controller<'t> {
                 total,
                 &mut tally,
             )?;
+            if canceled {
+                return Err(ControllerError::Canceled {
+                    completed_runs: tally.records.len(),
+                });
+            }
+            let Some(done) = skipped else { continue };
+            // Verified complete by an earlier session: fast-forward
+            // the virtual clock to the recorded run end and seek the
+            // shared management RNG stream to its recorded cursor —
+            // the timeline continues exactly as if this session had
+            // executed the run itself. Chaos events due inside the
+            // skipped window: a journaled recovery means the original
+            // session consumed them (host rebooted, setup re-run), so
+            // they are discarded; with no recovery a crash in the
+            // window went *undetected* — the host died mid-run with
+            // nothing touching it — and the event is left scheduled,
+            // so it fires at the next executed command exactly where
+            // the original session first observed it.
+            self.tb.set_now(SimTime::from_nanos(done.finished_ns));
+            if done.recoveries > 0 {
+                self.tb.discard_due_faults();
+            }
+            self.tb.rng_seek(done.rng_cursor);
+            self.log_now(
+                TraceLevel::Debug,
+                "controller",
+                format!("resume: run {} verified, skipped", run.index),
+            );
+            let run_dir = store.run_dir(run.index)?;
+            let outputs = Self::reload_run_outputs(spec, &run_dir)?;
+            self.emit(Progress::RunSkipped {
+                index: run.index,
+                total,
+            });
+            tally.add(
+                RunRecord {
+                    params: run.clone(),
+                    outputs,
+                    attempts: done.attempts,
+                    success: done.success,
+                    recoveries: done.recoveries,
+                    fault_trace: done.fault_trace.clone(),
+                },
+                done.recoveries,
+                SimDuration::from_nanos(done.recovery_time_ns),
+            );
         }
         self.commit_window(
             spec,
@@ -1888,7 +1867,7 @@ impl RunAhead {
     /// error, or a failed run without
     /// [`RunOptions::continue_on_run_failure`]. Nothing may run ahead of
     /// such a run.
-    pub fn stops_campaign(&self, opts: &RunOptions) -> bool {
+    fn stops_campaign(&self, opts: &RunOptions) -> bool {
         self.error.is_some() || (!self.success && !opts.continue_on_run_failure)
     }
 }

@@ -47,7 +47,7 @@ pub mod fsck;
 pub mod hash;
 pub mod journal;
 pub mod loopvars;
-pub mod pool;
+mod pool;
 pub mod recovery;
 pub mod requirements;
 pub mod resultstore;

@@ -8,12 +8,14 @@
 //!
 //! A [`Job`] is the submitter's handle. Dropping it before a worker
 //! picks the job up skips the job; a job that panics re-raises the panic
-//! in [`Job::wait`], so a waiting caller fails instead of hanging. If no
-//! worker thread can be started, jobs run inline at submission.
+//! in [`Job::wait`], so a waiting caller fails instead of hanging. The
+//! workers are never joined: a job's panic is caught and handed to its
+//! waiter, so none goes unseen. If no worker thread can be started, jobs
+//! run inline at submission.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 type Task = Box<dyn FnOnce() + Send>;
@@ -24,8 +26,10 @@ struct Queue {
     ready: Condvar,
 }
 
+/// Locks a pool mutex. Jobs run outside every lock and no lock holder
+/// can panic, so a poisoned lock is a bug in this module.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    m.lock().expect("no pool lock holder panics")
 }
 
 /// The pool's queue, starting its workers on first use; `None` when not
@@ -89,12 +93,7 @@ fn work(queue: &Queue) {
             loop {
                 match tasks.pop_front() {
                     Some(task) => break task,
-                    None => {
-                        tasks = queue
-                            .ready
-                            .wait(tasks)
-                            .unwrap_or_else(PoisonError::into_inner)
-                    }
+                    None => tasks = queue.ready.wait(tasks).expect("no pool lock holder panics"),
                 }
             }
         };
@@ -172,7 +171,7 @@ impl<T> Job<T> {
                         .shared
                         .done
                         .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
+                        .expect("no pool lock holder panics");
                 }
             }
         }
@@ -192,7 +191,7 @@ impl<T> Drop for Job<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
+    use std::sync::mpsc;
 
     #[test]
     fn jobs_return_their_values() {
@@ -217,24 +216,23 @@ mod tests {
     #[test]
     fn a_job_dropped_before_it_starts_is_skipped() {
         // Occupy every worker until released, so the next job stays queued.
-        let release = Arc::new(AtomicBool::new(false));
-        let blockers: Vec<Job<()>> = (0..workers())
+        let (releases, blockers): (Vec<_>, Vec<Job<()>>) = (0..workers())
             .map(|_| {
-                let release = release.clone();
-                submit(move || {
-                    while !release.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                })
+                let (release, wait) = mpsc::channel::<()>();
+                let blocker = submit(move || {
+                    // Returns once the test drops the sender.
+                    let _ = wait.recv();
+                });
+                (release, blocker)
             })
-            .collect();
+            .unzip();
         let ran = Arc::new(AtomicBool::new(false));
         let flag = ran.clone();
         drop(submit(move || flag.store(true, Ordering::SeqCst)));
-        release.store(true, Ordering::SeqCst);
+        drop(releases);
         blockers.into_iter().for_each(Job::wait);
-        // A job queued behind the dropped one has run once this returns.
-        submit(|| ()).wait();
+        // Jobs queued behind the dropped one have run once these return.
+        (0..workers()).map(|_| submit(|| ())).for_each(Job::wait);
         assert!(!ran.load(Ordering::SeqCst), "a dropped job must not run");
     }
 }

@@ -19,7 +19,7 @@ use std::fmt;
 use std::rc::Rc;
 
 /// Outcome of one executed command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CommandResult {
     /// Process exit code; 0 is success.
     pub exit_code: i32,
@@ -131,14 +131,6 @@ impl Deferred {
         self.ready().files.remove(path)
     }
 }
-
-impl PartialEq for Deferred {
-    fn eq(&self, other: &Deferred) -> bool {
-        Rc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for Deferred {}
 
 impl fmt::Debug for Deferred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
