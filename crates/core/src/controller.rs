@@ -984,9 +984,12 @@ impl<'t> Controller<'t> {
         Ok(aggregated)
     }
 
-    /// Validates the spec, folds repetitions into a synthetic loop
-    /// variable, checks hosts exist, and expands the cross product.
-    fn prepare(
+    /// Validates `spec`, folds repetitions into a synthetic loop
+    /// variable, checks its hosts exist on this controller's testbed, and
+    /// expands the cross product — the read-only front half of every
+    /// campaign, exposed for schedulers that shard the run list across
+    /// lanes.
+    pub fn prepare_campaign(
         &self,
         spec: &ExperimentSpec,
         opts: &RunOptions,
@@ -1021,18 +1024,6 @@ impl<'t> Controller<'t> {
         Ok((spec, runs))
     }
 
-    /// Validates `spec` against this controller's testbed, folds
-    /// repetitions into a synthetic loop variable, and expands the cross
-    /// product — the read-only front half of [`Self::run_experiment`],
-    /// exposed for schedulers that shard the run list across lanes.
-    pub fn prepare_campaign(
-        &self,
-        spec: &ExperimentSpec,
-        opts: &RunOptions,
-    ) -> Result<(ExperimentSpec, Vec<RunParams>), ControllerError> {
-        self.prepare(spec, opts)
-    }
-
     /// Runs a complete experiment: setup phase, all measurement runs, and
     /// result capture. The result tree is left on disk for the evaluation
     /// and publication phases.
@@ -1045,21 +1036,11 @@ impl<'t> Controller<'t> {
         spec: &ExperimentSpec,
         opts: &RunOptions,
     ) -> Result<ExperimentOutcome, ControllerError> {
-        let (spec, runs) = self.prepare(spec, opts)?;
+        let (spec, runs) = self.prepare_campaign(spec, opts)?;
         // Every in-band command from here on runs under the watchdog.
         self.tb.set_command_timeout(opts.command_timeout);
-        let started = self.tb.now();
-        let store = ResultStore::create(&opts.result_root, &spec.user, &spec.name, started)?
-            .with_vfs(opts.vfs.clone());
-        let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
-        journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-        journal.append(&JournalRecord::CampaignStarted {
-            seed: self.tb.seed(),
-            spec_digest: spec.digest(),
-            total_runs: runs.len(),
-            testbed: opts.testbed_flavor.clone(),
-            started_ns: started.as_nanos(),
-        })?;
+        let (store, journal) =
+            create_campaign_tree(&spec, opts, self.tb.seed(), runs.len(), self.tb.now())?;
         let fresh = CampaignJournals::default();
         self.execute_campaign(&spec, opts, store, journal, runs, &fresh)
     }
@@ -1091,16 +1072,17 @@ impl<'t> Controller<'t> {
         spec: &ExperimentSpec,
         opts: &RunOptions,
     ) -> Result<ExperimentOutcome, ControllerError> {
-        let (spec, runs) = self.prepare(spec, opts)?;
+        let (spec, runs) = self.prepare_campaign(spec, opts)?;
         self.tb.set_command_timeout(opts.command_timeout);
-
-        let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
-        let mut journals = CampaignJournals::read_for_resume(store.dir())?;
-        journals.identity()?.check(
-            &opts.testbed_flavor,
+        let mut journals = CampaignJournals::read_for_resume(result_dir)?;
+        let (store, journal) = reopen_campaign_tree(
+            result_dir,
+            &mut journals,
+            opts,
             self.tb.seed(),
-            &spec.digest(),
+            &spec,
             runs.len(),
+            self.tb.now(),
         )?;
         if journals.journal.torn_tail {
             self.log_now(
@@ -1112,21 +1094,14 @@ impl<'t> Controller<'t> {
                 ),
             );
         }
-        journals.retain_verified(store.dir());
-
-        let mut journal =
-            Journal::open_append_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
-        journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-        journal.append(&JournalRecord::CampaignResumed {
-            resumed_ns: self.tb.now().as_nanos(),
-            verified_runs: journals.completed.len(),
-        })?;
         self.execute_campaign(&spec, opts, store, journal, runs, &journals)
     }
 
-    /// The §4.4 setup phase alone: calendar allocation, publishable
-    /// inputs, image selection and reboot, tool deployment, hardware
-    /// capture, setup scripts in lockstep.
+    /// The §4.4 setup phase alone: calendar allocation, topology
+    /// capture, image selection and reboot, tool deployment, hardware
+    /// capture, setup scripts in lockstep. The publishable inputs are not
+    /// written here: [`create_campaign_tree`] stores them before the
+    /// journal exists.
     ///
     /// With `store: None` the same virtual-time story plays out (boots,
     /// deployments, hardware probes) but nothing is persisted — the form a
@@ -1165,28 +1140,9 @@ impl<'t> Controller<'t> {
             ),
         );
 
-        // Persist the publishable inputs before anything runs.
+        // The stored experiment is already on disk (the tree's creator
+        // wrote it before the journal); the wiring joins it here.
         if let Some(store) = store {
-            store.write("experiment/experiment.yml", spec.to_yaml())?;
-            store.write(
-                "experiment/global-variables.yml",
-                spec.global_vars.to_yaml(),
-            )?;
-            store.write("experiment/loop-variables.yml", spec.loop_vars.to_yaml())?;
-            for role in &spec.roles {
-                store.write(
-                    &format!("experiment/{}/setup.sh", role.role),
-                    &role.setup.source,
-                )?;
-                store.write(
-                    &format!("experiment/{}/measurement.sh", role.role),
-                    &role.measurement.source,
-                )?;
-                store.write(
-                    &format!("experiment/{}/local-variables.yml", role.role),
-                    role.local_vars.to_yaml(),
-                )?;
-            }
             store.write("topology.txt", self.tb.topology.render())?;
         }
 
@@ -1811,6 +1767,61 @@ pub struct CampaignSetup {
     pub reservation: pos_testbed::ReservationId,
     /// Virtual instant the setup phase began.
     pub started: SimTime,
+}
+
+/// The one creator of campaign trees, born whole: the tree directory
+/// named by `started`, then the stored `experiment/` of the prepared
+/// `spec` (atomic fsynced writes through `opts.vfs`), and only then the
+/// journal, armed with the injected crash, and its `CampaignStarted`.
+pub fn create_campaign_tree(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    seed: u64,
+    total_runs: usize,
+    started: SimTime,
+) -> Result<(ResultStore, Journal), ControllerError> {
+    let store = ResultStore::create(&opts.result_root, &spec.user, &spec.name, started)?
+        .with_vfs(opts.vfs.clone());
+    store.write_experiment(spec)?;
+    let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
+    journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
+    journal.append(&JournalRecord::CampaignStarted {
+        seed,
+        spec_digest: spec.digest(),
+        total_runs,
+        testbed: opts.testbed_flavor.clone(),
+        started_ns: started.as_nanos(),
+    })?;
+    Ok((store, journal))
+}
+
+/// Reopens the campaign tree at `dir` for the sequential or the parallel
+/// resume: checks the fold's identity against this session, keeps only
+/// the completions that still verify, reopens the journal (shedding a
+/// torn tail), arms the injected crash and appends `CampaignResumed`.
+/// The stored `experiment/` is not rewritten: `spec` was loaded from it
+/// and its digest just matched the journal's.
+pub fn reopen_campaign_tree(
+    dir: &Path,
+    journals: &mut CampaignJournals,
+    opts: &RunOptions,
+    seed: u64,
+    spec: &ExperimentSpec,
+    total_runs: usize,
+    resumed: SimTime,
+) -> Result<(ResultStore, Journal), ControllerError> {
+    journals
+        .identity()?
+        .check(&opts.testbed_flavor, seed, &spec.digest(), total_runs)?;
+    journals.retain_verified(dir);
+    let store = ResultStore::open(dir).with_vfs(opts.vfs.clone());
+    let mut journal = Journal::open_append_with(dir.join(JOURNAL_FILE), opts.vfs.clone())?;
+    journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
+    journal.append(&JournalRecord::CampaignResumed {
+        resumed_ns: resumed.as_nanos(),
+        verified_runs: journals.completed.len(),
+    })?;
+    Ok((store, journal))
 }
 
 /// Every command result of one script phase, per role, in order.

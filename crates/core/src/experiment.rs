@@ -223,24 +223,36 @@ impl ExperimentSpec {
         crate::hash::sha256_hex(self.to_yaml().as_bytes())
     }
 
-    /// Writes the experiment as a file bundle, the layout of the
-    /// `pos-artifacts` repository's `experiment/` folder: `experiment.yml`
-    /// plus, per role, plain-text `setup.sh` / `measurement.sh` /
-    /// `local-variables.yml`, and the global/loop variable files.
-    pub fn to_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("experiment.yml"), self.to_yaml())?;
-        std::fs::write(dir.join("global-variables.yml"), self.global_vars.to_yaml())?;
-        std::fs::write(dir.join("loop-variables.yml"), self.loop_vars.to_yaml())?;
+    /// The experiment's file bundle, the layout of the `pos-artifacts`
+    /// repository's `experiment/` folder: each file's path relative to
+    /// the bundle root with its contents, in write order —
+    /// `experiment.yml`, the global and loop variable files, then per
+    /// role plain-text `setup.sh` / `measurement.sh` /
+    /// `local-variables.yml`. The one definition of that layout:
+    /// [`Self::to_dir`] and a result tree's stored inputs
+    /// ([`crate::resultstore::ResultStore::write_experiment`]) both write
+    /// exactly these files.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let mut files = vec![
+            ("experiment.yml".to_string(), self.to_yaml()),
+            ("global-variables.yml".into(), self.global_vars.to_yaml()),
+            ("loop-variables.yml".into(), self.loop_vars.to_yaml()),
+        ];
         for role in &self.roles {
-            let role_dir = dir.join(&role.role);
-            std::fs::create_dir_all(&role_dir)?;
-            std::fs::write(role_dir.join("setup.sh"), &role.setup.source)?;
-            std::fs::write(role_dir.join("measurement.sh"), &role.measurement.source)?;
-            std::fs::write(
-                role_dir.join("local-variables.yml"),
-                role.local_vars.to_yaml(),
-            )?;
+            let role_file = |name: &str| format!("{}/{name}", role.role);
+            files.push((role_file("setup.sh"), role.setup.source.clone()));
+            files.push((role_file("measurement.sh"), role.measurement.source.clone()));
+            files.push((role_file("local-variables.yml"), role.local_vars.to_yaml()));
+        }
+        files
+    }
+
+    /// Writes the experiment's file bundle ([`Self::files`]) into `dir`.
+    pub fn to_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        for (rel, contents) in self.files() {
+            let path = dir.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap_or(dir))?;
+            std::fs::write(path, contents)?;
         }
         Ok(())
     }

@@ -43,6 +43,7 @@
 //! campaign journal records in `RunCompleted`. Verification is therefore
 //! two-level: journal digest → manifest bytes → per-file hashes.
 
+use crate::experiment::ExperimentSpec;
 use crate::hash::sha256_hex;
 use crate::loopvars::RunParams;
 use crate::vfs::Vfs;
@@ -245,6 +246,16 @@ impl ResultStore {
     pub fn write(&self, rel: &str, contents: impl AsRef<[u8]>) -> io::Result<()> {
         self.vfs
             .atomic_write(&self.dir.join(rel), contents.as_ref())
+    }
+
+    /// Stores `spec`'s publishable inputs under `experiment/`: every
+    /// file of [`ExperimentSpec::files`], each written atomically and
+    /// fsynced through this store's [`Vfs`].
+    pub fn write_experiment(&self, spec: &ExperimentSpec) -> io::Result<()> {
+        for (rel, contents) in spec.files() {
+            self.write(&format!("experiment/{rel}"), contents)?;
+        }
+        Ok(())
     }
 
     /// Reads a file relative to the experiment directory.

@@ -43,7 +43,8 @@ use crate::target::{ExecutionTarget, SweepRequest, TargetReport};
 use crate::{toposort, viz, DagError};
 use pos_core::controller::RunOptions;
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{Journal, JOURNAL_FILE};
+use pos_core::journal::{campaign_disk_state, CampaignDiskState, Journal, JOURNAL_FILE};
+use pos_core::recovery::is_not_found;
 use pos_core::resultstore::{tree_digest, ResultStore};
 use pos_simkernel::SimTime;
 use std::collections::BTreeMap;
@@ -203,7 +204,6 @@ fn execute_stage(
     target: &mut dyn ExecutionTarget,
     dag_dir: &Path,
     journal: &mut Journal<DagRecord>,
-    resume_sweep_in_place: bool,
 ) -> Result<(String, usize, u64), DagError> {
     let stage_dir = dag_dir.join(format!("stage-{}", stage.id));
     match stage.kind {
@@ -232,22 +232,15 @@ fn execute_stage(
                 opts: &sweep_opts,
                 lanes: dopts.lanes,
             };
-            let existing = if resume_sweep_in_place {
-                sweep_tree(&stage_dir).filter(|t| t.join(JOURNAL_FILE).exists())
-            } else {
-                None
-            };
-            let out = match existing {
-                Some(tree) => target.resume_sweep(&tree, &req)?,
-                None => {
-                    // A husk without a durable journal cannot be resumed;
-                    // wipe it so the rerun reclaims the canonical vt path.
-                    if stage_dir.exists() {
-                        fs::remove_dir_all(&stage_dir)?;
-                    }
-                    target.run_sweep(&req)?
-                }
-            };
+            let existing = sweep_tree(&stage_dir)
+                .filter(|t| !matches!(campaign_disk_state(t), CampaignDiskState::NoJournal));
+            if existing.is_none() && stage_dir.exists() {
+                // A husk without a durable journal record cannot be
+                // resumed; wipe it so the rerun reclaims the canonical vt
+                // path.
+                fs::remove_dir_all(&stage_dir)?;
+            }
+            let out = target.sweep(existing.as_deref(), &req)?;
             Ok((
                 tree_digest(&stage_dir)?,
                 out.outcome.failed_runs.len(),
@@ -351,11 +344,12 @@ fn critical_path(dag: &DagSpec, finish: &BTreeMap<String, u64>) -> Vec<String> {
 
 /// Executes a DAG from scratch on `target`.
 ///
-/// Creates the DAG result tree under `opts.result_root`, journals every
-/// stage transition, and dispatches stages in deterministic topological
-/// order. The virtual schedule honors the ready sets: a stage starts at
-/// the latest finish of its dependencies, so independent stages overlap
-/// on the reported makespan.
+/// Creates the DAG result tree under `opts.result_root` and hands it to
+/// [`resume_dag`], whose empty-journal branch starts the journal: a
+/// fresh DAG is a resumed one with nothing durable yet. Stages dispatch
+/// in deterministic topological order. The virtual schedule honors the
+/// ready sets: a stage starts at the latest finish of its dependencies,
+/// so independent stages overlap on the reported makespan.
 pub fn run_dag(
     dag: &DagSpec,
     exp: &ExperimentSpec,
@@ -366,66 +360,100 @@ pub fn run_dag(
     dag.validate()?;
     exp.validate()
         .map_err(pos_core::controller::ControllerError::Spec)?;
-    let order = toposort::toposort(dag)?;
-
-    let store = ResultStore::create(&opts.result_root, &exp.user, &dag.name, SimTime::ZERO)?
-        .with_vfs(opts.vfs.clone());
-    let dag_dir = store.dir().to_path_buf();
-    store.write(crate::spec::DAG_FILE, dag.to_yaml())?;
-    store.write("dag.dot", viz::render_dot(dag, Some(exp), None))?;
-    exp.to_dir(&dag_dir.join("experiment"))?;
-
-    let identity = DagIdentity::new(dag, exp, dopts.seed, &opts.testbed_flavor, target.name());
-    let mut journal = start_journal(identity, opts, dopts, &dag_dir)?;
-    execute_in_order(
-        dag,
-        exp,
-        opts,
-        dopts,
-        target,
-        &dag_dir,
-        &mut journal,
-        &order,
-        &BTreeMap::new(),
-    )
+    let dag_dir = create_dag_tree(dag, exp, opts)?;
+    resume_dag(&dag_dir, opts, dopts, target)
 }
 
-/// Creates the DAG journal in `dag_dir` (truncating any existing one),
-/// arms the injected crash, and journals the DAG's identity — the first
-/// record of every DAG journal.
-fn start_journal(
-    identity: DagIdentity,
-    opts: &RunOptions,
-    dopts: &DagOptions,
-    dag_dir: &Path,
-) -> Result<Journal<DagRecord>, DagError> {
-    let mut journal = Journal::create_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())?;
-    journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
-    journal.append(&DagRecord::DagStarted(identity))?;
-    Ok(journal)
-}
-
-/// The shared dispatch loop: executes every stage of `order` that is
-/// not already in `verified` (journaled + digest-checked), journaling
-/// transitions and maintaining the virtual schedule.
-#[allow(clippy::too_many_arguments)]
-fn execute_in_order(
+/// Creates a DAG's result tree, born whole: the tree directory, then
+/// its stored inputs — `dag.yml`, `dag.dot` and the `experiment/`
+/// bundle — each written atomically and fsynced through `opts.vfs`. The
+/// journal comes last, from [`resume_dag`]'s empty-journal branch, so a
+/// DAG journal never exists without the specs its resume loads.
+fn create_dag_tree(
     dag: &DagSpec,
     exp: &ExperimentSpec,
     opts: &RunOptions,
+) -> Result<PathBuf, DagError> {
+    let store = ResultStore::create(&opts.result_root, &exp.user, &dag.name, SimTime::ZERO)?
+        .with_vfs(opts.vfs.clone());
+    store.write(crate::spec::DAG_FILE, dag.to_yaml())?;
+    store.write("dag.dot", viz::render_dot(dag, Some(exp), None))?;
+    store.write_experiment(exp)?;
+    Ok(store.dir().to_path_buf())
+}
+
+/// Resumes an interrupted DAG from its result tree.
+///
+/// The tree's own stored `dag.yml` and `experiment/` bundle are the
+/// authoritative specs. The journaled identity (`DagStarted`) must
+/// match the stored specs, the options' seed/testbed, and the target —
+/// a DAG resumed under different identity would not replay the recorded
+/// timeline, so the mismatch is refused ([`crate::DagIdentity::check`]),
+/// not papered over. A tree whose journal holds no record (missing, or
+/// only a torn first frame) starts the DAG from its first stage; that is
+/// how [`run_dag`] executes a fresh tree.
+///
+/// Stages dispatch in deterministic topological order, skipping the
+/// verified ones, journaling every transition and maintaining the
+/// virtual schedule.
+pub fn resume_dag(
+    dag_dir: &Path,
+    opts: &RunOptions,
     dopts: &DagOptions,
     target: &mut dyn ExecutionTarget,
-    dag_dir: &Path,
-    journal: &mut Journal<DagRecord>,
-    order: &[usize],
-    verified: &BTreeMap<String, NodeOutcome>,
 ) -> Result<DagOutcome, DagError> {
+    let fold = match DagJournal::read(dag_dir) {
+        Err(e) if is_not_found(&e) => DagJournal::default(),
+        fold => fold?,
+    };
+    let dag = DagSpec::from_dir(dag_dir)?;
+    let exp = ExperimentSpec::from_dir(&dag_dir.join("experiment"))?;
+    let order = toposort::toposort(&dag)?;
+
+    let identity = DagIdentity::new(&dag, &exp, dopts.seed, &opts.testbed_flavor, target.name());
+    let mut verified: BTreeMap<String, NodeOutcome> = BTreeMap::new();
+    let (mut journal, first) = if fold.records == 0 {
+        // A fresh tree, or a crash before even DagStarted was durable:
+        // nothing ran. The journal and its `DagStarted` are the last step
+        // of the tree's creation; every stage executes.
+        let journal = Journal::create_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())?;
+        (journal, DagRecord::DagStarted(identity))
+    } else {
+        fold.identity()?.check(&identity)?;
+        // Fast-forward set: journaled nodes whose subtree digest still
+        // verifies on disk. A mismatch means the crash landed mid-write
+        // (or the tree was damaged) — re-execute that node.
+        for (node, fin) in &fold.finished {
+            let on_disk = tree_digest(&dag_dir.join(format!("stage-{node}"))).unwrap_or_default();
+            if on_disk == fin.digest {
+                verified.insert(
+                    node.clone(),
+                    NodeOutcome {
+                        id: node.clone(),
+                        kind: dag.stage(node).map(|s| s.kind).unwrap_or(StageKind::Setup),
+                        digest: fin.digest.clone(),
+                        started_ns: fin.started_ns,
+                        finished_ns: fin.finished_ns,
+                        failed_runs: fin.failed_runs,
+                        verified: true,
+                    },
+                );
+            }
+        }
+        let journal = Journal::open_append_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())?;
+        let resumed = DagRecord::DagResumed {
+            verified_nodes: verified.len(),
+        };
+        (journal, resumed)
+    };
+    journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
+    journal.append(&first)?;
+
     let mut finish: BTreeMap<String, u64> = BTreeMap::new();
     let mut nodes = Vec::with_capacity(order.len());
     let mut failed_runs = 0usize;
     let mut sequential_ns = 0u64;
-
-    for &i in order {
+    for i in order {
         let stage = &dag.stages[i];
         if let Some(done) = verified.get(&stage.id) {
             finish.insert(stage.id.clone(), done.finished_ns);
@@ -446,8 +474,16 @@ fn execute_in_order(
             kind: stage.kind.label().into(),
             started_ns,
         })?;
-        let (digest, stage_failed, duration_ns) =
-            execute_stage(dag, stage, exp, opts, dopts, target, dag_dir, journal, true)?;
+        let (digest, stage_failed, duration_ns) = execute_stage(
+            &dag,
+            stage,
+            &exp,
+            opts,
+            dopts,
+            target,
+            dag_dir,
+            &mut journal,
+        )?;
         let finished_ns = started_ns + duration_ns;
         journal.append(&DagRecord::NodeFinished(NodeFinish {
             node: stage.id.clone(),
@@ -478,7 +514,7 @@ fn execute_in_order(
     })?;
     Ok(DagOutcome {
         dag_dir: dag_dir.to_path_buf(),
-        critical_path: critical_path(dag, &finish),
+        critical_path: critical_path(&dag, &finish),
         nodes,
         makespan_ns,
         sequential_ns,
@@ -486,74 +522,4 @@ fn execute_in_order(
         verified_nodes: verified.len(),
         failed_runs,
     })
-}
-
-/// Resumes an interrupted DAG from its result tree.
-///
-/// The tree's own stored `dag.yml` and `experiment/` bundle are the
-/// authoritative specs. The journaled identity (`DagStarted`) must
-/// match the stored specs, the options' seed/testbed, and the target —
-/// a DAG resumed under different identity would not replay the recorded
-/// timeline, so the mismatch is refused ([`crate::DagIdentity::check`]),
-/// not papered over.
-pub fn resume_dag(
-    dag_dir: &Path,
-    opts: &RunOptions,
-    dopts: &DagOptions,
-    target: &mut dyn ExecutionTarget,
-) -> Result<DagOutcome, DagError> {
-    let fold = DagJournal::read(dag_dir)?;
-    let dag = DagSpec::from_dir(dag_dir)?;
-    let exp = ExperimentSpec::from_dir(&dag_dir.join("experiment"))?;
-    let order = toposort::toposort(&dag)?;
-
-    let identity = DagIdentity::new(&dag, &exp, dopts.seed, &opts.testbed_flavor, target.name());
-    let mut verified: BTreeMap<String, NodeOutcome> = BTreeMap::new();
-    let mut journal = if fold.records == 0 {
-        // The crash landed before even DagStarted was durable: nothing
-        // ran, so restart the whole DAG inside the existing tree (the
-        // stored specs are already on disk and every stage re-executes).
-        start_journal(identity, opts, dopts, dag_dir)?
-    } else {
-        fold.identity()?.check(&identity)?;
-        // Fast-forward set: journaled nodes whose subtree digest still
-        // verifies on disk. A mismatch means the crash landed mid-write
-        // (or the tree was damaged) — re-execute that node.
-        for (node, fin) in &fold.finished {
-            let on_disk = tree_digest(&dag_dir.join(format!("stage-{node}"))).unwrap_or_default();
-            if on_disk == fin.digest {
-                verified.insert(
-                    node.clone(),
-                    NodeOutcome {
-                        id: node.clone(),
-                        kind: dag.stage(node).map(|s| s.kind).unwrap_or(StageKind::Setup),
-                        digest: fin.digest.clone(),
-                        started_ns: fin.started_ns,
-                        finished_ns: fin.finished_ns,
-                        failed_runs: fin.failed_runs,
-                        verified: true,
-                    },
-                );
-            }
-        }
-        let mut journal = Journal::open_append_with(dag_dir.join(JOURNAL_FILE), opts.vfs.clone())
-            .map_err(DagError::Io)?;
-        journal.arm_crash(dopts.dag_crash_after, dopts.dag_torn_write);
-        journal.append(&DagRecord::DagResumed {
-            verified_nodes: verified.len(),
-        })?;
-        journal
-    };
-
-    execute_in_order(
-        &dag,
-        &exp,
-        opts,
-        dopts,
-        target,
-        dag_dir,
-        &mut journal,
-        &order,
-        &verified,
-    )
 }

@@ -7,6 +7,7 @@
 //! path all build on that fold and on its one identity guard,
 //! [`DagIdentity::check`].
 
+use crate::resume::TreeKind;
 use crate::spec::DagSpec;
 use crate::DagError;
 use pos_core::experiment::ExperimentSpec;
@@ -250,14 +251,14 @@ impl DagJournal {
     }
 }
 
-/// Classifies the result tree at `dir` — a DAG tree when it holds a
-/// stored `dag.yml` (written before its journal exists), a campaign tree
-/// otherwise ([`campaign_disk_state`]). A DAG tree counts its finished
+/// Classifies the result tree at `dir` by its [`TreeKind`]: a campaign
+/// tree through [`campaign_disk_state`], a DAG tree through its DAG
+/// journal. A DAG tree counts its finished
 /// stage nodes as units of progress, and a sealed DAG reports its failed
 /// sweep runs in the `failed` slot, so adopters classify degradation the
 /// same way for both.
 pub fn tree_disk_state(dir: &Path) -> CampaignDiskState {
-    if !DagSpec::present_in(dir) {
+    if TreeKind::of(dir) == TreeKind::Campaign {
         return campaign_disk_state(dir);
     }
     match DagJournal::read(dir) {

@@ -31,8 +31,9 @@
 //!   which resume, [`fsck_dag`], [`tree_disk_state`] and the `pos serve`
 //!   restart path share.
 //! * [`resume`] — the one resume entry point: [`Resumable::open`] picks
-//!   a tree's kind from its stored `dag.yml`, and [`ResumableDag`]
-//!   resumes a DAG on the identity its journal recorded.
+//!   a tree's kind by the one rule, [`TreeKind::of`] (a stored
+//!   `dag.yml`), and [`ResumableDag`] resumes a DAG on the identity its
+//!   journal recorded.
 //! * [`fsck`] — `pos fsck` on a DAG tree.
 //! * [`viz`] — `pos dag viz`: Graphviz dot and ASCII rendering of the
 //!   DAG (and the testbed topology) before execution.
@@ -60,7 +61,7 @@ pub mod viz;
 pub use executor::{resume_dag, run_dag, DagOptions, DagOutcome, NodeOutcome};
 pub use fsck::{fsck_dag, DagFsckReport, NodeFsck, NodeFsckStatus};
 pub use journal::{tree_disk_state, DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
-pub use resume::{Resumable, ResumableDag};
+pub use resume::{Resumable, ResumableDag, TreeKind};
 pub use spec::{linux_router_dag, DagSpec, EdgeKind, StageKind, StageSpec};
 pub use target::{ExecutionTarget, InProcessTarget, SimBatchTarget, SweepRequest, TargetReport};
 pub use toposort::{levels, toposort};

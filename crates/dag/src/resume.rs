@@ -4,8 +4,8 @@
 //! [`pos_sched::ResumableTree`]: the DAG journal names the seed, testbed
 //! flavor and execution target the DAG ran on, and the tree's stored
 //! `dag.yml` and `experiment/` are the authoritative specs.
-//! [`Resumable::open`] picks the tree kind from the stored `dag.yml`, by
-//! the rule [`crate::tree_disk_state`] applies. `pos resume`, `pos dag
+//! [`Resumable::open`] picks the tree kind by the one rule,
+//! [`TreeKind::of`]. `pos resume`, `pos dag
 //! resume` and the `pos serve` restart path all open trees through it.
 
 use crate::executor::{resume_dag, DagOptions, DagOutcome};
@@ -80,6 +80,28 @@ impl ResumableDag {
     }
 }
 
+/// The kind of a result tree, by the one rule every reader of a tree
+/// applies: a DAG tree holds a stored `dag.yml`, any other tree is a
+/// campaign tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeKind {
+    /// A campaign tree (`pos run`).
+    Campaign,
+    /// A DAG tree (`pos dag run`).
+    Dag,
+}
+
+impl TreeKind {
+    /// The kind of the result tree at `dir`.
+    pub fn of(dir: &Path) -> TreeKind {
+        if DagSpec::present_in(dir) {
+            TreeKind::Dag
+        } else {
+            TreeKind::Campaign
+        }
+    }
+}
+
 /// A result tree of either kind, opened for resumption.
 #[derive(Debug)]
 pub enum Resumable {
@@ -90,14 +112,12 @@ pub enum Resumable {
 }
 
 impl Resumable {
-    /// Opens the tree at `dir`: a DAG tree when it holds a stored
-    /// `dag.yml`, a campaign tree otherwise. Campaign errors arrive as
-    /// [`DagError::Controller`].
+    /// Opens the tree at `dir` by its [`TreeKind`]. Campaign errors
+    /// arrive as [`DagError::Controller`].
     pub fn open(dir: &Path) -> Result<Resumable, DagError> {
-        if DagSpec::present_in(dir) {
-            ResumableDag::open(dir).map(Resumable::Dag)
-        } else {
-            Ok(Resumable::Campaign(ResumableTree::open(dir)?))
+        match TreeKind::of(dir) {
+            TreeKind::Dag => ResumableDag::open(dir).map(Resumable::Dag),
+            TreeKind::Campaign => Ok(Resumable::Campaign(ResumableTree::open(dir)?)),
         }
     }
 }

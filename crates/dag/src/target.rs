@@ -132,14 +132,12 @@ pub trait ExecutionTarget {
     /// topology and host inventory — what a setup stage persists.
     fn describe(&mut self, spec: &ExperimentSpec) -> Result<SetupReport, ControllerError>;
 
-    /// Executes one sweep stage's campaign to completion.
-    fn run_sweep(&mut self, req: &SweepRequest<'_>) -> Result<ParallelOutcome, ControllerError>;
-
-    /// Resumes one sweep stage's interrupted campaign at `dir` (a
-    /// result tree with a journal).
-    fn resume_sweep(
+    /// Executes one sweep stage's campaign to completion: resumes the
+    /// stage's interrupted campaign at `existing` (a result tree with a
+    /// durable journal) or, without one, runs it fresh.
+    fn sweep(
         &mut self,
-        dir: &Path,
+        existing: Option<&Path>,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError>;
 
@@ -204,62 +202,56 @@ impl ExecutionTarget for InProcessTarget {
         })
     }
 
-    fn run_sweep(&mut self, req: &SweepRequest<'_>) -> Result<ParallelOutcome, ControllerError> {
-        // Lease the scatter group's lanes on the shared site calendar;
-        // the lease's bare-metal grant becomes the inner scheduler's
-        // replica pool so it cannot claim sets the site refused.
-        let sets = site_host_sets(&req.spec.hosts(), self.site_replicas);
-        let lease = ScatterLease::acquire(
-            &mut self.site,
-            &req.spec.user,
-            req.node,
-            &sets,
-            req.lanes,
-            self.clock,
-            SimDuration::from_secs(req.spec.planned_duration_secs.max(1)),
-        )
-        .map_err(ControllerError::Allocation)?;
-        let bare_metal = lease.allocation.bare_metal();
-        let popts = ParallelOptions {
-            lanes: req.lanes,
-            site_replicas: lease.site_replicas(),
-            ..ParallelOptions::new(req.lanes)
-        };
-        let mut make_lane = self.make_lane_factory(req.spec);
-        let result = run_parallel(req.spec, req.opts, &popts, &mut make_lane);
-        lease.release(&mut self.site);
-        let out = result?;
-        self.clock += out.parallel_elapsed;
-        self.jobs.push(JobRecord {
-            id: format!("lease-{}", req.node),
-            node: req.node.to_string(),
-            lanes_requested: req.lanes,
-            lanes_granted: req.lanes,
-            bare_metal,
-            queue_wait_secs: 0.0,
-            elapsed_secs: out.parallel_elapsed.as_secs_f64(),
-            state: "completed".into(),
-        });
-        Ok(out)
-    }
-
-    fn resume_sweep(
+    fn sweep(
         &mut self,
-        dir: &Path,
+        existing: Option<&Path>,
         req: &SweepRequest<'_>,
     ) -> Result<ParallelOutcome, ControllerError> {
         let mut make_lane = self.make_lane_factory(req.spec);
-        let out = resume_parallel(dir, req.spec, req.opts, &mut make_lane)?;
+        let (out, granted, bare_metal, state) = match existing {
+            Some(dir) => {
+                let out = resume_parallel(dir, req.spec, req.opts, &mut make_lane)?;
+                let bare_metal = out.flavors.iter().filter(|f| f.as_str() == "pos").count();
+                let granted = out.lanes;
+                (out, granted, bare_metal, "resumed")
+            }
+            None => {
+                // Lease the scatter group's lanes on the shared site
+                // calendar; the lease's bare-metal grant becomes the
+                // inner scheduler's replica pool so it cannot claim sets
+                // the site refused.
+                let sets = site_host_sets(&req.spec.hosts(), self.site_replicas);
+                let lease = ScatterLease::acquire(
+                    &mut self.site,
+                    &req.spec.user,
+                    req.node,
+                    &sets,
+                    req.lanes,
+                    self.clock,
+                    SimDuration::from_secs(req.spec.planned_duration_secs.max(1)),
+                )
+                .map_err(ControllerError::Allocation)?;
+                let bare_metal = lease.allocation.bare_metal();
+                let popts = ParallelOptions {
+                    lanes: req.lanes,
+                    site_replicas: lease.site_replicas(),
+                    ..ParallelOptions::new(req.lanes)
+                };
+                let result = run_parallel(req.spec, req.opts, &popts, &mut make_lane);
+                lease.release(&mut self.site);
+                (result?, req.lanes, bare_metal, "completed")
+            }
+        };
         self.clock += out.parallel_elapsed;
         self.jobs.push(JobRecord {
             id: format!("lease-{}", req.node),
             node: req.node.to_string(),
             lanes_requested: req.lanes,
-            lanes_granted: out.lanes,
-            bare_metal: out.flavors.iter().filter(|f| f.as_str() == "pos").count(),
+            lanes_granted: granted,
+            bare_metal,
             queue_wait_secs: 0.0,
             elapsed_secs: out.parallel_elapsed.as_secs_f64(),
-            state: "resumed".into(),
+            state: state.into(),
         });
         Ok(out)
     }
@@ -342,7 +334,11 @@ impl ExecutionTarget for SimBatchTarget {
         self.inner.describe(spec)
     }
 
-    fn run_sweep(&mut self, req: &SweepRequest<'_>) -> Result<ParallelOutcome, ControllerError> {
+    fn sweep(
+        &mut self,
+        existing: Option<&Path>,
+        req: &SweepRequest<'_>,
+    ) -> Result<ParallelOutcome, ControllerError> {
         // sbatch: the partition clamps the grant; lane-count invariance
         // of the result tree is what makes the clamp artifact-neutral.
         let granted = req.lanes.min(self.partition);
@@ -352,27 +348,11 @@ impl ExecutionTarget for SimBatchTarget {
             opts: req.opts,
             lanes: granted,
         };
-        let out = self.inner.run_sweep(&clamped)?;
-        self.inner.jobs.pop(); // replace the inner lease record with a job record
-        self.record(req, &out, granted, "completed");
-        Ok(out)
-    }
-
-    fn resume_sweep(
-        &mut self,
-        dir: &Path,
-        req: &SweepRequest<'_>,
-    ) -> Result<ParallelOutcome, ControllerError> {
-        let granted = req.lanes.min(self.partition);
-        let clamped = SweepRequest {
-            node: req.node,
-            spec: req.spec,
-            opts: req.opts,
-            lanes: granted,
-        };
-        let out = self.inner.resume_sweep(dir, &clamped)?;
-        self.inner.jobs.pop();
-        self.record(req, &out, granted, "resumed");
+        let out = self.inner.sweep(existing, &clamped)?;
+        // Replace the inner lease record with a job record.
+        if let Some(lease) = self.inner.jobs.pop() {
+            self.record(req, &out, granted, &lease.state);
+        }
         Ok(out)
     }
 

@@ -54,17 +54,17 @@
 use crate::plan::{plan_lanes, site_host_sets, LaneFlavor};
 use crate::supervisor::{LaneSupervisor, SupervisorOptions};
 use pos_core::controller::{
-    CampaignSetup, Controller, ControllerError, ExperimentOutcome, RunOptions,
+    create_campaign_tree, reopen_campaign_tree, CampaignSetup, Controller, ControllerError,
+    ExperimentOutcome, RunOptions,
 };
 use pos_core::experiment::ExperimentSpec;
-use pos_core::journal::{Journal, JournalRecord, JOURNAL_FILE};
+use pos_core::journal::{Journal, JournalRecord};
 use pos_core::loopvars::RunParams;
-use pos_core::recovery::{CampaignJournals, FailoverHistory, RunCompletion};
+use pos_core::recovery::CampaignJournals;
 use pos_core::resultstore::ResultStore;
 use pos_simkernel::{lane_stream_label, SimDuration, SimTime, TraceLevel};
 use pos_testbed::{Calendar, Testbed};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// How to parallelize one campaign.
@@ -169,6 +169,10 @@ fn parse_flavor(label: &str) -> Result<LaneFlavor, ControllerError> {
 /// lanes. Construction failures are typed errors and abort the campaign
 /// before any state is touched (fresh run) or at the replanning boundary
 /// (replacement lane).
+///
+/// A fresh run only plans its lanes, creates the tree and journals the
+/// plan; from there it executes exactly as [`resume_parallel`] does,
+/// with nothing verified yet.
 pub fn run_parallel(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -177,36 +181,29 @@ pub fn run_parallel(
 ) -> Result<ParallelOutcome, ControllerError> {
     assert!(popts.lanes >= 1, "a campaign needs at least one lane");
 
-    // Acquire disjoint allocations on the site calendar: an atomic batch
-    // of bare-metal replica sets when free, virtual clone lanes otherwise.
-    let mut site = Calendar::new();
-    let sets = site_host_sets(&spec.hosts(), popts.site_replicas);
+    // The lane plan. On a fresh calendar `plan_lanes` always takes its
+    // batch branch: bare-metal replica sets up to `site_replicas`,
+    // virtual clones beyond. The lane execution pins the plan on its own
+    // calendar, as a resume does.
     let alloc = plan_lanes(
-        &mut site,
+        &mut Calendar::new(),
         &spec.user,
-        &sets,
+        &site_host_sets(&spec.hosts(), popts.site_replicas),
         popts.lanes,
         SimTime::ZERO,
         SimDuration::from_secs(spec.planned_duration_secs),
     )
     .map_err(ControllerError::Allocation)?;
 
-    let mut lanes = build_lanes(&alloc.flavors, opts, make_lane)?;
+    let lanes = build_lanes(&alloc.flavors, opts, make_lane)?;
     let (spec_eff, runs) = lanes[0].prepare_campaign(spec, opts)?;
-    let seed = lanes[0].testbed().seed();
-
-    let started = lanes[0].testbed().now();
-    let store = ResultStore::create(&opts.result_root, &spec_eff.user, &spec_eff.name, started)?
-        .with_vfs(opts.vfs.clone());
-    let mut sched_journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
-    sched_journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-    sched_journal.append(&JournalRecord::CampaignStarted {
-        seed,
-        spec_digest: spec_eff.digest(),
-        total_runs: runs.len(),
-        testbed: opts.testbed_flavor.clone(),
-        started_ns: started.as_nanos(),
-    })?;
+    let (store, mut sched_journal) = create_campaign_tree(
+        &spec_eff,
+        opts,
+        lanes[0].testbed().seed(),
+        runs.len(),
+        lanes[0].testbed().now(),
+    )?;
     sched_journal.append(&JournalRecord::LanePlan {
         lanes: popts.lanes,
         flavors: alloc.labels(),
@@ -218,37 +215,17 @@ pub fn run_parallel(
         })
         .expect("supervisor options serialize"),
     })?;
-
-    // Every lane runs the full setup phase (allocation, boots, tool
-    // deployment, setup scripts); only lane 0 persists the shared inputs.
-    let mut setups: Vec<CampaignSetup> = Vec::with_capacity(lanes.len());
-    for (k, lane) in lanes.iter_mut().enumerate() {
-        let lane_store = if k == 0 { Some(&store) } else { None };
-        setups.push(lane.setup_campaign(&spec_eff, opts, lane_store, runs.len())?);
-    }
-
-    let mut sup = LaneSupervisor::new(
+    execute_lanes(
         &spec_eff,
         opts,
-        &popts.supervisor,
-        popts.site_replicas,
-        seed,
-        runs.len(),
-        &store,
-        lanes,
-        alloc.flavors,
-        setups,
-        site,
-        alloc.reservations,
-        &FailoverHistory::default(),
-    )?;
-    dispatch_and_merge(
-        &store,
-        &mut sup,
-        &mut sched_journal,
         &runs,
-        &BTreeMap::new(),
-        started,
+        alloc.flavors,
+        popts.site_replicas,
+        &popts.supervisor,
+        lanes,
+        &store,
+        &mut sched_journal,
+        &CampaignJournals::default(),
         make_lane,
     )
 }
@@ -272,9 +249,8 @@ pub fn resume_parallel(
     opts: &RunOptions,
     make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
 ) -> Result<ParallelOutcome, ControllerError> {
-    let store = ResultStore::open(result_dir).with_vfs(opts.vfs.clone());
-    let mut journals = CampaignJournals::read_for_resume(store.dir())?;
-    let identity = journals.identity()?.clone();
+    let mut journals = CampaignJournals::read_for_resume(result_dir)?;
+    journals.identity()?;
     let Some(planned) = &journals.lane_plan else {
         return Err(ControllerError::Resume {
             reason: "journal has no LanePlan record (not a parallel campaign; \
@@ -282,7 +258,7 @@ pub fn resume_parallel(
                 .into(),
         });
     };
-    let all_flavors = planned
+    let flavors = planned
         .iter()
         .chain(&journals.failover.replanned)
         .map(|f| parse_flavor(f))
@@ -300,29 +276,63 @@ pub fn resume_parallel(
         None => (planned.len(), SupervisorOptions::default()),
     };
 
-    let mut lanes = build_lanes(&all_flavors, opts, make_lane)?;
+    let lanes = build_lanes(&flavors, opts, make_lane)?;
     let (spec_eff, runs) = lanes[0].prepare_campaign(spec, opts)?;
-    identity.check(
-        &opts.testbed_flavor,
+    let (store, mut sched_journal) = reopen_campaign_tree(
+        result_dir,
+        &mut journals,
+        opts,
         lanes[0].testbed().seed(),
-        &spec_eff.digest(),
+        &spec_eff,
         runs.len(),
+        lanes[0].testbed().now(),
     )?;
-    journals.retain_verified(store.dir());
+    execute_lanes(
+        &spec_eff,
+        opts,
+        &runs,
+        flavors,
+        site_replicas,
+        &sopts,
+        lanes,
+        &store,
+        &mut sched_journal,
+        &journals,
+        make_lane,
+    )
+}
 
-    // Pin the journaled lane plan back onto a fresh site calendar —
-    // replacement lanes included, at the replica set their index names.
+/// The lane execution of [`run_parallel`] and [`resume_parallel`]: pins
+/// the lane plan — replacement lanes included, at the replica set their
+/// index names — on a fresh site calendar, runs every lane's setup phase
+/// (only lane 0 writes its topology and hardware captures), then
+/// dispatches under the supervisor, skipping the runs `resume`
+/// verified, and merges.
+#[allow(clippy::too_many_arguments)]
+fn execute_lanes(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    runs: &[RunParams],
+    flavors: Vec<LaneFlavor>,
+    site_replicas: usize,
+    supervisor: &SupervisorOptions,
+    mut lanes: Vec<Controller<'static>>,
+    store: &ResultStore,
+    sched_journal: &mut Journal,
+    resume: &CampaignJournals,
+    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
+) -> Result<ParallelOutcome, ControllerError> {
     let mut site = Calendar::new();
-    let sets = site_host_sets(&spec_eff.hosts(), all_flavors.len().max(site_replicas));
+    let sets = site_host_sets(&spec.hosts(), flavors.len().max(site_replicas));
     let mut site_reservations = Vec::new();
-    for (k, flavor) in all_flavors.iter().enumerate() {
+    for (k, flavor) in flavors.iter().enumerate() {
         if *flavor == LaneFlavor::BareMetal {
             let id = site
                 .reserve(
-                    spec_eff.user.clone(),
+                    spec.user.clone(),
                     &sets[k],
                     SimTime::ZERO,
-                    SimDuration::from_secs(spec_eff.planned_duration_secs),
+                    SimDuration::from_secs(spec.planned_duration_secs),
                 )
                 .map_err(ControllerError::Allocation)?;
             site_reservations.push(id);
@@ -331,80 +341,28 @@ pub fn resume_parallel(
 
     let mut setups: Vec<CampaignSetup> = Vec::with_capacity(lanes.len());
     for (k, lane) in lanes.iter_mut().enumerate() {
-        let lane_store = if k == 0 { Some(&store) } else { None };
-        setups.push(lane.setup_campaign(&spec_eff, opts, lane_store, runs.len())?);
+        let lane_store = if k == 0 { Some(store) } else { None };
+        setups.push(lane.setup_campaign(spec, opts, lane_store, runs.len())?);
     }
     let started = setups[0].started;
-
-    let mut sched_journal =
-        Journal::open_append_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
-    sched_journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-    sched_journal.append(&JournalRecord::CampaignResumed {
-        resumed_ns: lanes[0].testbed().now().as_nanos(),
-        verified_runs: journals.completed.len(),
-    })?;
+    let seed = lanes[0].testbed().seed();
 
     let mut sup = LaneSupervisor::new(
-        &spec_eff,
+        spec,
         opts,
-        &sopts,
+        supervisor,
         site_replicas,
-        identity.seed,
+        seed,
         runs.len(),
-        &store,
+        store,
         lanes,
-        all_flavors,
+        flavors,
         setups,
         site,
         site_reservations,
-        &journals.failover,
+        &resume.failover,
     )?;
-    dispatch_and_merge(
-        &store,
-        &mut sup,
-        &mut sched_journal,
-        &runs,
-        &journals.completed,
-        started,
-        make_lane,
-    )
-}
-
-/// Builds the lane controllers: replica testbeds from `make_lane`, with
-/// lanes beyond 0 re-deriving their management RNG stream so replica
-/// boot timings are independent draws under the same campaign seed.
-fn build_lanes(
-    flavors: &[LaneFlavor],
-    opts: &RunOptions,
-    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
-) -> Result<Vec<Controller<'static>>, ControllerError> {
-    flavors
-        .iter()
-        .enumerate()
-        .map(|(k, flavor)| {
-            let mut tb = make_lane(k, *flavor)?;
-            if k > 0 {
-                tb.rederive_management_rng(&lane_stream_label(k));
-            }
-            tb.set_command_timeout(opts.command_timeout);
-            Ok(Controller::owning(tb))
-        })
-        .collect()
-}
-
-/// The shared back half of [`run_parallel`] and [`resume_parallel`]: the
-/// supervised dispatch loop over the lane set, the merge into the
-/// canonical result tree, and the release of every reservation.
-fn dispatch_and_merge(
-    store: &ResultStore,
-    sup: &mut LaneSupervisor<'_>,
-    sched_journal: &mut Journal,
-    runs: &[RunParams],
-    verified: &BTreeMap<usize, RunCompletion>,
-    started: SimTime,
-    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
-) -> Result<ParallelOutcome, ControllerError> {
-    let stats = sup.dispatch(store, sched_journal, runs, verified, make_lane)?;
+    let stats = sup.dispatch(store, sched_journal, runs, &resume.completed, make_lane)?;
 
     // ------------------------------------------------------------ merge
     // Lane 0's Info-level trace is the canonical campaign story: lane 0
@@ -452,4 +410,26 @@ fn dispatch_and_merge(
         failover_time: sup.failover_time,
         ladder_retries: sup.ladder_retries,
     })
+}
+
+/// Builds the lane controllers: replica testbeds from `make_lane`, with
+/// lanes beyond 0 re-deriving their management RNG stream so replica
+/// boot timings are independent draws under the same campaign seed.
+fn build_lanes(
+    flavors: &[LaneFlavor],
+    opts: &RunOptions,
+    make_lane: &mut dyn FnMut(usize, LaneFlavor) -> Result<Testbed, ControllerError>,
+) -> Result<Vec<Controller<'static>>, ControllerError> {
+    flavors
+        .iter()
+        .enumerate()
+        .map(|(k, flavor)| {
+            let mut tb = make_lane(k, *flavor)?;
+            if k > 0 {
+                tb.rederive_management_rng(&lane_stream_label(k));
+            }
+            tb.set_command_timeout(opts.command_timeout);
+            Ok(Controller::owning(tb))
+        })
+        .collect()
 }

@@ -26,12 +26,11 @@
 //! experiment's otherwise:
 //!
 //! * no tree → the crash hit before the tree existed: run it fresh;
-//! * tree without a journal, or whose journal records no completed run
-//!   (or DAG node) → the crash hit before anything a resume would keep
-//!   was durable, perhaps before the tree's stored experiment was whole:
-//!   wipe the husk and run fresh (keeping the canonical `vt-<time>` path
-//!   free, so the re-run lands byte-identically where the uninterrupted
-//!   run would have);
+//! * tree without a durable journal record → the crash hit while the
+//!   tree was being created (its inputs are stored before its journal's
+//!   first record): wipe the husk and run fresh (keeping the canonical
+//!   `vt-<time>` path free, so the re-run lands byte-identically where
+//!   the uninterrupted run would have);
 //! * tree with an unfinished journal → the `pos resume` entry point,
 //!   [`Resumable`], completes it from the last consistent checkpoint on
 //!   the identity its journal recorded;
@@ -691,8 +690,8 @@ impl ServeEngine {
     /// result tree under `base` (`<root>/<user>/<name>`) not yet claimed
     /// by a finished submission — the only tree it can have been writing.
     /// A sealed tree is adopted, an unfinished one resumed, a husk with
-    /// no completed run wiped. `None` means there is nothing to settle:
-    /// run the submission fresh.
+    /// no durable journal record wiped. `None` means there is nothing to
+    /// settle: run the submission fresh.
     fn settle(
         &self,
         sub: &Submission,
@@ -715,15 +714,11 @@ impl ServeEngine {
                 // append: the tree is done and sealed — adopt it.
                 Ok(Some(done(failed == 0, &dir)))
             }
-            CampaignDiskState::NoJournal
-            | CampaignDiskState::InProgress {
-                runs_completed: 0, ..
-            } => {
-                // A husk with no completed run holds nothing a resume
-                // would keep, and a kill right after the journal's first
-                // record can leave its stored experiment partial. Wipe
-                // it so the fresh run recreates the canonical vt-<time>
-                // path instead of a `-1` collision sibling.
+            CampaignDiskState::NoJournal => {
+                // A husk from a crash mid-creation holds nothing to
+                // resume. Wipe it so the fresh run recreates the
+                // canonical vt-<time> path instead of a `-1` collision
+                // sibling.
                 std::fs::remove_dir_all(&dir)?;
                 Ok(None)
             }

@@ -38,7 +38,7 @@ use pos::core::journal::JOURNAL_FILE;
 use pos::core::recovery::CampaignIdentity;
 use pos::core::resultstore::ResultStore;
 use pos::core::vfs::{FaultPlan, Vfs};
-use pos::dag::{DagError, DagSpec, Resumable, ResumableDag};
+use pos::dag::{DagError, Resumable, ResumableDag, TreeKind};
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
@@ -305,7 +305,7 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
             case_study_testbed(&spec, seed, flavor == LaneFlavor::Virtual, true)
         }) {
             Ok(out) => out,
-            Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
+            Err(e) => return checkpointed_or_error(e.into(), resume_hint(&results).as_deref()),
         };
         print_parallel_outcome(&out);
         return Ok(completion_of(&out.outcome));
@@ -323,7 +323,7 @@ fn cmd_run(args: &[String]) -> Result<Completion, String> {
         .run_experiment(&spec, &run_opts)
     {
         Ok(outcome) => outcome,
-        Err(e) => return checkpointed_or_error(e.into(), &resume_hint(&results)),
+        Err(e) => return checkpointed_or_error(e.into(), resume_hint(&results).as_deref()),
     };
     print_outcome(&outcome);
     Ok(completion_of(&outcome))
@@ -343,12 +343,13 @@ fn load_disk_faults(file: &str) -> Result<Vfs, String> {
 /// *graceful* degradation, not an abort. The write-ahead journal
 /// guarantees the tree is consistent at the last appended record, so
 /// the campaign is a checkpoint — `pos resume` completes it once space
-/// returns or the urgency passes. Any other error stays a hard error
-/// (exit 1).
-fn checkpointed_or_error(e: DagError, resume_at: &str) -> Result<Completion, String> {
-    if !e.is_checkpoint() {
+/// returns or the urgency passes. A fault before the tree's journal
+/// exists (`resume_at` is `None`) leaves nothing to resume, and any
+/// other error stays a hard error too (exit 1).
+fn checkpointed_or_error(e: DagError, resume_at: Option<&str>) -> Result<Completion, String> {
+    let Some(resume_at) = resume_at.filter(|_| e.is_checkpoint()) else {
         return Err(e.to_string());
-    }
+    };
     eprintln!("pos: checkpointed: {e}");
     eprintln!(
         "pos: campaign checkpointed at the last consistent journal boundary; \
@@ -357,11 +358,12 @@ fn checkpointed_or_error(e: DagError, resume_at: &str) -> Result<Completion, Str
     Ok(Completion::Degraded)
 }
 
-/// Best-effort pointer at the freshest campaign under a result root,
-/// for the resume hint a storage-full `pos run` prints. The store nests
-/// trees as `<root>/<user>/<experiment>/vt-<time>/`, each holding a
-/// journal.
-fn resume_hint(root: &Path) -> String {
+/// The tree a checkpointed `pos run` or `pos dag run` left under a
+/// result root, for its resume hint: the youngest of the trees the
+/// store nests as `<root>/<user>/<experiment>/vt-<time>/`, when it has
+/// a journal. `None` when it has none — the fault hit while the tree's
+/// inputs were being stored, before its journal existed.
+fn resume_hint(root: &Path) -> Option<String> {
     fn walk(dir: &Path, found: &mut Vec<PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
@@ -371,7 +373,7 @@ fn resume_hint(root: &Path) -> String {
             if !path.is_dir() {
                 continue;
             }
-            if path.join(JOURNAL_FILE).exists() {
+            if entry.file_name().to_string_lossy().starts_with("vt-") {
                 found.push(path);
             } else {
                 walk(&path, found);
@@ -380,9 +382,10 @@ fn resume_hint(root: &Path) -> String {
     }
     let mut found = Vec::new();
     walk(root, &mut found);
-    ResultStore::youngest(found)
-        .map(|p| p.display().to_string())
-        .unwrap_or_else(|| format!("{}", root.display()))
+    let tree = ResultStore::youngest(found)?;
+    tree.join(JOURNAL_FILE)
+        .exists()
+        .then(|| tree.display().to_string())
 }
 
 /// The degraded-exit-code contract: a campaign that completed but
@@ -554,7 +557,7 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
             );
             match tree.resume(&run_opts, lanes) {
                 Ok(out) => Ok(print_dag_outcome(&out)),
-                Err(e) => checkpointed_or_error(e, dir),
+                Err(e) => checkpointed_or_error(e, Some(dir)),
             }
         }
         Resumable::Campaign(tree) => {
@@ -601,7 +604,7 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
                     print_outcome(&outcome);
                     Ok(completion_of(&outcome))
                 }
-                Err(e) => checkpointed_or_error(e.into(), dir),
+                Err(e) => checkpointed_or_error(e.into(), Some(dir)),
             }
         }
     }
@@ -946,13 +949,12 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
         return Err("usage: pos fsck <result-dir | serve-state-dir>".into());
     };
     let path = Path::new(dir);
-    // A serve state directory is identified by its queue ledger, a DAG
-    // tree by its stored dag.yml, a plain result tree by its campaign
-    // journal. Route to the matching check.
+    // A serve state directory is identified by its queue ledger, a
+    // result tree by its `TreeKind`. Route to the matching check.
     let (rendered, clean) = if path.join(pos::serve::LEDGER_FILE).exists() {
         let report = pos::serve::fsck_queue(path).map_err(|e| e.to_string())?;
         (report.render(), report.is_clean())
-    } else if DagSpec::present_in(path) {
+    } else if TreeKind::of(path) == TreeKind::Dag {
         let report = pos::dag::fsck_dag(path).map_err(|e| e.to_string())?;
         (report.render(), report.is_clean())
     } else {
@@ -1109,7 +1111,7 @@ fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
     let dag_opts = pos::dag::DagOptions::new(lanes, seed);
     match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, target.as_mut()) {
         Ok(out) => Ok(print_dag_outcome(&out)),
-        Err(e) => checkpointed_or_error(e, &resume_hint(&results)),
+        Err(e) => checkpointed_or_error(e, resume_hint(&results).as_deref()),
     }
 }
 

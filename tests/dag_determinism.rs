@@ -208,35 +208,44 @@ fn resume_fast_forwards_digest_verified_nodes() {
 #[test]
 fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
     let (want, _) = reference();
-    let root = TempDir::new("dag-inner");
-    let mut opts = RunOptions::new(&root);
-    // Crash the *sweep stage's own* campaign journal mid-flight; the
-    // DAG journal stays healthy at the NodeStarted(rate-sweep) record.
-    opts.journal_crash_after = Some(6);
-    let err = run_dag(
-        &dag(),
-        &small_spec(),
-        &opts,
-        &DagOptions::new(2, SEED),
-        &mut in_process(),
-    )
-    .expect_err("inner crash aborts the DAG");
-    assert!(
-        err.to_string().contains("injected journal crash"),
-        "inner journal crash surfaces through the DAG error: {err}"
-    );
+    // Crash the *sweep stage's own* campaign journal: at its first
+    // record, which leaves a sweep tree with no durable record for the
+    // DAG resume to rerun, and mid-flight. The DAG journal stays healthy
+    // at the NodeStarted(rate-sweep) record.
+    for crash_after in [0, 6] {
+        let root = TempDir::new("dag-inner");
+        let mut opts = RunOptions::new(&root);
+        opts.journal_crash_after = Some(crash_after);
+        let err = run_dag(
+            &dag(),
+            &small_spec(),
+            &opts,
+            &DagOptions::new(2, SEED),
+            &mut in_process(),
+        )
+        .expect_err("inner crash aborts the DAG");
+        assert!(
+            err.to_string().contains("injected journal crash"),
+            "inner journal crash surfaces through the DAG error: {err}"
+        );
 
-    let dag_dir = find_dag_dir(&root);
-    let out = resume_dag(
-        &dag_dir,
-        &RunOptions::new(&root),
-        &DagOptions::new(2, SEED),
-        &mut in_process(),
-    )
-    .expect("DAG resume routes through the scheduler's resume");
-    tree::assert_tree_matches(want, &out.dag_dir, "inner-crash resume");
-    let report = fsck_dag(&out.dag_dir).unwrap();
-    assert!(report.is_clean(), "fsck not clean:\n{}", report.render());
+        let dag_dir = find_dag_dir(&root);
+        let out = resume_dag(
+            &dag_dir,
+            &RunOptions::new(&root),
+            &DagOptions::new(2, SEED),
+            &mut in_process(),
+        )
+        .unwrap_or_else(|e| panic!("inner crash at record {crash_after}: DAG resume failed: {e}"));
+        let label = format!("inner-crash resume at record {crash_after}");
+        tree::assert_tree_matches(want, &out.dag_dir, &label);
+        let report = fsck_dag(&out.dag_dir).unwrap();
+        assert!(
+            report.is_clean(),
+            "{label}: fsck not clean:\n{}",
+            report.render()
+        );
+    }
 }
 
 #[test]

@@ -10,14 +10,20 @@
 //! misbehaves, through the `Vfs` fault-injection layer. Journal files are
 //! excluded from the byte comparison as usual — they record the
 //! interruption itself.
+//!
+//! The input-fault cases fill the disk on each file of a tree's stored
+//! experiment instead: a tree is born whole, so such a fault leaves no
+//! journal at all, and a clean rerun is the whole recovery.
 
 use pos::core::commands::register_all;
 use pos::core::controller::{Controller, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
 use pos::core::fsck::fsck;
+use pos::core::journal::CampaignDiskState;
 use pos::core::journal::{decode_frame, FrameStep, Journal, JournalRecord, JOURNAL_FILE};
 use pos::core::scrub::scrub;
-use pos::core::vfs::{DiskFault, FaultPlan, Vfs};
+use pos::core::vfs::{is_storage_full, DiskFault, FaultPlan, Vfs};
+use pos::dag::{linux_router_dag, run_dag, tree_disk_state, DagError, DagOptions, InProcessTarget};
 use pos::sched::{resume_parallel, run_parallel, ParallelOptions};
 use pos::testbed::{HardwareSpec, InitInterface, PortId, Testbed};
 use pos_testutil::tree::{self, find_result_dir};
@@ -93,7 +99,7 @@ fn reference_tree() -> Reference {
     (tree::snapshot(&outcome.result_dir), journal)
 }
 
-fn journal_fault_opts(root: &Path, fault: DiskFault) -> RunOptions {
+fn fault_opts(root: &Path, fault: DiskFault) -> RunOptions {
     let mut opts = RunOptions::new(root);
     opts.vfs = Vfs::faulty(FaultPlan {
         seed: SEED,
@@ -151,7 +157,7 @@ fn enospc_at_every_journal_boundary_then_resume_converges() {
         for (k, &boundary) in boundaries.iter().enumerate().take(total_records) {
             let label = format!("ENOSPC after record {k} + {mid} bytes");
             let root = TempDir::new(&format!("diskfault-enospc-{k}-{mid}"));
-            let opts = journal_fault_opts(
+            let opts = fault_opts(
                 &root,
                 DiskFault::Enospc {
                     after_bytes: (boundary + mid) as u64,
@@ -199,7 +205,7 @@ fn torn_write_at_every_journal_boundary_then_resume_converges() {
         let root = TempDir::new(&format!("diskfault-tornwrite-{k}"));
         // 40 bytes is less than a frame header: replay must classify the
         // remnant as a torn tail, and resume must truncate it away.
-        let opts = journal_fault_opts(
+        let opts = fault_opts(
             &root,
             DiskFault::TornWrite {
                 at_write: k as u64,
@@ -220,7 +226,7 @@ fn fsync_failure_at_every_journal_boundary_then_resume_converges() {
         let label = format!("fsync failure at record {k}");
         let root = TempDir::new(&format!("diskfault-fsyncfail-{k}"));
         // Fsync index k+1: the journal's create_sync burns index 0.
-        let opts = journal_fault_opts(
+        let opts = fault_opts(
             &root,
             DiskFault::FsyncFail {
                 at_fsync: k as u64 + 1,
@@ -348,7 +354,7 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
     // Fill the disk for the scheduler journal mid-campaign.
     let cut = boundaries[boundaries.len() / 2];
     let root = TempDir::new("diskfault-par-enospc");
-    let opts = journal_fault_opts(
+    let opts = fault_opts(
         &root,
         DiskFault::Enospc {
             after_bytes: cut as u64,
@@ -370,6 +376,183 @@ fn parallel_enospc_checkpoints_and_resume_parallel_converges() {
     assert_eq!(out.outcome.successes(), 2);
     tree::assert_tree_matches(want, &result_dir, "parallel ENOSPC resume");
     assert!(fsck(&result_dir).unwrap().is_clean());
+}
+
+/// Every file of the stored experiment layout, as the path suffix a
+/// fault names: `experiment/` plus each path of the one layout
+/// definition, [`ExperimentSpec::files`].
+fn stored_input_files() -> Vec<String> {
+    spec()
+        .files()
+        .into_iter()
+        .map(|(rel, _)| format!("experiment/{rel}"))
+        .collect()
+}
+
+/// ENOSPC on the first write of the stored input `file`.
+fn input_fault_opts(root: &Path, file: &str) -> RunOptions {
+    fault_opts(
+        root,
+        DiskFault::Enospc {
+            after_bytes: 0,
+            file: Some(file.into()),
+        },
+    )
+}
+
+/// A tree whose stored input could not be written is a husk: no journal,
+/// so nothing a resume could pick up, and `tree_disk_state` says so.
+fn assert_husk_without_journal(root: &Path, label: &str) {
+    let husk = find_result_dir(root);
+    assert!(
+        !husk.join(JOURNAL_FILE).exists(),
+        "{label}: a journal exists before the stored inputs are whole"
+    );
+    assert!(
+        matches!(tree_disk_state(&husk), CampaignDiskState::NoJournal),
+        "{label}: tree_disk_state must report NoJournal"
+    );
+}
+
+/// The 3-stage DAG over the matrix's 2-run experiment: its reference
+/// tree, computed once per test binary.
+fn dag_reference() -> &'static BTreeMap<String, Vec<u8>> {
+    static REFERENCE: OnceLock<BTreeMap<String, Vec<u8>>> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let root = TempDir::new("diskfault-dag-reference");
+        let out = run_dag_on(&RunOptions::new(&root)).expect("uninterrupted DAG succeeds");
+        tree::snapshot(&out.dag_dir)
+    })
+}
+
+fn run_dag_on(opts: &RunOptions) -> Result<pos::dag::DagOutcome, DagError> {
+    let mut target = InProcessTarget::new(SEED, false, 1);
+    run_dag(
+        &linux_router_dag(),
+        &spec(),
+        opts,
+        &DagOptions::new(1, SEED),
+        &mut target,
+    )
+}
+
+#[test]
+fn enospc_on_each_stored_input_leaves_no_journal_and_a_rerun_converges() {
+    let (want, _) = reference();
+    let files = stored_input_files();
+    assert!(files.len() >= 9, "layout lists every input: {files:?}");
+    for file in &files {
+        let label = format!("sequential, ENOSPC on {file}");
+        let root = TempDir::new("diskfault-input-seq");
+        let err = Controller::new(&mut testbed())
+            .run_experiment(&spec(), &input_fault_opts(&root, file))
+            .expect_err(&format!("{label}: campaign must abort"));
+        assert!(err.is_storage_full(), "{label}: got {err}");
+        assert_husk_without_journal(&root, &label);
+        let outcome = Controller::new(&mut testbed())
+            .run_experiment(&spec(), &RunOptions::new(&root))
+            .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
+        tree::assert_tree_matches(want, &outcome.result_dir, &label);
+    }
+}
+
+#[test]
+fn parallel_enospc_on_each_stored_input_leaves_no_journal_and_a_rerun_converges() {
+    let (want, _) = reference();
+    let popts = ParallelOptions::new(2);
+    for file in &stored_input_files() {
+        let label = format!("2 lanes, ENOSPC on {file}");
+        let root = TempDir::new("diskfault-input-par");
+        let err = run_parallel(
+            &spec(),
+            &input_fault_opts(&root, file),
+            &popts,
+            &mut |_, _| Ok(testbed()),
+        )
+        .expect_err(&format!("{label}: campaign must abort"));
+        assert!(err.is_storage_full(), "{label}: got {err}");
+        assert_husk_without_journal(&root, &label);
+        let out = run_parallel(&spec(), &RunOptions::new(&root), &popts, &mut |_, _| {
+            Ok(testbed())
+        })
+        .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
+        tree::assert_tree_matches(want, &out.outcome.result_dir, &label);
+    }
+}
+
+#[test]
+fn dag_enospc_on_each_stored_input_leaves_no_journal_and_a_rerun_converges() {
+    let want = dag_reference();
+    for file in &stored_input_files() {
+        let label = format!("DAG, ENOSPC on {file}");
+        let root = TempDir::new("diskfault-input-dag");
+        let err = run_dag_on(&input_fault_opts(&root, file))
+            .expect_err(&format!("{label}: DAG must abort"));
+        assert!(
+            matches!(&err, DagError::Io(e) if is_storage_full(e)),
+            "{label}: the DAG's own input write must fail, got {err}"
+        );
+        assert_husk_without_journal(&root, &label);
+        let out = run_dag_on(&RunOptions::new(&root))
+            .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
+        tree::assert_tree_matches(want, &out.dag_dir, &label);
+    }
+}
+
+/// A storage fault before a tree's journal exists is no checkpoint:
+/// `pos run` (sequential and `--lanes 2`) and `pos dag run` exit 1 with
+/// the storage error and print no `pos resume` hint.
+#[test]
+fn cli_enospc_before_the_journal_exits_1_without_a_resume_hint() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_pos");
+    let base = TempDir::new("diskfault-cli-input");
+    let exp = base.join("exp");
+    spec().to_dir(&exp).unwrap();
+    let plan = base.join("disk-faults.json");
+    std::fs::write(
+        &plan,
+        serde_json::to_string(&FaultPlan {
+            seed: SEED,
+            faults: vec![DiskFault::Enospc {
+                after_bytes: 0,
+                file: Some("experiment/experiment.yml".into()),
+            }],
+        })
+        .unwrap(),
+    )
+    .unwrap();
+
+    let cases: [&[&str]; 3] = [&["run"], &["run", "--lanes", "2"], &["dag", "run"]];
+    for (i, args) in cases.into_iter().enumerate() {
+        let label = args.join(" ");
+        let results = base.join(format!("results-{i}"));
+        let (cmd, rest) = args.split_at(if args[0] == "dag" { 2 } else { 1 });
+        let run = Command::new(bin)
+            .args(cmd)
+            .arg(&exp)
+            .args(rest)
+            .arg("--results")
+            .arg(&results)
+            .arg("--disk-faults")
+            .arg(&plan)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{label}: {run:?}");
+        assert!(
+            stderr.contains("No space left on device"),
+            "{label}: the storage error must be named:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("pos resume"),
+            "{label}: no resume hint without a journal:\n{stderr}"
+        );
+        assert!(
+            !find_result_dir(&results).join(JOURNAL_FILE).exists(),
+            "{label}: no journal may exist"
+        );
+    }
 }
 
 /// End-to-end CLI contract: ENOSPC exits with the degraded code (3) and
