@@ -596,6 +596,14 @@ impl ControllerError {
     }
 }
 
+/// A failed write to the campaign journal: reported as a journal error
+/// (a full disk under the journal reads "campaign journal error", not
+/// "result store error"), classified by [`ControllerError::is_storage_full`]
+/// like any other.
+fn journal_io(e: std::io::Error) -> ControllerError {
+    ControllerError::Journal(JournalError::Io(e))
+}
+
 impl From<std::io::Error> for ControllerError {
     fn from(e: std::io::Error) -> Self {
         ControllerError::Io(e)
@@ -1341,11 +1349,13 @@ impl<'t> Controller<'t> {
             "controller.log",
             self.tb.trace.render_min_level(TraceLevel::Info),
         )?;
-        journal.append(&JournalRecord::CampaignFinished {
-            finished_ns: finished.as_nanos(),
-            succeeded: tally.records.iter().filter(|r| r.success).count(),
-            failed: tally.failed_runs.len(),
-        })?;
+        journal
+            .append(&JournalRecord::CampaignFinished {
+                finished_ns: finished.as_nanos(),
+                succeeded: tally.records.iter().filter(|r| r.success).count(),
+                failed: tally.failed_runs.len(),
+            })
+            .map_err(journal_io)?;
         self.tb.calendar.release(reservation);
         Ok(ExperimentOutcome {
             result_dir: store.dir().to_path_buf(),
@@ -1630,15 +1640,19 @@ impl<'t> Controller<'t> {
         // Not durable: clear any partial leftovers first, so what the
         // crash happened to leave behind cannot influence convergence.
         store.wipe_run(run.index)?;
-        journal.append(&JournalRecord::RunStarted {
-            index: run.index,
-            started_ns: started.as_nanos(),
-        })?;
+        journal
+            .append(&JournalRecord::RunStarted {
+                index: run.index,
+                started_ns: started.as_nanos(),
+            })
+            .map_err(journal_io)?;
         for (host, at_ns) in &quarantined {
-            journal.append(&JournalRecord::HostQuarantined {
-                host: host.clone(),
-                at_ns: *at_ns,
-            })?;
+            journal
+                .append(&JournalRecord::HostQuarantined {
+                    host: host.clone(),
+                    at_ns: *at_ns,
+                })
+                .map_err(journal_io)?;
         }
         if let Some(e) = error {
             return Err(e);
@@ -1695,18 +1709,20 @@ impl<'t> Controller<'t> {
                 attempts,
             });
         }
-        journal.append(&JournalRecord::RunCompleted {
-            index: run.index,
-            success,
-            attempts,
-            recoveries,
-            recovery_time_ns: recovery_time.as_nanos(),
-            started_ns: started.as_nanos(),
-            finished_ns: finished.as_nanos(),
-            rng_cursor,
-            digest: digest.clone(),
-            fault_trace: fault_trace.clone(),
-        })?;
+        journal
+            .append(&JournalRecord::RunCompleted {
+                index: run.index,
+                success,
+                attempts,
+                recoveries,
+                recovery_time_ns: recovery_time.as_nanos(),
+                started_ns: started.as_nanos(),
+                finished_ns: finished.as_nanos(),
+                rng_cursor,
+                digest: digest.clone(),
+                fault_trace: fault_trace.clone(),
+            })
+            .map_err(journal_io)?;
         Ok(RunStep {
             record: RunRecord {
                 params: run,
@@ -1783,15 +1799,18 @@ pub fn create_campaign_tree(
     let store = ResultStore::create(&opts.result_root, &spec.user, &spec.name, started)?
         .with_vfs(opts.vfs.clone());
     store.write_experiment(spec)?;
-    let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())?;
+    let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())
+        .map_err(journal_io)?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-    journal.append(&JournalRecord::CampaignStarted {
-        seed,
-        spec_digest: spec.digest(),
-        total_runs,
-        testbed: opts.testbed_flavor.clone(),
-        started_ns: started.as_nanos(),
-    })?;
+    journal
+        .append(&JournalRecord::CampaignStarted {
+            seed,
+            spec_digest: spec.digest(),
+            total_runs,
+            testbed: opts.testbed_flavor.clone(),
+            started_ns: started.as_nanos(),
+        })
+        .map_err(journal_io)?;
     Ok((store, journal))
 }
 
@@ -1815,12 +1834,15 @@ pub fn reopen_campaign_tree(
         .check(&opts.testbed_flavor, seed, &spec.digest(), total_runs)?;
     journals.retain_verified(dir);
     let store = ResultStore::open(dir).with_vfs(opts.vfs.clone());
-    let mut journal = Journal::open_append_with(dir.join(JOURNAL_FILE), opts.vfs.clone())?;
+    let mut journal =
+        Journal::open_append_with(dir.join(JOURNAL_FILE), opts.vfs.clone()).map_err(journal_io)?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
-    journal.append(&JournalRecord::CampaignResumed {
-        resumed_ns: resumed.as_nanos(),
-        verified_runs: journals.completed.len(),
-    })?;
+    journal
+        .append(&JournalRecord::CampaignResumed {
+            resumed_ns: resumed.as_nanos(),
+            verified_runs: journals.completed.len(),
+        })
+        .map_err(journal_io)?;
     Ok((store, journal))
 }
 

@@ -250,7 +250,7 @@ impl MoonGen {
             // (whose probe bytes are all zero) and patch the UDP checksum
             // incrementally (RFC 1624) — the per-packet hot path does no
             // full re-checksum. `duplicate` skips the refcount round-trip
-            // that `clone` + `bytes_mut` would pay, and `word_sum` computes
+            // that `clone` + `head_mut` would pay, and `word_sum` computes
             // the probe's one's-complement contribution from its fields
             // instead of re-reading the bytes just written.
             let wire_size = self.config.size.wire_size_of(i);
@@ -267,7 +267,10 @@ impl MoonGen {
                 tx_ns: at.as_nanos(),
             };
             let payload_off = pos_packet::builder::HEADERS_LEN;
-            let bytes = frame.bytes_mut();
+            // Only the probe and the UDP checksum before it change, so
+            // only they count as written: the next duplicate of the
+            // template into this buffer copies them back and nothing else.
+            let bytes = frame.head_mut(payload_off + PROBE_LEN);
             probe.write_to(&mut bytes[payload_off..payload_off + PROBE_LEN]);
             const UDP_CSUM_OFF: usize = pos_packet::builder::HEADERS_LEN - 2;
             let csum = u16::from_be_bytes([bytes[UDP_CSUM_OFF], bytes[UDP_CSUM_OFF + 1]]);

@@ -10,6 +10,8 @@
 //! differ. (`case_study_golden.rs` checks the output against earlier
 //! versions, which a comparison within one build cannot.)
 
+use pos_loadgen::moongen::{GeneratorConfig, MoonGen, SizeSpec};
+use pos_loadgen::report::MoonGenReport;
 use pos_loadgen::scenario::{
     build_with_profile, measure, ForwardingScenario, Platform, ScenarioResult,
 };
@@ -440,5 +442,149 @@ fn same_nanosecond_arrivals_and_completions_match_eventful_reference() {
         assert_eq!(fast.1, slow.1, "{label}: port counters");
         assert_eq!(fast.2, slow.2, "{label}: frames received");
         assert!(fast.3 < slow.3, "{label}: the fast path must engage");
+    }
+}
+
+/// One element of a random chain between a MoonGen's TX and RX ports.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    Bridge,
+    Router,
+    PreemptedRouter,
+}
+
+/// Everything a chain run produces: the MoonGen report (latency samples
+/// and interval buckets included), router and bridge statistics, every
+/// port counter and the number of queue events.
+type ChainOutcome = (
+    MoonGenReport,
+    Vec<RouterStats>,
+    Vec<BridgeStats>,
+    Vec<PortCounters>,
+    u64,
+);
+
+/// Builds MoonGen → `hops` → MoonGen on direct cables, runs `duration`
+/// of traffic plus a drain, and collects the outcome.
+fn run_chain(
+    hops: &[Hop],
+    size: SizeSpec,
+    rate_pps: f64,
+    duration: SimDuration,
+    seed: u64,
+    eventful: bool,
+) -> ChainOutcome {
+    let rng = SimRng::new(seed);
+    let mut sim = NetSim::new(seed);
+    let gen = sim.add_element(
+        "moongen",
+        Box::new(MoonGen::new(GeneratorConfig {
+            spec: UdpFrameSpec {
+                src_mac: MacAddr::testbed_host(1),
+                dst_mac: MacAddr::testbed_host(10),
+                src_ip: Ipv4Addr::new(10, 0, 0, 2),
+                dst_ip: Ipv4Addr::new(10, 0, 1, 2),
+                src_port: 1000,
+                dst_port: 2000,
+                ttl: 64,
+            },
+            size,
+            rate_pps,
+            duration,
+            flow_id: 1,
+            latency_sample_every: 1,
+            record_pcap_frames: 0,
+        })),
+        &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
+    );
+    let mut upstream = (gen, 0);
+    for (i, hop) in hops.iter().enumerate() {
+        let name = format!("hop{i}");
+        let element: Box<dyn Element> = match hop {
+            Hop::Bridge => Box::new(LinuxBridge::new(rng.derive(&name))),
+            Hop::Router | Hop::PreemptedRouter => {
+                let profile = match hop {
+                    Hop::Router => ServiceProfile::bare_metal(),
+                    _ => ServiceProfile::virtualized(),
+                };
+                let first_mac = 20 + 2 * i as u8;
+                let mut router = LinuxRouter::new(
+                    profile,
+                    vec![
+                        MacAddr::testbed_host(first_mac),
+                        MacAddr::testbed_host(first_mac + 1),
+                    ],
+                    rng.derive(&name),
+                );
+                router.add_route(RouteEntry {
+                    network: Ipv4Addr::new(10, 0, 1, 0),
+                    prefix_len: 24,
+                    port: 1,
+                    next_hop_mac: MacAddr::testbed_host(2),
+                });
+                Box::new(router)
+            }
+        };
+        let node = sim.add_element(
+            name,
+            element,
+            &[PortConfig::ten_gbe(), PortConfig::ten_gbe()],
+        );
+        sim.connect(upstream, (node, 0), LinkConfig::direct_cable());
+        upstream = (node, 1);
+    }
+    sim.connect(upstream, (gen, 1), LinkConfig::direct_cable());
+    if eventful {
+        sim.force_eventful();
+    }
+    sim.run_until(SimTime::ZERO + duration + SimDuration::from_millis(30));
+    let routers = (0..sim.node_count())
+        .filter_map(|n| sim.element_as::<LinuxRouter>(n).map(|r| r.stats))
+        .collect();
+    let (bridges, ports) = element_state(&sim);
+    let tx = sim.port_counters(gen, 0);
+    let report = sim
+        .element_as_mut::<MoonGen>(gen)
+        .expect("generator")
+        .report(tx.tx_frames, tx.tx_bytes);
+    (report, routers, bridges, ports, sim.events_processed())
+}
+
+proptest! {
+    /// Random chains of zero to two bridges, bare-metal routers and
+    /// preempted routers between a MoonGen's ports, at fixed sizes or
+    /// IMIX, at 5 kpps to 1.5 Mpps (from well under every element's
+    /// saturation rate to far over it): the fast run and the eventful
+    /// reference must agree on every output.
+    #[test]
+    fn random_chains_match_eventful_reference(
+        (seed, hop_count, rate_u) in (any::<u64>(), 0usize..3, 0.0f64..1.0),
+        (first, second) in ([Hop::Bridge, Hop::Router, Hop::PreemptedRouter], [Hop::Bridge, Hop::Router, Hop::PreemptedRouter]),
+        size in [SizeSpec::Fixed(64), SizeSpec::Fixed(576), SizeSpec::Fixed(1500), SizeSpec::Imix],
+    ) {
+        let hops = &[first, second][..hop_count];
+        let rate = log_uniform(5_000.0, 1_500_000.0, rate_u).round();
+        let duration = SimDuration::from_millis(20);
+        let label = format!("{hops:?}, {size:?} @ {rate} pps, seed {seed}");
+        let fast = run_chain(hops, size, rate, duration, seed, false);
+        let slow = run_chain(hops, size, rate, duration, seed, true);
+        prop_assert!(fast.0.tx_frames > 0, "{}: nothing sent", label);
+        if let Some(i) = (0..fast.0.latency_samples_ns.len().max(slow.0.latency_samples_ns.len()))
+            .find(|&i| fast.0.latency_samples_ns.get(i) != slow.0.latency_samples_ns.get(i))
+        {
+            prop_assert!(
+                false,
+                "{}: latency sample {} differs: fast {:?} vs eventful {:?}",
+                label,
+                i,
+                fast.0.latency_samples_ns.get(i),
+                slow.0.latency_samples_ns.get(i)
+            );
+        }
+        prop_assert_eq!(&fast.0, &slow.0, "{}: MoonGen report", label);
+        prop_assert_eq!(&fast.1, &slow.1, "{}: router stats", label);
+        prop_assert_eq!(&fast.2, &slow.2, "{}: bridge stats", label);
+        prop_assert_eq!(&fast.3, &slow.3, "{}: port counters", label);
+        prop_assert!(fast.4 < slow.4, "{}: the fast path must engage ({} vs {} events)", label, fast.4, slow.4);
     }
 }

@@ -15,9 +15,10 @@
 
 use crate::fault::{FaultInjector, FaultOutcome};
 pub use crate::port::PortConfig;
-use crate::port::{Port, PortCounters};
+use crate::port::{Egress, Port, PortCounters};
 use pos_packet::builder::Frame;
 use pos_simkernel::{EventQueue, SimDuration, SimRng, SimTime, Trace, TraceLevel};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Index of an element in the simulation.
@@ -99,24 +100,40 @@ struct Link {
     /// configured). Such links deliver frames *cut-through*: the arrival is
     /// scheduled at transmit start and no `TxComplete` event is needed,
     /// halving the event count on the clean-path topologies that dominate
-    /// benchmarks and campaigns.
+    /// benchmarks and campaigns. At simulation start each endpoint gets
+    /// its resolved [`Egress`].
     cut_through: bool,
-    /// Frames arriving at endpoint `a` skip the event queue entirely and
-    /// are delivered inline (see [`Element::inline_rx`]). Computed once at
-    /// simulation start; only ever true on cut-through links.
-    inline_a: bool,
-    /// Same for endpoint `b`.
-    inline_b: bool,
 }
 
-/// A frame accepted on a cut-through link whose receiver opted into
-/// inline delivery: handed to the element from the drain loop with `at`
-/// (its true arrival instant) as virtual time, never touching the queue.
-struct InlineDelivery {
-    node: NodeId,
-    port: usize,
-    frame: Frame,
-    at: SimTime,
+/// Frames accepted on cut-through links whose receivers opted into inline
+/// delivery (see [`Element::inline_rx`]), in submission order: each is
+/// handed to its element from the drain loop with its true arrival instant
+/// as virtual time, never touching the event queue. Consecutive deliveries
+/// to one port form a *run*, one entry in `runs`, which the drain loop
+/// hands over under a single take of the element.
+#[derive(Default)]
+struct InlineQueue {
+    /// `(node, port, frame count)` per run; the runs partition `frames`.
+    runs: VecDeque<(NodeId, usize, usize)>,
+    /// Every queued frame with its arrival instant.
+    frames: VecDeque<(Frame, SimTime)>,
+}
+
+impl InlineQueue {
+    /// Queues `frame` for `(node, port)` at `at`, extending the last run
+    /// when it goes to the same port.
+    #[inline]
+    fn push(&mut self, node: NodeId, port: usize, frame: Frame, at: SimTime) {
+        match self.runs.back_mut() {
+            Some((n, p, len)) if (*n, *p) == (node, port) => *len += 1,
+            _ => self.runs.push_back((node, port, 1)),
+        }
+        self.frames.push_back((frame, at));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
 }
 
 /// Engine state an element may touch during a callback.
@@ -194,8 +211,7 @@ impl SimCtx<'_> {
     /// True when `port` is wired to a link that delivers cut-through (no
     /// fault injection), i.e. [`Self::transmit_at`] may be used on it.
     pub fn future_tx_capable(&self, port: usize) -> bool {
-        let p = &self.shared.ports[self.node][port];
-        matches!(p.link, Some(idx) if self.shared.links[idx].cut_through)
+        self.shared.ports[self.node][port].egress.is_some()
     }
 
     /// Schedules [`Element::on_timer`] with `token` after `delay`
@@ -301,9 +317,9 @@ struct Shared {
     /// Interned element names: trace lines bump a refcount, never copy.
     names: Vec<Rc<str>>,
     links: Vec<Link>,
-    /// Frames awaiting inline delivery, in submission order. Drained by
-    /// the run loop after every callback returns (never re-entrantly).
-    pending_inline: std::collections::VecDeque<InlineDelivery>,
+    /// Frames awaiting inline delivery. Drained by the run loop after
+    /// every callback returns (never re-entrantly).
+    pending_inline: InlineQueue,
     /// Latest instant handed to any callback as virtual time — keeps
     /// [`NetSim::now`] meaningful when inline deliveries outrun the
     /// event clock.
@@ -326,20 +342,8 @@ impl Shared {
     /// and reject future submissions.
     fn start_tx_at(&mut self, node: NodeId, port: usize, frame: Frame, at: SimTime) -> bool {
         debug_assert!(at >= self.queue.now(), "transmission submitted in the past");
-        let cut_link = match self.ports[node][port].link {
-            Some(idx) if self.links[idx].cut_through => Some(idx),
-            _ => None,
-        };
-        if let Some(link_idx) = cut_link {
-            let wire = frame.wire_size();
-            let link = &self.links[link_idx];
-            let (peer, inline) = if link.a == (node, port) {
-                (link.b, link.inline_b)
-            } else {
-                (link.a, link.inline_a)
-            };
-            let propagation = link.propagation;
-            let p = &mut self.ports[node][port];
+        let p = &mut self.ports[node][port];
+        if let Some(egress) = p.egress {
             debug_assert!(p.in_flight.is_none() && p.tx_queue.is_empty());
             // Frames whose serialization began by `at` no longer occupy
             // the queue.
@@ -356,28 +360,26 @@ impl Shared {
             } else {
                 at
             };
-            let done = start + p.config.serialization_time(wire);
+            let wire = frame.wire_size();
+            let done = start + p.serialization_time(wire);
             p.busy_until = done;
             p.counters.tx_frames += 1;
             p.counters.tx_bytes += wire as u64;
-            if inline {
-                self.pending_inline.push_back(InlineDelivery {
-                    node: peer.0,
-                    port: peer.1,
-                    frame,
-                    at: done + propagation,
-                });
+            let arrival = done + egress.propagation;
+            if egress.inline {
+                self.pending_inline
+                    .push(egress.node, egress.port, frame, arrival);
             } else {
                 // Keyed with the serialization-complete instant, where the
                 // eventful path's `TxComplete` schedules the arrival: a
                 // future-dated transmission then ties at the receiver
                 // exactly as the eventful one does.
                 self.queue.schedule_keyed(
-                    done + propagation,
+                    arrival,
                     done,
                     Event::FrameArrival {
-                        node: peer.0,
-                        port: peer.1,
+                        node: egress.node,
+                        port: egress.port,
                         frame,
                         corrupted: false,
                     },
@@ -389,7 +391,6 @@ impl Shared {
             at == self.queue.now(),
             "future transmission submitted on a port without cut-through delivery"
         );
-        let p = &mut self.ports[node][port];
         if p.is_busy() {
             if p.tx_queue.len() >= p.config.tx_queue_frames {
                 p.counters.tx_queue_drops += 1;
@@ -486,7 +487,7 @@ pub struct NetSim {
     batch_buf: Vec<Event>,
     /// Scratch for inline deliveries due after the current run deadline;
     /// swapped back into `pending_inline` after each drain.
-    deferred_inline: std::collections::VecDeque<InlineDelivery>,
+    deferred_inline: InlineQueue,
 }
 
 impl NetSim {
@@ -499,7 +500,7 @@ impl NetSim {
                 ports: Vec::new(),
                 names: Vec::new(),
                 links: Vec::new(),
-                pending_inline: std::collections::VecDeque::new(),
+                pending_inline: InlineQueue::default(),
                 horizon: SimTime::ZERO,
                 rng: SimRng::new(seed).derive("netsim"),
                 trace: Trace::default(),
@@ -507,7 +508,7 @@ impl NetSim {
             started: false,
             eventful: false,
             batch_buf: Vec::new(),
-            deferred_inline: std::collections::VecDeque::new(),
+            deferred_inline: InlineQueue::default(),
         }
     }
 
@@ -556,8 +557,6 @@ impl NetSim {
             propagation: config.propagation,
             injector: FaultInjector::new(config.fault),
             cut_through,
-            inline_a: false,
-            inline_b: false,
         });
         self.shared.ports[a.0][a.1].link = Some(idx);
         self.shared.ports[b.0][b.1].link = Some(idx);
@@ -656,9 +655,9 @@ impl NetSim {
             return;
         }
         self.started = true;
-        // Wiring is complete: resolve which link endpoints deliver inline.
-        // Only cut-through links qualify, and only when the receiving
-        // element opts in for that port.
+        // Wiring is complete: resolve every cut-through port's egress. An
+        // endpoint takes frames inline only when its element opts in for
+        // that port.
         let full_ct: Vec<bool> = (0..self.elements.len())
             .map(|n| {
                 self.shared.ports[n]
@@ -666,22 +665,19 @@ impl NetSim {
                     .all(|p| matches!(p.link, Some(i) if self.shared.links[i].cut_through))
             })
             .collect();
-        for idx in 0..self.shared.links.len() {
-            let (a, b, cut) = {
-                let l = &self.shared.links[idx];
-                (l.a, l.b, l.cut_through)
-            };
-            if !cut {
-                continue;
-            }
-            let inline_of = |els: &[Option<Box<dyn Element>>], (node, port): (NodeId, usize)| {
-                els[node]
+        for link in self.shared.links.iter().filter(|l| l.cut_through) {
+            for (from, (node, port)) in [(link.a, link.b), (link.b, link.a)] {
+                let inline = self.elements[node]
                     .as_deref()
                     .expect("element present at start")
-                    .inline_rx(port, full_ct[node])
-            };
-            self.shared.links[idx].inline_a = inline_of(&self.elements, a);
-            self.shared.links[idx].inline_b = inline_of(&self.elements, b);
+                    .inline_rx(port, full_ct[node]);
+                self.shared.ports[from.0][from.1].egress = Some(Egress {
+                    node,
+                    port,
+                    inline,
+                    propagation: link.propagation,
+                });
+            }
         }
         for node in 0..self.elements.len() {
             let now = self.shared.queue.now();
@@ -715,26 +711,43 @@ impl NetSim {
 
     /// Delivers pending inline frames due by `deadline`; later ones stay
     /// pending for the next run. Deliveries may submit new transmissions,
-    /// which append further entries — the loop runs until quiescent.
+    /// which append further entries — the loop runs until quiescent. Each
+    /// run of frames for one port is delivered under one take of its
+    /// element; frames it queues land behind the run, so every callback
+    /// happens in submission order.
     fn drain_inline(&mut self, deadline: SimTime) {
         if self.shared.pending_inline.is_empty() {
             return;
         }
-        while let Some(d) = self.shared.pending_inline.pop_front() {
-            if d.at > deadline {
-                self.deferred_inline.push_back(d);
-                continue;
+        while let Some((node, port, len)) = self.shared.pending_inline.runs.pop_front() {
+            let mut el = self.elements[node]
+                .take()
+                .expect("element borrowed re-entrantly");
+            for _ in 0..len {
+                let (frame, at) = self
+                    .shared
+                    .pending_inline
+                    .frames
+                    .pop_front()
+                    .expect("a run's frames are queued");
+                if at > deadline {
+                    self.deferred_inline.push(node, port, frame, at);
+                    continue;
+                }
+                let p = &mut self.shared.ports[node][port];
+                p.counters.rx_frames += 1;
+                p.counters.rx_bytes += frame.wire_size() as u64;
+                if at > self.shared.horizon {
+                    self.shared.horizon = at;
+                }
+                let mut ctx = SimCtx {
+                    node,
+                    vnow: at,
+                    shared: &mut self.shared,
+                };
+                el.on_frame(port, frame, &mut ctx);
             }
-            let InlineDelivery {
-                node,
-                port,
-                frame,
-                at,
-            } = d;
-            let p = &mut self.shared.ports[node][port];
-            p.counters.rx_frames += 1;
-            p.counters.rx_bytes += frame.wire_size() as u64;
-            self.with_element(node, at, |el, ctx| el.on_frame(port, frame, ctx));
+            self.elements[node] = Some(el);
         }
         std::mem::swap(&mut self.shared.pending_inline, &mut self.deferred_inline);
     }

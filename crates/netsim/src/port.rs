@@ -44,9 +44,13 @@ impl PortConfig {
     /// Serialization time of a frame of `wire_size` bytes at this rate.
     pub fn serialization_time(&self, wire_size: usize) -> SimDuration {
         let bits = wire_bits(wire_size);
-        // ceil(bits * 1e9 / rate) nanoseconds; u128 avoids overflow.
-        let ns = (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(self.rate_bps));
-        SimDuration::from_nanos(ns as u64)
+        // ceil(bits * 1e9 / rate) nanoseconds, in 64 bits whenever the
+        // product fits (every Ethernet frame); u128 otherwise.
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(self.rate_bps),
+            None => (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(self.rate_bps)) as u64,
+        };
+        SimDuration::from_nanos(ns)
     }
 }
 
@@ -65,6 +69,20 @@ pub struct PortCounters {
     pub rx_bytes: u64,
     /// Frames discarded due to a bad FCS (fault-injected corruption).
     pub rx_errors: u64,
+}
+
+/// Where a port's cut-through transmissions go, resolved once when the
+/// simulation starts: the far end of its fault-free link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Egress {
+    /// The receiving element.
+    pub(crate) node: usize,
+    /// Its port index.
+    pub(crate) port: usize,
+    /// Whether the receiver takes frames on that port inline.
+    pub(crate) inline: bool,
+    /// The link's propagation delay.
+    pub(crate) propagation: SimDuration,
 }
 
 /// Runtime state of a NIC port.
@@ -86,6 +104,12 @@ pub struct Port {
     /// at or before the current instant are popped lazily; the length is
     /// the queue occupancy used for tail-drop decisions.
     pub(crate) pending_starts: VecDeque<SimTime>,
+    /// The cut-through egress, set at simulation start when the port is
+    /// wired to a fault-free link; `None` keeps the eventful path.
+    pub(crate) egress: Option<Egress>,
+    /// `(wire size, serialization time)` of the last cut-through frame:
+    /// a port sending one size computes its serialization time once.
+    last_serialization: (usize, SimDuration),
     /// Counters.
     pub counters: PortCounters,
 }
@@ -100,8 +124,20 @@ impl Port {
             busy_until: SimTime::ZERO,
             link: None,
             pending_starts: VecDeque::new(),
+            egress: None,
+            last_serialization: (usize::MAX, SimDuration::ZERO),
             counters: PortCounters::default(),
         }
+    }
+
+    /// Serialization time of a `wire_size`-byte frame, remembered for
+    /// the next frame of the same size.
+    #[inline]
+    pub(crate) fn serialization_time(&mut self, wire_size: usize) -> SimDuration {
+        if self.last_serialization.0 != wire_size {
+            self.last_serialization = (wire_size, self.config.serialization_time(wire_size));
+        }
+        self.last_serialization.1
     }
 
     /// True while a frame is being serialized.

@@ -559,8 +559,9 @@ impl LinuxRouter {
         // uniquely held frame, which is the unicast forwarding case): MAC
         // addresses, TTL decrement, and an RFC 1624 incremental checksum
         // update of the [TTL, protocol] word — no full header recompute.
+        // Only the header up to the IPv4 checksum counts as written.
         let mut frame = frame;
-        let bytes = frame.bytes_mut();
+        let bytes = frame.head_mut(ip_offset + 12);
         bytes[0..6].copy_from_slice(&route.next_hop_mac.octets());
         bytes[6..12].copy_from_slice(&src_mac.octets());
         let ttl_off = ip_offset + 8;

@@ -10,9 +10,10 @@ use crate::ipv4::{Ipv4Header, Protocol};
 use crate::mac::MacAddr;
 use crate::udp::UdpHeader;
 use crate::{ethernet, ipv4, udp, FCS_LEN, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Headers' combined length: Ethernet + IPv4 + UDP.
 pub const HEADERS_LEN: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
@@ -38,24 +39,86 @@ pub fn free_pool() {
     let _ = POOL.try_with(|p| std::mem::take(&mut *p.borrow_mut()));
 }
 
+/// A uniquely held buffer from the thread's pool, or a new one.
+fn pooled_buf() -> Rc<FrameBuf> {
+    POOL.with(|p| p.borrow_mut().pop())
+        .unwrap_or_else(|| Rc::new(FrameBuf::new(Vec::new())))
+}
+
 /// A uniquely held frame with room for `capacity` bytes, whose bytes
 /// `fill` writes. The buffer comes from the thread's pool when it has one.
 fn pooled(capacity: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
-    let mut buf = POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| Rc::new(FrameBuf { data: Vec::new() }));
-    let data = &mut Rc::get_mut(&mut buf)
-        .expect("pooled frame buffers are uniquely held")
-        .data;
-    data.clear();
-    data.reserve(capacity);
-    fill(data);
+    let mut buf = pooled_buf();
+    let fb = Rc::get_mut(&mut buf).expect("pooled frame buffers are uniquely held");
+    fb.written_over();
+    fb.origin = 0;
+    fb.data.clear();
+    fb.data.reserve(capacity);
+    fill(&mut fb.data);
     Frame { buf }
 }
 
+/// Source of [`FrameBuf::stamp`] values.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
 /// Backing storage of a [`Frame`].
+///
+/// A buffer remembers which source it was last duplicated from and how
+/// long a prefix has been written since, so a [`Frame::duplicate`] into a
+/// buffer last copied from the same, unchanged source rewrites only that
+/// prefix. A load generator stamping a probe into copies of one template,
+/// and a router rewriting their headers, then copy a few dozen bytes per
+/// packet whatever the frame size.
 struct FrameBuf {
     data: Vec<u8>,
+    /// The content's identity as a duplicate source: 0 until a duplicate
+    /// first copies from this buffer, then a process-unique stamp, reset
+    /// to 0 by every write. A stamp thus names one unchanged content.
+    /// 32 bits keep the pool's buffers small; once a process has issued
+    /// 2³² − 1 stamps, sources stay 0 and every duplicate copies in full.
+    stamp: Cell<u32>,
+    /// The stamp of the source this buffer was last duplicated from
+    /// (0: none).
+    origin: u32,
+    /// Length of the prefix written since that duplicate: the bytes that
+    /// may differ from the source.
+    written: usize,
+}
+
+impl FrameBuf {
+    fn new(data: Vec<u8>) -> FrameBuf {
+        FrameBuf {
+            data,
+            stamp: Cell::new(0),
+            origin: 0,
+            written: 0,
+        }
+    }
+
+    /// Records that `[0, n)` is about to be written.
+    #[inline]
+    fn write_head(&mut self, n: usize) -> &mut [u8] {
+        *self.stamp.get_mut() = 0;
+        self.written = self.written.max(n);
+        &mut self.data[..n]
+    }
+
+    /// Records that the whole buffer is about to be written.
+    #[inline]
+    fn written_over(&mut self) {
+        *self.stamp.get_mut() = 0;
+        self.written = usize::MAX;
+    }
+
+    /// The stamp naming this buffer's current content; 0 (no stamp)
+    /// once stamps run out.
+    fn stamp(&self) -> u32 {
+        if self.stamp.get() == 0 {
+            let next = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+            self.stamp.set(u32::try_from(next).unwrap_or(0));
+        }
+        self.stamp.get()
+    }
 }
 
 /// A complete frame as handed to/by a NIC: header bytes and payload,
@@ -101,7 +164,7 @@ impl Frame {
     /// Wraps raw frame bytes (without FCS).
     pub fn from_bytes(data: Vec<u8>) -> Frame {
         Frame {
-            buf: Rc::new(FrameBuf { data }),
+            buf: Rc::new(FrameBuf::new(data)),
         }
     }
 
@@ -111,28 +174,63 @@ impl Frame {
         &self.buf.data
     }
 
-    /// Mutable access to the frame bytes (fault injection corrupts these,
-    /// routers rewrite TTL/checksum in place). Copy-on-write: a buffer
-    /// shared with other frames is copied first (into a pool-recycled
-    /// allocation); a uniquely held one is mutated in place.
+    /// Mutable access to the frame bytes. Copy-on-write: a buffer shared
+    /// with other frames is copied first (into a pool-recycled
+    /// allocation); a uniquely held one is mutated in place. Marks the
+    /// whole buffer written; a caller that writes only the headers uses
+    /// [`Self::head_mut`].
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
+        let fb = self.unique();
+        fb.written_over();
+        &mut fb.data
+    }
+
+    /// Mutable access to the first `n` bytes, copy-on-write like
+    /// [`Self::bytes_mut`]. Only `[0, n)` counts as written, so the next
+    /// [`Self::duplicate`] of this buffer's source into it copies just
+    /// that prefix: how the load generator stamps its probe and a router
+    /// rewrites MAC addresses, TTL and checksum.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the frame's length.
+    #[inline]
+    pub fn head_mut(&mut self, n: usize) -> &mut [u8] {
+        self.unique().write_head(n)
+    }
+
+    /// The buffer, copied first if it is shared.
+    #[inline]
+    fn unique(&mut self) -> &mut FrameBuf {
         if Rc::get_mut(&mut self.buf).is_none() {
             *self = self.duplicate();
         }
-        &mut Rc::get_mut(&mut self.buf)
-            .expect("uniqueness just ensured")
-            .data
+        Rc::get_mut(&mut self.buf).expect("uniqueness just ensured")
     }
 
     /// A uniquely-held byte-for-byte copy of this frame, backed by a
     /// pool-recycled allocation. Equivalent to `clone()` followed by
     /// `bytes_mut()` forcing the copy, but skips the refcount round-trip —
     /// this is the per-packet template-stamping path in the load generator.
+    /// A recycled buffer last copied from this same, unchanged frame gets
+    /// only its written prefix back.
     pub fn duplicate(&self) -> Frame {
-        pooled(self.buf.data.len(), |data| {
-            data.extend_from_slice(&self.buf.data)
-        })
+        let src = &*self.buf;
+        let stamp = src.stamp();
+        let mut buf = pooled_buf();
+        let fb = Rc::get_mut(&mut buf).expect("pooled frame buffers are uniquely held");
+        // Lengths differ only after `into_bytes` took the buffer's bytes.
+        if stamp != 0 && fb.origin == stamp && fb.data.len() == src.data.len() {
+            let n = fb.written.min(src.data.len());
+            fb.data[..n].copy_from_slice(&src.data[..n]);
+        } else {
+            fb.data.clear();
+            fb.data.extend_from_slice(&src.data);
+        }
+        fb.origin = stamp;
+        fb.written = 0;
+        *fb.stamp.get_mut() = 0;
+        Frame { buf }
     }
 
     /// Size of the frame on the wire: bytes plus the 4-byte FCS.
@@ -477,7 +575,84 @@ mod tests {
         ));
     }
 
+    /// One step of [`prop_duplicates_match_fresh_copies`], on the live
+    /// frame at index `i % live.len()`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Duplicate(usize),
+        HeadMut(usize, usize, u8),
+        BytesMut(usize, usize, u8),
+        Clone(usize),
+        Drop(usize),
+    }
+
+    impl Arbitrary for Op {
+        fn arbitrary(rng: &mut TestRng) -> Op {
+            let i = rng.next_u64() as usize;
+            let (n, v) = (rng.next_u64() as usize, rng.next_u64() as u8);
+            // Weighted towards duplicates and drops, which recycle buffers.
+            match rng.below(10) {
+                0..=2 => Op::Duplicate(i),
+                3 | 4 => Op::HeadMut(i, n, v),
+                5 => Op::BytesMut(i, n, v),
+                6 => Op::Clone(i),
+                _ => Op::Drop(i),
+            }
+        }
+    }
+
     proptest! {
+        /// Copy-what-changed duplicates are invisible: whatever mix of
+        /// duplicates, head and whole writes, clones and drops runs (drops
+        /// recycle buffers that the next duplicate reuses), every live
+        /// frame holds the bytes a fresh full copy would.
+        #[test]
+        fn prop_duplicates_match_fresh_copies(ops in collection::vec(any::<Op>(), 1..120)) {
+            let mut live: Vec<(Frame, Vec<u8>)> = [&[1u8; 40][..], &[2u8; 300][..]]
+                .iter()
+                .map(|payload| {
+                    let f = spec().build(payload);
+                    let bytes = f.bytes().to_vec();
+                    (f, bytes)
+                })
+                .collect();
+            for op in ops {
+                let len = live.len();
+                match op {
+                    Op::Duplicate(i) => {
+                        let (f, bytes) = &live[i % len];
+                        let copy = (f.duplicate(), bytes.clone());
+                        live.push(copy);
+                    }
+                    Op::HeadMut(i, n, v) => {
+                        let (f, bytes) = &mut live[i % len];
+                        let n = n % (bytes.len() + 1);
+                        f.head_mut(n).fill(v);
+                        bytes[..n].fill(v);
+                    }
+                    Op::BytesMut(i, at, v) => {
+                        let (f, bytes) = &mut live[i % len];
+                        let at = at % bytes.len();
+                        f.bytes_mut()[at] = v;
+                        bytes[at] = v;
+                    }
+                    Op::Clone(i) => {
+                        let (f, bytes) = &live[i % len];
+                        let copy = (f.clone(), bytes.clone());
+                        live.push(copy);
+                    }
+                    Op::Drop(i) => {
+                        if live.len() > 1 {
+                            live.swap_remove(i % len);
+                        }
+                    }
+                }
+                for (f, bytes) in &live {
+                    prop_assert_eq!(f.bytes(), &bytes[..]);
+                }
+            }
+        }
+
         #[test]
         fn prop_every_legal_wire_size_roundtrips(size in 64usize..=1518) {
             let frame = spec().build_with_wire_size(size, b"probe!").unwrap();

@@ -408,8 +408,8 @@ impl ServeEngine {
     /// it; after it, a different root is refused.
     pub fn start(opts: ServeOptions) -> Result<ServeEngine, ServeError> {
         std::fs::create_dir_all(&opts.state_dir)?;
-        std::fs::create_dir_all(&opts.results_root)?;
-        let results_root = opts.results_root.canonicalize()?;
+        // The first campaign's result store creates the root.
+        let results_root = canonical_root(&opts.results_root)?;
         let (mut journal, replay) = ledger::open_ledger(&opts.state_dir, opts.vfs.clone())?;
         let recovered = ledger::rebuild(&replay)?;
         let dispatched = !recovered.in_flight.is_empty() || !recovered.finished.is_empty();
@@ -511,19 +511,10 @@ impl ServeEngine {
     /// journal nothing, because they change no state.
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitResponse, ServeError> {
         self.refuse_if_dead()?;
-        let spec = match ExperimentSpec::from_dir(Path::new(&req.experiment)) {
+        let spec = match check_submission(req) {
             Ok(spec) => spec,
-            Err(e) => {
-                return Ok(SubmitResponse::Invalid {
-                    reason: format!("cannot load experiment from {}: {e}", req.experiment),
-                })
-            }
+            Err(reason) => return Ok(SubmitResponse::Invalid { reason }),
         };
-        if let Err(e) = spec.validate() {
-            return Ok(SubmitResponse::Invalid {
-                reason: e.to_string(),
-            });
-        }
         let user = req.user.clone().unwrap_or_else(|| spec.user.clone());
         let priority = req.priority.max(1);
         let mut c = self.lock();
@@ -963,6 +954,47 @@ fn referenced_dirs(finished: &[FinishedRec]) -> BTreeSet<PathBuf> {
         .filter(|f| !f.result_dir.is_empty())
         .map(|f| PathBuf::from(&f.result_dir))
         .collect()
+}
+
+/// Loads and validates the experiment a submission names: what
+/// [`ServeEngine::submit`] answers `Invalid` for. An offline front end
+/// runs it first, so a refused submission starts no session.
+pub fn check_submission(req: &SubmitRequest) -> Result<ExperimentSpec, String> {
+    let spec = ExperimentSpec::from_dir(Path::new(&req.experiment))
+        .map_err(|e| format!("cannot load experiment from {}: {e}", req.experiment))?;
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// Where `root` will be once it is created, without creating it: its
+/// deepest existing ancestor with symlinks resolved, then the missing
+/// components. For an existing root that is its canonical path, so a
+/// session that only submits records the same root as one that creates
+/// it and dispatches.
+fn canonical_root(root: &Path) -> std::io::Result<PathBuf> {
+    let root = std::path::absolute(root)?;
+    let mut missing = Vec::new();
+    let mut existing = root.as_path();
+    loop {
+        match existing.canonicalize() {
+            Ok(base) => return Ok(missing.iter().rev().fold(base, |p, name| p.join(name))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                match (existing.parent(), existing.file_name()) {
+                    (Some(parent), Some(name)) => {
+                        missing.push(name);
+                        existing = parent;
+                    }
+                    // A `..` past a missing directory: only creating it
+                    // tells where it leads.
+                    _ => {
+                        std::fs::create_dir_all(&root)?;
+                        return root.canonicalize();
+                    }
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Loads and validates a submission's experiment, and its DAG when the

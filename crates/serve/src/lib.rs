@@ -42,8 +42,8 @@ pub mod ledger;
 pub mod signal;
 
 pub use engine::{
-    ExitReport, ServeEngine, ServeError, ServeOptions, ServeStatus, ServeTotals, StepOutcome,
-    SubmitRequest, SubmitResponse,
+    check_submission, ExitReport, ServeEngine, ServeError, ServeOptions, ServeStatus, ServeTotals,
+    StepOutcome, SubmitRequest, SubmitResponse,
 };
 pub use fsck::{fsck_queue, QueueFsckReport};
 pub use http::{http_request, DrainAck, ErrorBody, HttpResponse, HttpServer, SubmitAck};

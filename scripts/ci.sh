@@ -34,6 +34,14 @@ cargo test -q --workspace
 echo "==> fast-vs-eventful oracle (crates/loadgen/tests/fast_vs_eventful.rs)"
 cargo test -q -p pos-loadgen --test fast_vs_eventful
 
+# The random-chain slice of the oracle (MoonGen → 0–2 bridges/routers →
+# MoonGen, random sizes, rates and seeds) guards the engine's hop
+# plumbing — resolved egress and run-batched inline delivery — beyond
+# the case study's one chain; it is part of the file above and repeated
+# by name so the gate stays loud if someone filters tests.
+echo "==> fast-vs-eventful random chains"
+cargo test -q -p pos-loadgen --test fast_vs_eventful random_chains_match_eventful_reference
+
 # The oracle compares two paths of one build; the golden pins the case
 # study's output across versions (router stats, TX/RX frames, interval
 # buckets, a checksum over the latency samples).

@@ -34,11 +34,11 @@
 use pos::core::commands::case_study_testbed;
 use pos::core::controller::{Controller, ExperimentOutcome, Progress, RunOptions};
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::JOURNAL_FILE;
+use pos::core::journal::CampaignDiskState;
 use pos::core::recovery::CampaignIdentity;
 use pos::core::resultstore::ResultStore;
 use pos::core::vfs::{FaultPlan, Vfs};
-use pos::dag::{DagError, Resumable, ResumableDag, TreeKind};
+use pos::dag::{tree_disk_state, DagError, Resumable, ResumableDag, TreeKind};
 use pos::eval::loader::ResultSet;
 use pos::eval::plot::PlotSpec;
 use pos::publish::bundle::{verify_dir, verify_runs, Bundle};
@@ -48,9 +48,9 @@ use pos::sched::{
     Resumed, Submission, SubmissionQueue,
 };
 use pos::serve::{
-    http_request, rebuild, signal as serve_signal, DrainAck, ErrorBody, ExitReport, HttpServer,
-    LedgerRecord, RecoveredState, ServeEngine, ServeOptions, ServeStatus, StepOutcome, SubmitAck,
-    SubmitRequest, SubmitResponse, LEDGER_FILE,
+    check_submission, http_request, rebuild, signal as serve_signal, DrainAck, ErrorBody,
+    ExitReport, HttpServer, LedgerRecord, RecoveredState, ServeEngine, ServeOptions, ServeStatus,
+    StepOutcome, SubmitAck, SubmitRequest, SubmitResponse, LEDGER_FILE,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -360,9 +360,10 @@ fn checkpointed_or_error(e: DagError, resume_at: Option<&str>) -> Result<Complet
 
 /// The tree a checkpointed `pos run` or `pos dag run` left under a
 /// result root, for its resume hint: the youngest of the trees the
-/// store nests as `<root>/<user>/<experiment>/vt-<time>/`, when it has
-/// a journal. `None` when it has none — the fault hit while the tree's
-/// inputs were being stored, before its journal existed.
+/// store nests as `<root>/<user>/<experiment>/vt-<time>/`, when its
+/// journal holds a durable record. `None` when it does not — the fault
+/// hit while the tree's inputs were being stored, or on the journal's
+/// first append — since `pos resume` has nothing to resume from.
 fn resume_hint(root: &Path) -> Option<String> {
     fn walk(dir: &Path, found: &mut Vec<PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else {
@@ -383,9 +384,7 @@ fn resume_hint(root: &Path) -> Option<String> {
     let mut found = Vec::new();
     walk(root, &mut found);
     let tree = ResultStore::youngest(found)?;
-    tree.join(JOURNAL_FILE)
-        .exists()
-        .then(|| tree.display().to_string())
+    (tree_disk_state(&tree) != CampaignDiskState::NoJournal).then(|| tree.display().to_string())
 }
 
 /// The degraded-exit-code contract: a campaign that completed but
@@ -858,13 +857,15 @@ fn cmd_queue(args: &[String]) -> Result<Completion, String> {
 
     match pos_args.as_slice() {
         ["submit", exp_dir] => {
-            let engine = ServeEngine::start(sopts).map_err(|e| e.to_string())?;
             let req = SubmitRequest {
                 user: opts.get("user").map(|s| s.to_string()),
                 experiment: exp_dir.to_string(),
                 priority: flag(&opts, "priority", 1)?,
                 token: opts.get("token").map(|s| s.to_string()),
             };
+            // A submission the engine would refuse starts no session.
+            check_submission(&req)?;
+            let engine = ServeEngine::start(sopts).map_err(|e| e.to_string())?;
             match engine.submit(&req).map_err(|e| e.to_string())? {
                 SubmitResponse::Accepted { id } => {
                     let q = engine.status().queue;

@@ -40,13 +40,19 @@ impl Drop for Spawned {
 }
 
 fn run(dir: &Path, args: &[&str]) -> (bool, String, String) {
+    let (code, stdout, stderr) = run_code(dir, args);
+    (code == Some(0), stdout, stderr)
+}
+
+/// [`run`] with the exit code.
+fn run_code(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(pos_bin())
         .args(args)
         .current_dir(dir)
         .output()
         .expect("spawn pos binary");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
@@ -376,6 +382,25 @@ fn cli_queue_submit_status_drain() {
         &["queue", "submit", "exp", "--user", "bob", "--queue", "q"],
     );
     assert!(ok, "submit failed: {stderr}");
+
+    // A submission the engine refuses starts no session: the ledger keeps
+    // its two sessions of two records each. No submit creates the
+    // default results root, which the drain below does not use.
+    let (ok, _, stderr) = run(
+        &dir,
+        &[
+            "queue", "submit", "missing", "--user", "eve", "--queue", "q",
+        ],
+    );
+    assert!(!ok, "a missing experiment must be refused");
+    assert!(stderr.contains("cannot load experiment"), "{stderr}");
+    let (ok, stdout, _) = run(&dir, &["fsck", "q"]);
+    assert!(ok, "{stdout}");
+    assert!(
+        stdout.contains("ledger: 4 records, 2 session(s)"),
+        "{stdout}"
+    );
+    assert!(!dir.join("results").exists(), "submit created ./results");
 
     let (ok, stdout, _) = run(&dir, &["queue", "status", "--queue", "q"]);
     assert!(ok);
@@ -766,25 +791,46 @@ fn cli_resume_hint_names_the_youngest_tree() {
         let (ok, _, stderr) = run(&dir, &["run", "exp", "--results", "res"]);
         assert!(ok, "run {n} failed: {stderr}");
     }
-    std::fs::write(
-        dir.join("enospc.json"),
-        r#"{"seed": 7, "faults": [{"Enospc": {"after_bytes": 200, "file": "journal.log"}}]}"#,
-    )
-    .unwrap();
-    let (_, _, stderr) = run(
-        &dir,
-        &[
-            "run",
-            "exp",
-            "--results",
-            "res",
-            "--disk-faults",
-            "enospc.json",
-        ],
-    );
+    // The journal's first frame (`CampaignStarted`) is 241 bytes: a disk
+    // that fills at 400 leaves it durable, and the run is a checkpoint.
+    let enospc_at = |after_bytes: u64| {
+        std::fs::write(
+            dir.join("enospc.json"),
+            format!(
+                r#"{{"seed": 7, "faults": [{{"Enospc": {{"after_bytes": {after_bytes}, "file": "journal.log"}}}}]}}"#
+            ),
+        )
+        .unwrap();
+        run_code(
+            &dir,
+            &[
+                "run",
+                "exp",
+                "--results",
+                "res",
+                "--disk-faults",
+                "enospc.json",
+            ],
+        )
+    };
+    let (code, _, stderr) = enospc_at(400);
+    assert_eq!(code, Some(3), "{stderr}");
     assert!(
         stderr.contains("vt-0000000000-11` to complete"),
         "hint must name the checkpointed tree:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("campaign journal error"),
+        "a full disk under the journal is a journal error:\n{stderr}"
+    );
+    // At 200 bytes not even the first frame is durable: nothing to
+    // resume, so no hint, and a plain error.
+    let (code, _, stderr) = enospc_at(200);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("campaign journal error"), "{stderr}");
+    assert!(
+        !stderr.contains("pos resume"),
+        "no hint without a durable record:\n{stderr}"
     );
 }
 
