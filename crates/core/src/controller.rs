@@ -596,12 +596,14 @@ impl ControllerError {
     }
 }
 
-/// A failed write to the campaign journal: reported as a journal error
-/// (a full disk under the journal reads "campaign journal error", not
-/// "result store error"), classified by [`ControllerError::is_storage_full`]
-/// like any other.
-fn journal_io(e: std::io::Error) -> ControllerError {
-    ControllerError::Journal(JournalError::Io(e))
+impl ControllerError {
+    /// A failed create, open or write of a campaign or lane journal:
+    /// reported as a journal error (a full disk under the journal reads
+    /// "campaign journal error", not "result store error"), classified by
+    /// [`ControllerError::is_storage_full`] like any other.
+    pub fn journal_io(e: std::io::Error) -> ControllerError {
+        ControllerError::Journal(JournalError::Io(e))
+    }
 }
 
 impl From<std::io::Error> for ControllerError {
@@ -1355,7 +1357,7 @@ impl<'t> Controller<'t> {
                 succeeded: tally.records.iter().filter(|r| r.success).count(),
                 failed: tally.failed_runs.len(),
             })
-            .map_err(journal_io)?;
+            .map_err(ControllerError::journal_io)?;
         self.tb.calendar.release(reservation);
         Ok(ExperimentOutcome {
             result_dir: store.dir().to_path_buf(),
@@ -1645,14 +1647,14 @@ impl<'t> Controller<'t> {
                 index: run.index,
                 started_ns: started.as_nanos(),
             })
-            .map_err(journal_io)?;
+            .map_err(ControllerError::journal_io)?;
         for (host, at_ns) in &quarantined {
             journal
                 .append(&JournalRecord::HostQuarantined {
                     host: host.clone(),
                     at_ns: *at_ns,
                 })
-                .map_err(journal_io)?;
+                .map_err(ControllerError::journal_io)?;
         }
         if let Some(e) = error {
             return Err(e);
@@ -1722,7 +1724,7 @@ impl<'t> Controller<'t> {
                 digest: digest.clone(),
                 fault_trace: fault_trace.clone(),
             })
-            .map_err(journal_io)?;
+            .map_err(ControllerError::journal_io)?;
         Ok(RunStep {
             record: RunRecord {
                 params: run,
@@ -1800,7 +1802,7 @@ pub fn create_campaign_tree(
         .with_vfs(opts.vfs.clone());
     store.write_experiment(spec)?;
     let mut journal = Journal::create_with(store.dir().join(JOURNAL_FILE), opts.vfs.clone())
-        .map_err(journal_io)?;
+        .map_err(ControllerError::journal_io)?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
     journal
         .append(&JournalRecord::CampaignStarted {
@@ -1810,7 +1812,7 @@ pub fn create_campaign_tree(
             testbed: opts.testbed_flavor.clone(),
             started_ns: started.as_nanos(),
         })
-        .map_err(journal_io)?;
+        .map_err(ControllerError::journal_io)?;
     Ok((store, journal))
 }
 
@@ -1834,15 +1836,15 @@ pub fn reopen_campaign_tree(
         .check(&opts.testbed_flavor, seed, &spec.digest(), total_runs)?;
     journals.retain_verified(dir);
     let store = ResultStore::open(dir).with_vfs(opts.vfs.clone());
-    let mut journal =
-        Journal::open_append_with(dir.join(JOURNAL_FILE), opts.vfs.clone()).map_err(journal_io)?;
+    let mut journal = Journal::open_append_with(dir.join(JOURNAL_FILE), opts.vfs.clone())
+        .map_err(ControllerError::journal_io)?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
     journal
         .append(&JournalRecord::CampaignResumed {
             resumed_ns: resumed.as_nanos(),
             verified_runs: journals.completed.len(),
         })
-        .map_err(journal_io)?;
+        .map_err(ControllerError::journal_io)?;
     Ok((store, journal))
 }
 

@@ -44,13 +44,9 @@ impl PortConfig {
     /// Serialization time of a frame of `wire_size` bytes at this rate.
     pub fn serialization_time(&self, wire_size: usize) -> SimDuration {
         let bits = wire_bits(wire_size);
-        // ceil(bits * 1e9 / rate) nanoseconds, in 64 bits whenever the
-        // product fits (every Ethernet frame); u128 otherwise.
-        let ns = match bits.checked_mul(1_000_000_000) {
-            Some(scaled) => scaled.div_ceil(self.rate_bps),
-            None => (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(self.rate_bps)) as u64,
-        };
-        SimDuration::from_nanos(ns)
+        // ceil(bits * 1e9 / rate) nanoseconds; u128 avoids overflow.
+        let ns = (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(self.rate_bps));
+        SimDuration::from_nanos(ns as u64)
     }
 }
 

@@ -13,7 +13,6 @@ use crate::{ethernet, ipv4, udp, FCS_LEN, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Headers' combined length: Ethernet + IPv4 + UDP.
 pub const HEADERS_LEN: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
@@ -30,6 +29,11 @@ thread_local! {
     /// A simulation and its frames live on one thread, so the pool needs
     /// no locking and parallel lanes stay isolated.
     static POOL: RefCell<Vec<Rc<FrameBuf>>> = const { RefCell::new(Vec::new()) };
+
+    /// The thread's next [`FrameBuf::stamp`]; 0 once all are issued. A
+    /// frame never leaves its thread, so stamps need only be unique
+    /// among the thread's buffers.
+    static NEXT_STAMP: Cell<u32> = const { Cell::new(1) };
 }
 
 /// Frees the buffers this thread's pool retains. A thread done
@@ -58,9 +62,6 @@ fn pooled(capacity: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
     Frame { buf }
 }
 
-/// Source of [`FrameBuf::stamp`] values.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
 /// Backing storage of a [`Frame`].
 ///
 /// A buffer remembers which source it was last duplicated from and how
@@ -71,11 +72,12 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// packet whatever the frame size.
 struct FrameBuf {
     data: Vec<u8>,
-    /// The content's identity as a duplicate source: 0 until a duplicate
-    /// first copies from this buffer, then a process-unique stamp, reset
-    /// to 0 by every write. A stamp thus names one unchanged content.
-    /// 32 bits keep the pool's buffers small; once a process has issued
-    /// 2³² − 1 stamps, sources stay 0 and every duplicate copies in full.
+    /// The content's identity as a duplicate source: 0 until
+    /// [`Frame::duplicate`] first copies from this buffer, then a stamp
+    /// unique on the thread, reset to 0 by every write. A stamp thus
+    /// names one unchanged content. 32 bits keep the pool's buffers
+    /// small; once a thread has issued 2³² − 1 stamps, sources stay 0 and
+    /// every duplicate copies in full.
     stamp: Cell<u32>,
     /// The stamp of the source this buffer was last duplicated from
     /// (0: none).
@@ -114,8 +116,13 @@ impl FrameBuf {
     /// once stamps run out.
     fn stamp(&self) -> u32 {
         if self.stamp.get() == 0 {
-            let next = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
-            self.stamp.set(u32::try_from(next).unwrap_or(0));
+            self.stamp.set(NEXT_STAMP.with(|next| {
+                let stamp = next.get();
+                if stamp != 0 {
+                    next.set(stamp.wrapping_add(1));
+                }
+                stamp
+            }));
         }
         self.stamp.get()
     }
@@ -199,11 +206,15 @@ impl Frame {
         self.unique().write_head(n)
     }
 
-    /// The buffer, copied first if it is shared.
+    /// The buffer, copied in full first if it is shared. The shared
+    /// source is not stamped: copies on write (a router rewriting a
+    /// flooded frame, say) come from a new source each time.
     #[inline]
     fn unique(&mut self) -> &mut FrameBuf {
         if Rc::get_mut(&mut self.buf).is_none() {
-            *self = self.duplicate();
+            let src = &self.buf.data;
+            let copy = pooled(src.len(), |data| data.extend_from_slice(src));
+            *self = copy;
         }
         Rc::get_mut(&mut self.buf).expect("uniqueness just ensured")
     }
@@ -599,6 +610,24 @@ mod tests {
                 _ => Op::Drop(i),
             }
         }
+    }
+
+    /// Once a thread's stamps run out, sources stay unstamped and every
+    /// duplicate copies in full, still exactly.
+    #[test]
+    fn duplicates_stay_exact_once_stamps_run_out() {
+        NEXT_STAMP.with(|next| next.set(u32::MAX));
+        let last = spec().build(&[7u8; 200]);
+        let unstamped = spec().build(&[9u8; 200]);
+        for (template, stamp) in [(&last, u32::MAX), (&unstamped, 0)] {
+            for round in 0..3u8 {
+                let mut copy = template.duplicate();
+                assert_eq!(copy.bytes(), template.bytes());
+                copy.head_mut(20).fill(round);
+            }
+            assert_eq!(template.buf.stamp.get(), stamp);
+        }
+        assert_eq!(NEXT_STAMP.with(Cell::get), 0);
     }
 
     proptest! {

@@ -204,17 +204,21 @@ pub fn run_parallel(
         runs.len(),
         lanes[0].testbed().now(),
     )?;
-    sched_journal.append(&JournalRecord::LanePlan {
-        lanes: popts.lanes,
-        flavors: alloc.labels(),
-    })?;
-    sched_journal.append(&JournalRecord::SupervisorPlan {
-        config: serde_json::to_string(&SupervisorPlanConfig {
-            site_replicas: popts.site_replicas,
-            options: popts.supervisor.clone(),
+    sched_journal
+        .append(&JournalRecord::LanePlan {
+            lanes: popts.lanes,
+            flavors: alloc.labels(),
         })
-        .expect("supervisor options serialize"),
-    })?;
+        .map_err(ControllerError::journal_io)?;
+    sched_journal
+        .append(&JournalRecord::SupervisorPlan {
+            config: serde_json::to_string(&SupervisorPlanConfig {
+                site_replicas: popts.site_replicas,
+                options: popts.supervisor.clone(),
+            })
+            .expect("supervisor options serialize"),
+        })
+        .map_err(ControllerError::journal_io)?;
     execute_lanes(
         &spec_eff,
         opts,
@@ -378,11 +382,13 @@ fn execute_lanes(
             .trace
             .render_min_level(TraceLevel::Info),
     )?;
-    sched_journal.append(&JournalRecord::CampaignFinished {
-        finished_ns: finished.as_nanos(),
-        succeeded: stats.records.iter().filter(|r| r.success).count(),
-        failed: stats.failed_runs.len(),
-    })?;
+    sched_journal
+        .append(&JournalRecord::CampaignFinished {
+            finished_ns: finished.as_nanos(),
+            succeeded: stats.records.iter().filter(|r| r.success).count(),
+            failed: stats.failed_runs.len(),
+        })
+        .map_err(ControllerError::journal_io)?;
     let merge_wall_secs = merge_t0.elapsed().as_secs_f64();
 
     let parallel_elapsed = sup.makespan_end() - started;

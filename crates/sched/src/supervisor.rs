@@ -82,22 +82,25 @@ fn lane_journal(
     k: usize,
     flavor: LaneFlavor,
     lane: &Controller<'_>,
-) -> std::io::Result<Journal> {
+) -> Result<Journal, ControllerError> {
     let path = store.dir().join(lane_journal_file(k));
     let fresh = !path.exists();
     let mut journal = if fresh {
-        Journal::create_with(&path, opts.vfs.clone())?
+        Journal::create_with(&path, opts.vfs.clone())
     } else {
-        Journal::open_append_with(&path, opts.vfs.clone())?
-    };
+        Journal::open_append_with(&path, opts.vfs.clone())
+    }
+    .map_err(ControllerError::journal_io)?;
     journal.arm_crash(opts.journal_crash_after, opts.journal_torn_write);
     if fresh {
-        journal.append(&JournalRecord::LaneStarted {
-            lane: k,
-            seed,
-            flavor: flavor.label().to_string(),
-            started_ns: lane.testbed().now().as_nanos(),
-        })?;
+        journal
+            .append(&JournalRecord::LaneStarted {
+                lane: k,
+                seed,
+                flavor: flavor.label().to_string(),
+                started_ns: lane.testbed().now().as_nanos(),
+            })
+            .map_err(ControllerError::journal_io)?;
     }
     Ok(journal)
 }
@@ -257,7 +260,7 @@ impl<'a> LaneSupervisor<'a> {
             .zip(&flavors)
             .enumerate()
             .map(|(k, (lane, &flavor))| lane_journal(opts, store, seed, k, flavor, lane))
-            .collect::<std::io::Result<Vec<_>>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
         let laneset = LaneSet::new(lanes.iter().map(|c| c.testbed().now()).collect());
         let dispatched = vec![0; lanes.len()];
         let lane_assignments = vec![Vec::new(); lanes.len()];
@@ -428,13 +431,15 @@ impl<'a> LaneSupervisor<'a> {
                     self.laneset.occupy(to, delay);
                     self.failover_time += delay;
                     self.ladder_retries += 1;
-                    sched_journal.append(&JournalRecord::RunRetry {
-                        index: run.index,
-                        attempt,
-                        lane: to,
-                        delay_ns: delay.as_nanos(),
-                        at_ns: cursor.as_nanos(),
-                    })?;
+                    sched_journal
+                        .append(&JournalRecord::RunRetry {
+                            index: run.index,
+                            attempt,
+                            lane: to,
+                            delay_ns: delay.as_nanos(),
+                            at_ns: cursor.as_nanos(),
+                        })
+                        .map_err(ControllerError::journal_io)?;
                     continue;
                 }
 
@@ -564,12 +569,14 @@ impl<'a> LaneSupervisor<'a> {
         cursor: SimTime,
     ) -> Result<(), ControllerError> {
         self.laneset.retire(lane);
-        sched_journal.append(&JournalRecord::LaneRetired {
-            lane,
-            at_ns: cursor.as_nanos(),
-            reason: reason.clone(),
-            run,
-        })?;
+        sched_journal
+            .append(&JournalRecord::LaneRetired {
+                lane,
+                at_ns: cursor.as_nanos(),
+                reason: reason.clone(),
+                run,
+            })
+            .map_err(ControllerError::journal_io)?;
         self.retired.push((lane, reason));
         Ok(())
     }
@@ -669,11 +676,13 @@ impl<'a> LaneSupervisor<'a> {
         let setup_elapsed = lane.testbed().now() - setup.started;
         self.failover_time += setup_elapsed;
 
-        sched_journal.append(&JournalRecord::LaneReplanned {
-            lane: k,
-            flavor: flavor.label().to_string(),
-            at_ns: cursor.as_nanos(),
-        })?;
+        sched_journal
+            .append(&JournalRecord::LaneReplanned {
+                lane: k,
+                flavor: flavor.label().to_string(),
+                at_ns: cursor.as_nanos(),
+            })
+            .map_err(ControllerError::journal_io)?;
         let j = lane_journal(self.opts, store, self.seed, k, flavor, &lane)?;
 
         let idx = self.laneset.add_lane(cursor + setup_elapsed);
@@ -721,23 +730,27 @@ impl<'a> LaneSupervisor<'a> {
             run.index
         )];
         self.write_forensic_bundle(store, run, cursor, kills)?;
-        sched_journal.append(&JournalRecord::RunQuarantined {
-            index: run.index,
-            lanes_killed: kills,
-            at_ns: cursor.as_nanos(),
-        })?;
-        sched_journal.append(&JournalRecord::RunCompleted {
-            index: run.index,
-            success: false,
-            attempts: 0,
-            recoveries: 0,
-            recovery_time_ns: 0,
-            started_ns: cursor.as_nanos(),
-            finished_ns: cursor.as_nanos(),
-            rng_cursor: 0,
-            digest,
-            fault_trace: fault_trace.clone(),
-        })?;
+        sched_journal
+            .append(&JournalRecord::RunQuarantined {
+                index: run.index,
+                lanes_killed: kills,
+                at_ns: cursor.as_nanos(),
+            })
+            .map_err(ControllerError::journal_io)?;
+        sched_journal
+            .append(&JournalRecord::RunCompleted {
+                index: run.index,
+                success: false,
+                attempts: 0,
+                recoveries: 0,
+                recovery_time_ns: 0,
+                started_ns: cursor.as_nanos(),
+                finished_ns: cursor.as_nanos(),
+                rng_cursor: 0,
+                digest,
+                fault_trace: fault_trace.clone(),
+            })
+            .map_err(ControllerError::journal_io)?;
 
         Ok(RunRecord {
             params: run.clone(),

@@ -793,7 +793,7 @@ fn cli_resume_hint_names_the_youngest_tree() {
     }
     // The journal's first frame (`CampaignStarted`) is 241 bytes: a disk
     // that fills at 400 leaves it durable, and the run is a checkpoint.
-    let enospc_at = |after_bytes: u64| {
+    let enospc_at = |after_bytes: u64, extra: &[&str]| {
         std::fs::write(
             dir.join("enospc.json"),
             format!(
@@ -801,19 +801,18 @@ fn cli_resume_hint_names_the_youngest_tree() {
             ),
         )
         .unwrap();
-        run_code(
-            &dir,
-            &[
-                "run",
-                "exp",
-                "--results",
-                "res",
-                "--disk-faults",
-                "enospc.json",
-            ],
-        )
+        let mut args = vec![
+            "run",
+            "exp",
+            "--results",
+            "res",
+            "--disk-faults",
+            "enospc.json",
+        ];
+        args.extend_from_slice(extra);
+        run_code(&dir, &args)
     };
-    let (code, _, stderr) = enospc_at(400);
+    let (code, _, stderr) = enospc_at(400, &[]);
     assert_eq!(code, Some(3), "{stderr}");
     assert!(
         stderr.contains("vt-0000000000-11` to complete"),
@@ -825,13 +824,18 @@ fn cli_resume_hint_names_the_youngest_tree() {
     );
     // At 200 bytes not even the first frame is durable: nothing to
     // resume, so no hint, and a plain error.
-    let (code, _, stderr) = enospc_at(200);
+    let (code, _, stderr) = enospc_at(200, &[]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("campaign journal error"), "{stderr}");
     assert!(
         !stderr.contains("pos resume"),
         "no hint without a durable record:\n{stderr}"
     );
+    // The lane scheduler's own records (`LanePlan` and on) are journal
+    // appends as well.
+    let (code, _, stderr) = enospc_at(400, &["--lanes", "2"]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("campaign journal error"), "{stderr}");
 }
 
 /// A DAG tree carries its seed, testbed and target in its journal:
