@@ -5,13 +5,15 @@
 //! This test pins five small trees across versions instead: the sorted
 //! `(path, SHA-256)` listing of each, journals excluded (they record how
 //! a tree was produced, not what it holds), against the committed
-//! `tests/tree_golden.txt`.
+//! `tests/tree_golden.txt`. A sixth section pins what `pos eval` makes of
+//! the first tree.
 //!
 //! * `pos run` on bare-metal pos and on vpos (4 runs);
 //! * `pos run --lanes 2` (4 runs);
 //! * a seeded chaos campaign with a recovered crash (so one run retries)
 //!   and a crash inside a power outage that quarantines the DuT (4 runs);
-//! * the 3-stage case-study DAG via `pos dag run` (4 runs per sweep).
+//! * the 3-stage case-study DAG via `pos dag run` (4 runs per sweep);
+//! * the figures `pos eval <pos run tree> --out <dir>` writes.
 //!
 //! All runs last one virtual second. A mismatch names the first path
 //! whose digest differs (or that only one side has). Refactor and perf
@@ -184,7 +186,8 @@ fn first_difference(want: &str, got: &str) -> String {
 
 #[test]
 fn result_trees_match_the_committed_golden() {
-    let (_a, pos_tree) = cli_run("golden-pos", &[]);
+    let (a, pos_tree) = cli_run("golden-pos", &[]);
+    pos(&a, &["eval", pos_tree.to_str().unwrap(), "--out", "eval"]);
     let (_b, vpos_tree) = cli_run("golden-vpos", &["--testbed", "vpos"]);
     let (_c, lanes_tree) = cli_run("golden-lanes", &["--lanes", "2"]);
     let (_d, chaos_tree) = chaos_campaign();
@@ -195,6 +198,7 @@ fn result_trees_match_the_committed_golden() {
         section("pos run --lanes 2", &lanes_tree),
         section("chaos campaign", &chaos_tree),
         section("pos dag run --lanes 2", &dag_tree),
+        section("pos eval", &a.join("eval")),
     ]
     .concat();
 
