@@ -1,9 +1,8 @@
 //! DAG executor benchmark.
 //!
 //! Runs the linux-router 3-stage DAG (setup → scatter sweep → gather
-//! evaluation) through `pos_dag::run_dag` at 1, 2 and 4 worker lanes on
-//! the in-process target, plus one 4-lane row on the simulated batch
-//! target, and reports per row:
+//! evaluation) through `pos_dag::run_dag` at 1, 2 and 4 worker lanes,
+//! and reports per row:
 //!
 //! * **node-dispatch overhead** — what the DAG layer (journaling,
 //!   subtree digesting, stage dispatch) costs over the raw parallel
@@ -43,23 +42,15 @@ fn main() {
         2 * rate_steps
     );
     println!(
-        "{:>11} {:>6} {:>12} {:>12} {:>14} {:>12} {:>12} {:>9}",
-        "target",
-        "lanes",
-        "dag [ms]",
-        "raw [ms]",
-        "dispatch [ms]",
-        "runs/s",
-        "gather [ms]",
-        "speedup"
+        "{:>6} {:>12} {:>12} {:>14} {:>12} {:>12} {:>9}",
+        "lanes", "dag [ms]", "raw [ms]", "dispatch [ms]", "runs/s", "gather [ms]", "speedup"
     );
 
     let mut rows = Vec::new();
-    for (lanes, batch) in [(1usize, false), (2, false), (4, false), (4, true)] {
-        let r = dag::run_at(lanes, run_secs, rate_steps, batch);
+    for lanes in [1, 2, 4] {
+        let r = dag::run_at(lanes, run_secs, rate_steps);
         println!(
-            "{:>11} {:>6} {:>12.1} {:>12.1} {:>14.2} {:>12.1} {:>12.2} {:>8.2}x",
-            r.target,
+            "{:>6} {:>12.1} {:>12.1} {:>14.2} {:>12.1} {:>12.2} {:>8.2}x",
             r.lanes,
             r.dag_wall_ms,
             r.raw_sweep_wall_ms,

@@ -555,21 +555,19 @@ pub mod dag {
     use crate::parallel::campaign_spec;
     use pos_core::commands::case_study_testbed;
     use pos_core::controller::RunOptions;
-    use pos_dag::{linux_router_dag, run_dag, DagOptions, InProcessTarget, SimBatchTarget};
+    use pos_dag::{linux_router_dag, run_dag, DagOptions, InProcessTarget};
     use pos_sched::{run_parallel, LaneFlavor, ParallelOptions};
     use pos_testutil::TempDir;
     use serde::Serialize;
     use std::time::Instant;
 
     /// Seed for the benchmark DAG (fixed: same seed, same tree at every
-    /// lane count and on either target).
+    /// lane count).
     pub const SEED: u64 = 33;
 
     /// One lane-count row of `BENCH_dag.json`.
     #[derive(Debug, Serialize)]
     pub struct DagBenchReport {
-        /// The execution target (`in-process` / `sim-batch`).
-        pub target: String,
         /// Worker lanes each scatter group requested.
         pub lanes: usize,
         /// DAG stages executed.
@@ -593,13 +591,11 @@ pub mod dag {
     }
 
     /// Runs the case-study DAG at `lanes` lanes in a scratch directory
-    /// and reports the overhead accounting. `batch` swaps the simulated
-    /// SLURM-like target in for the in-process one.
-    pub fn run_at(lanes: usize, run_secs: u64, rate_steps: usize, batch: bool) -> DagBenchReport {
+    /// and reports the overhead accounting.
+    pub fn run_at(lanes: usize, run_secs: u64, rate_steps: usize) -> DagBenchReport {
         let spec = campaign_spec(run_secs, rate_steps, 2_000);
         let dag = linux_router_dag();
-        let tag = if batch { "batch" } else { "inproc" };
-        let root = TempDir::new(&format!("bench-dag-{tag}-{lanes}"));
+        let root = TempDir::new(&format!("bench-dag-{lanes}"));
 
         // Baseline: the same sweep through the raw parallel scheduler.
         let raw_root = root.join("raw");
@@ -614,18 +610,16 @@ pub mod dag {
         let raw_sweep_wall_ms = raw_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(raw.outcome.successes(), raw.outcome.runs.len());
 
-        // The DAG execution on the requested target.
+        // The DAG execution.
         let dag_root = root.join("dag");
-        let dopts = DagOptions::new(lanes, SEED);
-        let opts = RunOptions::new(&dag_root);
         let dag_start = Instant::now();
-        let out = if batch {
-            let mut target = SimBatchTarget::new(SEED, false, lanes);
-            run_dag(&dag, &spec, &opts, &dopts, &mut target)
-        } else {
-            let mut target = InProcessTarget::new(SEED, false, lanes);
-            run_dag(&dag, &spec, &opts, &dopts, &mut target)
-        }
+        let out = run_dag(
+            &dag,
+            &spec,
+            &RunOptions::new(&dag_root),
+            &DagOptions::new(lanes, SEED),
+            &mut InProcessTarget::new(SEED, false, lanes),
+        )
         .expect("DAG execution succeeds");
         let dag_wall_ms = dag_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(out.failed_runs, 0, "bench DAG must be fault-free");
@@ -648,7 +642,6 @@ pub mod dag {
 
         let runs = raw.outcome.runs.len();
         DagBenchReport {
-            target: if batch { "sim-batch" } else { "in-process" }.into(),
             lanes,
             nodes: out.nodes.len(),
             runs,
@@ -667,7 +660,7 @@ pub mod dag {
 
         #[test]
         fn dag_overhead_stays_sane() {
-            let r = run_at(2, 1, 2, false);
+            let r = run_at(2, 1, 2);
             assert_eq!(r.nodes, 3);
             assert_eq!(r.runs, 4);
             assert!(r.dag_wall_ms > 0.0);

@@ -1,16 +1,15 @@
 //! Journaled DAG execution.
 //!
-//! [`run_dag`] executes a validated DAG on an
-//! [`crate::target::ExecutionTarget`], dispatching stages in the
-//! deterministic topological order over the ready-set schedule, and
-//! write-ahead journals every transition as a [`DagRecord`] through
-//! [`pos_core::journal`]:
+//! [`run_dag`] executes a validated DAG on an [`InProcessTarget`],
+//! dispatching stages in the deterministic topological order over the
+//! ready-set schedule, and write-ahead journals every transition as a
+//! [`DagRecord`] through [`pos_core::journal`]:
 //!
 //! ```text
 //! DagStarted            identity: name, digests, seed, testbed, target
 //! NodeStarted(setup)
 //! NodeFinished(setup)   subtree digest, virtual window
-//! NodeStarted(sweep)    the scatter group fans out on the target
+//! NodeStarted(sweep)    the scatter group fans out on leased lanes
 //! NodeFinished(sweep)
 //! NodeStarted(gather)
 //! GatherSealed(gather)  all scatter inputs + their digests
@@ -39,7 +38,7 @@
 
 use crate::journal::{DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
 use crate::spec::{DagSpec, StageKind, StageSpec};
-use crate::target::{ExecutionTarget, SweepRequest, TargetReport};
+use crate::target::{InProcessTarget, LeaseRecord};
 use crate::{toposort, viz, DagError};
 use pos_core::controller::RunOptions;
 use pos_core::experiment::ExperimentSpec;
@@ -60,10 +59,10 @@ const SETUP_COST_NS: u64 = 90 * 1_000_000_000;
 const GATHER_COST_NS: u64 = 30 * 1_000_000_000;
 
 /// Runtime choices for one DAG execution — deliberately *not* part of
-/// the spec, so the same DAG digest covers every lane count and target.
+/// the spec, so the same DAG digest covers every lane count.
 #[derive(Debug, Clone)]
 pub struct DagOptions {
-    /// Worker lanes each scatter group requests from the target.
+    /// Worker lanes each scatter group leases.
     pub lanes: usize,
     /// Testbed root seed for every stage.
     pub seed: u64,
@@ -122,8 +121,9 @@ pub struct DagOutcome {
     pub sequential_ns: u64,
     /// Stage ids on the critical path, in order.
     pub critical_path: Vec<String>,
-    /// The execution target's own accounting.
-    pub target: TargetReport,
+    /// The lane lease of every sweep stage this session executed, in
+    /// dispatch order.
+    pub leases: Vec<LeaseRecord>,
     /// Nodes a resume verified and fast-forwarded over.
     pub verified_nodes: usize,
     /// Total failed measurement runs across all sweep stages.
@@ -140,9 +140,20 @@ impl DagOutcome {
         self.sequential_ns as f64 / self.makespan_ns as f64
     }
 
-    /// Human-readable summary (the CLI's closing lines).
+    /// Human-readable summary (the CLI's closing lines): the lease
+    /// table, then the schedule.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
+        let mut out = format!(
+            "{:<12} {:>5} {:>5} {:>9}  STATE\n",
+            "NODE", "LANES", "BM", "ELAPSED"
+        );
+        for l in &self.leases {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>5} {:>5} {:>9.1}  {}",
+                l.node, l.lanes, l.bare_metal, l.elapsed_secs, l.state
+            );
+        }
         let _ = writeln!(
             out,
             "DAG complete: {} stages ({} verified-skipped), {} failed runs",
@@ -201,20 +212,20 @@ fn execute_stage(
     exp: &ExperimentSpec,
     opts: &RunOptions,
     dopts: &DagOptions,
-    target: &mut dyn ExecutionTarget,
+    target: &mut InProcessTarget,
     dag_dir: &Path,
     journal: &mut Journal<DagRecord>,
 ) -> Result<(String, usize, u64), DagError> {
     let stage_dir = dag_dir.join(format!("stage-{}", stage.id));
     match stage.kind {
         StageKind::Setup => {
-            let report = target.describe(exp)?;
+            let topology = target.topology(exp)?;
             fs::create_dir_all(&stage_dir)?;
             let vfs = opts.vfs.clone();
-            vfs.atomic_write(&stage_dir.join("topology.txt"), report.topology.as_bytes())?;
+            vfs.atomic_write(&stage_dir.join("topology.txt"), topology.as_bytes())?;
             vfs.atomic_write(
                 &stage_dir.join("hosts.txt"),
-                (report.hosts.join("\n") + "\n").as_bytes(),
+                (exp.hosts().join("\n") + "\n").as_bytes(),
             )?;
             vfs.atomic_write(
                 &stage_dir.join("spec-digest.txt"),
@@ -226,12 +237,6 @@ fn execute_stage(
             let eff = dag.effective_spec(stage, exp);
             let mut sweep_opts = opts.clone();
             sweep_opts.result_root = stage_dir.clone();
-            let req = SweepRequest {
-                node: &stage.id,
-                spec: &eff,
-                opts: &sweep_opts,
-                lanes: dopts.lanes,
-            };
             let existing = sweep_tree(&stage_dir)
                 .filter(|t| !matches!(campaign_disk_state(t), CampaignDiskState::NoJournal));
             if existing.is_none() && stage_dir.exists() {
@@ -240,7 +245,13 @@ fn execute_stage(
                 // path.
                 fs::remove_dir_all(&stage_dir)?;
             }
-            let out = target.sweep(existing.as_deref(), &req)?;
+            let out = target.sweep(
+                existing.as_deref(),
+                &stage.id,
+                &eff,
+                &sweep_opts,
+                dopts.lanes,
+            )?;
             Ok((
                 tree_digest(&stage_dir)?,
                 out.outcome.failed_runs.len(),
@@ -342,7 +353,7 @@ fn critical_path(dag: &DagSpec, finish: &BTreeMap<String, u64>) -> Vec<String> {
     path
 }
 
-/// Executes a DAG from scratch on `target`.
+/// Executes a DAG from scratch on `target`'s lanes.
 ///
 /// Creates the DAG result tree under `opts.result_root` and hands it to
 /// [`resume_dag`], whose empty-journal branch starts the journal: a
@@ -355,7 +366,7 @@ pub fn run_dag(
     exp: &ExperimentSpec,
     opts: &RunOptions,
     dopts: &DagOptions,
-    target: &mut dyn ExecutionTarget,
+    target: &mut InProcessTarget,
 ) -> Result<DagOutcome, DagError> {
     dag.validate()?;
     exp.validate()
@@ -386,8 +397,8 @@ fn create_dag_tree(
 ///
 /// The tree's own stored `dag.yml` and `experiment/` bundle are the
 /// authoritative specs. The journaled identity (`DagStarted`) must
-/// match the stored specs, the options' seed/testbed, and the target —
-/// a DAG resumed under different identity would not replay the recorded
+/// match the stored specs and the options' seed and testbed — a DAG
+/// resumed under different identity would not replay the recorded
 /// timeline, so the mismatch is refused ([`crate::DagIdentity::check`]),
 /// not papered over. A tree whose journal holds no record (missing, or
 /// only a torn first frame) starts the DAG from its first stage; that is
@@ -400,7 +411,7 @@ pub fn resume_dag(
     dag_dir: &Path,
     opts: &RunOptions,
     dopts: &DagOptions,
-    target: &mut dyn ExecutionTarget,
+    target: &mut InProcessTarget,
 ) -> Result<DagOutcome, DagError> {
     let fold = match DagJournal::read(dag_dir) {
         Err(e) if is_not_found(&e) => DagJournal::default(),
@@ -410,7 +421,7 @@ pub fn resume_dag(
     let exp = ExperimentSpec::from_dir(&dag_dir.join("experiment"))?;
     let order = toposort::toposort(&dag)?;
 
-    let identity = DagIdentity::new(&dag, &exp, dopts.seed, &opts.testbed_flavor, target.name());
+    let identity = DagIdentity::new(&dag, &exp, dopts.seed, &opts.testbed_flavor);
     let mut verified: BTreeMap<String, NodeOutcome> = BTreeMap::new();
     let (mut journal, first) = if fold.records == 0 {
         // A fresh tree, or a crash before even DagStarted was durable:
@@ -518,7 +529,7 @@ pub fn resume_dag(
         nodes,
         makespan_ns,
         sequential_ns,
-        target: target.report(),
+        leases: target.leases.clone(),
         verified_nodes: verified.len(),
         failed_runs,
     })

@@ -87,10 +87,10 @@ pub struct DagIdentity {
     /// Testbed flavor (`"pos"` / `"vpos"`); stages boot testbeds, so a
     /// resume on the wrong flavor would diverge.
     pub testbed: String,
-    /// Execution target name (`"in-process"` / `"sim-batch"`). The
-    /// determinism contract makes targets interchangeable for the
-    /// *artifacts*, but a resume replays target-side accounting, so the
-    /// identity guard records where the DAG ran.
+    /// Where the DAG ran: always `"in-process"` today. Trees written by
+    /// the retired simulated batch target say `"sim-batch"`; their
+    /// artifacts are the same, so [`crate::ResumableDag`] resumes them
+    /// in-process, and [`Self::check`] does not compare this field.
     pub target: String,
     /// Total number of stage nodes in the DAG.
     pub nodes: usize,
@@ -98,29 +98,22 @@ pub struct DagIdentity {
 
 impl DagIdentity {
     /// The identity of executing `dag` over the experiment `exp` on
-    /// `seed`, the `testbed` flavor and the execution target `target`.
-    pub fn new(
-        dag: &DagSpec,
-        exp: &ExperimentSpec,
-        seed: u64,
-        testbed: &str,
-        target: &str,
-    ) -> DagIdentity {
+    /// `seed` and the `testbed` flavor.
+    pub fn new(dag: &DagSpec, exp: &ExperimentSpec, seed: u64, testbed: &str) -> DagIdentity {
         DagIdentity {
             name: dag.name.clone(),
             dag_digest: dag.digest(),
             spec_digest: exp.digest(),
             seed,
             testbed: testbed.into(),
-            target: target.into(),
+            target: "in-process".into(),
             nodes: dag.stages.len(),
         }
     }
 
     /// The one identity guard: refuses a resume (`now`) whose stored DAG
     /// or experiment no longer matches the journal, or that runs on
-    /// another seed, testbed flavor, execution target or node count,
-    /// checked in that order.
+    /// another seed, testbed flavor or node count, checked in that order.
     pub fn check(&self, now: &DagIdentity) -> Result<(), DagError> {
         let reason = if self.name != now.name || self.dag_digest != now.dag_digest {
             format!(
@@ -138,12 +131,6 @@ impl DagIdentity {
             format!(
                 "DAG ran on the `{}` testbed, resume is using `{}`",
                 self.testbed, now.testbed
-            )
-        } else if self.target != now.target {
-            format!(
-                "DAG ran on the `{}` target, resume is using `{}`; \
-                 targets are artifact-interchangeable but their accounting is not",
-                self.target, now.target
             )
         } else if self.nodes != now.nodes {
             format!(

@@ -15,13 +15,9 @@
 //!   results of its sweep predecessors.
 //! * [`toposort`] — deterministic topological ordering and the
 //!   ready-set waves the scheduler dispatches.
-//! * [`target`] — the [`target::ExecutionTarget`] trait abstracting
-//!   *where* stage work runs: [`target::InProcessTarget`] executes on
-//!   the in-process `pos-sched` lanes (leasing bare-metal replica sets
-//!   per scatter group on a shared site calendar), and
-//!   [`target::SimBatchTarget`] models a remote SLURM-like batch
-//!   cluster (job queue, partition width, queue waits) to prove the
-//!   seam — both produce byte-identical result trees.
+//! * [`target`] — where stage work runs: [`InProcessTarget`] executes
+//!   sweeps on the in-process `pos-sched` lanes, leasing bare-metal
+//!   replica sets per scatter group on a shared site calendar.
 //! * [`executor`] — journaled DAG execution ([`executor::run_dag`] /
 //!   [`executor::resume_dag`]): subtree digests per node, and resume that
 //!   fast-forwards digest-verified nodes.
@@ -43,8 +39,8 @@
 //! Each stage's artifact subtree depends only on (seed, stage spec):
 //! sweep stages inherit the parallel scheduler's canonical-start
 //! pinning, setup/gather stages are pure functions of their inputs. So
-//! a DAG executed at any lane count, on either execution target, or
-//! interrupted and resumed, merges to a byte-identical result tree
+//! a DAG executed at any lane count, or interrupted and resumed,
+//! merges to a byte-identical result tree
 //! (journal files excepted — they *are* the record of how it ran).
 
 #![warn(missing_docs)]
@@ -63,7 +59,7 @@ pub use fsck::{fsck_dag, DagFsckReport, NodeFsck, NodeFsckStatus};
 pub use journal::{tree_disk_state, DagIdentity, DagJournal, DagRecord, GatherSeal, NodeFinish};
 pub use resume::{Resumable, ResumableDag, TreeKind};
 pub use spec::{linux_router_dag, DagSpec, EdgeKind, StageKind, StageSpec};
-pub use target::{ExecutionTarget, InProcessTarget, SimBatchTarget, SweepRequest, TargetReport};
+pub use target::{InProcessTarget, LeaseRecord};
 pub use toposort::{levels, toposort};
 
 use pos_core::controller::ControllerError;
@@ -106,7 +102,7 @@ pub enum DagError {
     /// Result-tree I/O failed.
     Io(io::Error),
     /// A resume request is inconsistent with the journaled DAG (edited
-    /// spec, wrong seed/testbed/target, ...).
+    /// spec, wrong seed or testbed, ...).
     Resume {
         /// Why the resume was refused.
         reason: String,

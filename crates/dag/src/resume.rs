@@ -1,8 +1,8 @@
 //! The one resume entry point for a result tree of either kind.
 //!
 //! [`ResumableDag`] is the DAG counterpart of
-//! [`pos_sched::ResumableTree`]: the DAG journal names the seed, testbed
-//! flavor and execution target the DAG ran on, and the tree's stored
+//! [`pos_sched::ResumableTree`]: the DAG journal names the seed and
+//! testbed flavor the DAG ran on, and the tree's stored
 //! `dag.yml` and `experiment/` are the authoritative specs.
 //! [`Resumable::open`] picks the tree kind by the one rule,
 //! [`TreeKind::of`]. `pos resume`, `pos dag
@@ -11,7 +11,7 @@
 use crate::executor::{resume_dag, DagOptions, DagOutcome};
 use crate::journal::{DagIdentity, DagJournal};
 use crate::spec::DagSpec;
-use crate::target::{ExecutionTarget, InProcessTarget, SimBatchTarget};
+use crate::target::InProcessTarget;
 use crate::DagError;
 use pos_core::controller::RunOptions;
 use pos_core::experiment::ExperimentSpec;
@@ -32,7 +32,10 @@ pub struct ResumableDag {
 
 impl ResumableDag {
     /// Folds the DAG journal of the tree at `dir` for its identity and
-    /// loads the stored `dag.yml` and `experiment/`.
+    /// loads the stored `dag.yml` and `experiment/`. A journal naming a
+    /// target other than `in-process` or the retired `sim-batch` is
+    /// refused; a `sim-batch` tree resumes in-process, since its
+    /// artifacts never depended on the target.
     pub fn open(dir: &Path) -> Result<ResumableDag, DagError> {
         let identity = DagJournal::read(dir)?.identity()?.clone();
         if !matches!(identity.target.as_str(), "in-process" | "sim-batch") {
@@ -51,22 +54,11 @@ impl ResumableDag {
         })
     }
 
-    /// Rebuilds the execution target from its journaled name, seed and
-    /// flavor (which overrides `opts.testbed_flavor`), sized to `lanes`,
-    /// and resumes the DAG on `lanes` lanes.
+    /// Resumes the DAG on `lanes` in-process lanes, from its journaled
+    /// seed and testbed flavor (which overrides `opts.testbed_flavor`).
     pub fn resume(&self, opts: &RunOptions, lanes: usize) -> Result<DagOutcome, DagError> {
-        let DagIdentity {
-            seed,
-            testbed,
-            target,
-            ..
-        } = &self.identity;
-        let virtualized = testbed == "vpos";
-        let mut target: Box<dyn ExecutionTarget> = if target == "sim-batch" {
-            Box::new(SimBatchTarget::new(*seed, virtualized, lanes))
-        } else {
-            Box::new(InProcessTarget::new(*seed, virtualized, lanes))
-        };
+        let DagIdentity { seed, testbed, .. } = &self.identity;
+        let mut target = InProcessTarget::new(*seed, testbed == "vpos", lanes);
         let opts = RunOptions {
             testbed_flavor: testbed.clone(),
             ..opts.clone()
@@ -75,7 +67,7 @@ impl ResumableDag {
             &self.dir,
             &opts,
             &DagOptions::new(lanes, *seed),
-            target.as_mut(),
+            &mut target,
         )
     }
 }

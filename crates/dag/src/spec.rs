@@ -2,10 +2,9 @@
 //!
 //! A DAG spec is declarative data (the GPLMT argument): it names the
 //! stages, their kinds, and who waits for whom. It deliberately does
-//! *not* name lane counts or execution targets — those are runtime
-//! choices ([`crate::executor::DagOptions`], the
-//! [`crate::target::ExecutionTarget`] impl), so the spec digest is
-//! stable across every way of running the same study.
+//! *not* name lane counts — those are a runtime choice
+//! ([`crate::executor::DagOptions`]), so the spec digest is stable
+//! across every way of running the same study.
 //!
 //! Edge kinds are derived, not declared:
 //!

@@ -7,8 +7,9 @@
 //! 1. **setup** — allocate the simulated bare-metal testbed, capture
 //!    topology and host list.
 //! 2. **rate-sweep** — the Linux-router forwarding sweep (packet sizes
-//!    {64, 1500} B × a rate sweep) *scattered* across scheduler lanes;
-//!    each scatter group leases its own replica set.
+//!    {64, 1500} B × a rate sweep) *scattered* across in-process
+//!    scheduler lanes; each scatter group leases its own replica sets on
+//!    the site calendar.
 //! 3. **eval** — the gather barrier: consume every scatter
 //!    result, aggregate, and render the throughput figure (SVG/TeX/CSV).
 //!
@@ -18,14 +19,11 @@
 //!
 //! Run with: `cargo run --release --example dag_study`
 //! Env: `POS_RATE_STEPS` (default 10), `POS_RUN_SECS` (default 1),
-//!      `POS_DAG_LANES` (default 4), `POS_DAG_TARGET`
-//!      (`in-process` | `sim-batch`, default `in-process`).
+//!      `POS_DAG_LANES` (default 4).
 
 use pos::core::controller::RunOptions;
 use pos::core::experiment::linux_router_experiment;
-use pos::dag::{
-    linux_router_dag, run_dag, viz, DagOptions, ExecutionTarget, InProcessTarget, SimBatchTarget,
-};
+use pos::dag::{linux_router_dag, run_dag, viz, DagOptions, InProcessTarget};
 
 const SEED: u64 = 0x707;
 
@@ -40,7 +38,6 @@ fn main() {
     let rate_steps = env_usize("POS_RATE_STEPS", 10);
     let run_secs = env_usize("POS_RUN_SECS", 1) as u64;
     let lanes = env_usize("POS_DAG_LANES", 4).max(1);
-    let batch = std::env::var("POS_DAG_TARGET").as_deref() == Ok("sim-batch");
     let root = std::env::temp_dir().join("pos-dag-study");
     let _ = std::fs::remove_dir_all(&root);
 
@@ -51,14 +48,8 @@ fn main() {
     println!("{}", viz::render_ascii(&dag, Some(&spec)));
 
     // -------------------------------------------------- execute the DAG
-    let mut target: Box<dyn ExecutionTarget> = if batch {
-        Box::new(SimBatchTarget::new(SEED, false, lanes))
-    } else {
-        Box::new(InProcessTarget::new(SEED, false, lanes))
-    };
     println!(
-        "executing on the {} target with {lanes} lanes ({} runs per sweep)...",
-        target.name(),
+        "executing on {lanes} lanes ({} runs per sweep)...",
         2 * rate_steps
     );
     let out = run_dag(
@@ -66,7 +57,7 @@ fn main() {
         &spec,
         &RunOptions::new(&root),
         &DagOptions::new(lanes, SEED),
-        target.as_mut(),
+        &mut InProcessTarget::new(SEED, false, lanes),
     )
     .expect("DAG executes");
 
@@ -81,7 +72,6 @@ fn main() {
             node.finished_ns as f64 / 1e9,
         );
     }
-    print!("{}", out.target.render());
     print!("{}", out.summary());
     println!("result tree: {}", out.dag_dir.display());
     println!(

@@ -73,8 +73,8 @@ cargo test -q --test parallel_determinism interrupted_failover_strands_run_and_f
 echo "==> disk-fault matrix (tests/disk_fault_matrix.rs)"
 cargo test -q --test disk_fault_matrix
 
-# The DAG half: the linux-router DAG executed at several lane counts and on
-# both execution targets must leave byte-identical trees; a kill at every
+# The DAG half: the linux-router DAG executed at several lane counts must
+# leave byte-identical trees; a kill at every
 # DAG-journal record boundary (clean + torn) followed by `resume_dag` must
 # converge to that same tree with `fsck_dag` calling it clean.
 echo "==> DAG crash matrix (tests/dag_determinism.rs)"

@@ -126,7 +126,7 @@ fn usage() -> &'static str {
      \x20         exit codes: 0 ok, 1 error, 3 degraded completion\n\
      \x20         (3 also means: out of disk space, checkpointed — resumable)\n\
      \x20 pos resume <result-dir> [--testbed pos|vpos] [--disk-faults <json-file>]\n\
-     \x20         campaign or DAG tree; seed, testbed and target come from its journal\n\
+     \x20         campaign or DAG tree; seed and testbed come from its journal\n\
      \x20 pos serve [--state <dir>] [--results <root>] [--listen <addr>]\n\
      \x20         [--capacity <n>] [--user-backlog <n>] [--seed <n>] [--lanes <n>]\n\
      \x20         crash-surviving daemon: journals before acknowledging, survives\n\
@@ -142,7 +142,6 @@ fn usage() -> &'static str {
      \x20 pos dag init <dir>                 scaffold experiment + 3-stage dag.yml\n\
      \x20 pos dag run <dir> [--results <root>] [--seed <n>] [--lanes <n>]\n\
      \x20         [--testbed pos|vpos] [--site-replicas <n>]\n\
-     \x20         [--target in-process|sim-batch] [--partition <n>]\n\
      \x20         [--disk-faults <json-file>]  execute an experiment DAG\n\
      \x20 pos dag resume <result-dir> [--lanes <n>] [--disk-faults <json-file>]\n\
      \x20 pos dag viz <dir> [--format ascii|dot]   render DAG (+ testbed) graph\n\
@@ -174,15 +173,21 @@ fn lanes_flag(opts: &std::collections::BTreeMap<&str, &str>) -> Result<usize, St
     }
 }
 
-/// Splits `args` into positionals and `--flag value` options.
-fn parse_opts(
-    args: &[String],
-) -> Result<(Vec<&str>, std::collections::BTreeMap<&str, &str>), String> {
+/// Splits `args` into positionals and `--flag value` options, refusing
+/// any flag not among the space-separated `known` names: a mistyped
+/// `--seed` must not quietly run on the default seed.
+fn parse_opts<'a>(
+    args: &'a [String],
+    known: &str,
+) -> Result<(Vec<&'a str>, std::collections::BTreeMap<&'a str, &'a str>), String> {
     let mut positional = Vec::new();
     let mut opts = std::collections::BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(flag) = args[i].strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == flag) {
+                return Err(format!("unknown option --{flag}; see `pos help`"));
+            }
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("--{flag} needs a value"))?;
@@ -197,7 +202,7 @@ fn parse_opts(
 }
 
 fn cmd_init(args: &[String]) -> Result<(), String> {
-    let (pos_args, _) = parse_opts(args)?;
+    let (pos_args, _) = parse_opts(args, "")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos init <dir>".into());
     };
@@ -221,7 +226,11 @@ fn cmd_init(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(
+        args,
+        "results testbed seed lanes site-replicas max-run-retries lane-grace \
+         lane-recovery poison-threshold lane-faults disk-faults",
+    )?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos run <experiment-dir> [options]".into());
     };
@@ -500,11 +509,13 @@ fn print_outcome(outcome: &ExperimentOutcome) {
 }
 
 /// `pos resume <tree>` and `pos dag resume <tree>` (`dag`): one resume
-/// for both tree kinds. The tree's journal fixes its identity (seed,
-/// testbed, and for a DAG the execution target); `pos resume` picks the
-/// kind from the stored `dag.yml`, `pos dag resume` opens a DAG only.
+/// for both tree kinds. The tree's journal fixes its identity (seed and
+/// testbed); `pos resume` picks the kind from the stored `dag.yml`,
+/// `pos dag resume` opens a DAG only.
 fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    // The journal fixes everything else; `--testbed` only cross-checks it.
+    let known = if dag { "lanes" } else { "testbed" };
+    let (pos_args, opts) = parse_opts(args, &format!("{known} disk-faults"))?;
     let usage = if dag {
         "usage: pos dag resume <result-dir> [--lanes <n>] [--disk-faults <file>]"
     } else {
@@ -513,10 +524,6 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
     let [dir] = pos_args.as_slice() else {
         return Err(usage.into());
     };
-    // The usage line lists every flag; the journal fixes everything else.
-    if let Some(flag) = opts.keys().find(|f| !usage.contains(&format!("[--{f} "))) {
-        return Err(format!("--{flag} is not a resume option\n{usage}"));
-    }
     let result_dir = Path::new(dir);
     // result_root is unused on resume (the tree already exists) but the
     // options still carry timeouts, failure policy and the storage layer.
@@ -551,8 +558,8 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
             let lanes = lanes_flag(&opts)?;
             let id = &tree.identity;
             println!(
-                "resuming DAG tree {dir} ({lanes} lanes, seed {}, target {})...",
-                id.seed, id.target
+                "resuming DAG tree {dir} ({lanes} lanes, seed {})...",
+                id.seed
             );
             match tree.resume(&run_opts, lanes) {
                 Ok(out) => Ok(print_dag_outcome(&out)),
@@ -623,7 +630,10 @@ fn cmd_resume(args: &[String], dag: bool) -> Result<Completion, String> {
 /// `--user-backlog` and `--seed` take the last session's recorded values
 /// (first session: `results`, 64, 4 and 1799).
 fn cmd_serve(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(
+        args,
+        "state results listen capacity user-backlog seed lanes",
+    )?;
     if !pos_args.is_empty() {
         return Err(
             "usage: pos serve [--state <dir>] [--results <root>] [--listen <addr>] \
@@ -841,7 +851,10 @@ fn cmd_queue_daemon(
 /// Absent flags resolve as for `pos serve` (first session: capacity 8,
 /// no per-user cap).
 fn cmd_queue(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(
+        args,
+        "daemon queue user priority token results capacity user-backlog seed lanes",
+    )?;
     if let Some(addr) = opts.get("daemon") {
         return cmd_queue_daemon(addr, &pos_args, &opts);
     }
@@ -945,7 +958,7 @@ fn label(s: &Submission) -> String {
 }
 
 fn cmd_fsck(args: &[String]) -> Result<(), String> {
-    let (pos_args, _) = parse_opts(args)?;
+    let (pos_args, _) = parse_opts(args, "")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos fsck <result-dir | serve-state-dir>".into());
     };
@@ -971,7 +984,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
 }
 
 /// `pos dag <init|run|resume|viz>` — experiment DAGs: scatter/gather
-/// stages over pluggable execution targets.
+/// stages on in-process worker lanes.
 fn cmd_dag(args: &[String]) -> Result<Completion, String> {
     match args.first().map(String::as_str) {
         Some("init") => cmd_dag_init(&args[1..]).map(|()| Completion::Clean),
@@ -985,7 +998,7 @@ fn cmd_dag(args: &[String]) -> Result<Completion, String> {
 }
 
 fn cmd_dag_init(args: &[String]) -> Result<(), String> {
-    let (pos_args, _) = parse_opts(args)?;
+    let (pos_args, _) = parse_opts(args, "")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos dag init <dir>".into());
     };
@@ -1025,8 +1038,8 @@ fn load_dag(dir: &Path) -> Result<pos::dag::DagSpec, String> {
     }
 }
 
-/// Per-node lines, the target's job table, and the schedule summary;
-/// degraded when any sweep run failed.
+/// Per-node lines, then the lease table and schedule summary; degraded
+/// when any sweep run failed.
 fn print_dag_outcome(out: &pos::dag::DagOutcome) -> Completion {
     for node in &out.nodes {
         println!(
@@ -1048,7 +1061,6 @@ fn print_dag_outcome(out: &pos::dag::DagOutcome) -> Completion {
             },
         );
     }
-    print!("{}", out.target.render());
     print!("{}", out.summary());
     println!("results: {}", out.dag_dir.display());
     if out.failed_runs == 0 {
@@ -1059,7 +1071,8 @@ fn print_dag_outcome(out: &pos::dag::DagOutcome) -> Completion {
 }
 
 fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) =
+        parse_opts(args, "results seed lanes testbed site-replicas disk-faults")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos dag run <experiment-dir> [options]".into());
     };
@@ -1084,40 +1097,23 @@ fn cmd_dag_run(args: &[String]) -> Result<Completion, String> {
     if let Some(&file) = opts.get("disk-faults") {
         run_opts.vfs = load_disk_faults(file)?;
     }
-    let mut target: Box<dyn pos::dag::ExecutionTarget> =
-        match opts.get("target").copied().unwrap_or("in-process") {
-            "in-process" | "inprocess" => Box::new(pos::dag::InProcessTarget::new(
-                seed,
-                virtualized,
-                site_replicas,
-            )),
-            "sim-batch" | "batch" => {
-                let partition: usize = flag(&opts, "partition", site_replicas)?;
-                Box::new(pos::dag::SimBatchTarget::new(seed, virtualized, partition))
-            }
-            other => {
-                return Err(format!(
-                    "--target must be in-process or sim-batch, got {other}"
-                ))
-            }
-        };
 
     println!(
-        "running DAG `{}` ({} stages, {lanes} lanes, seed {seed}, target {})...",
+        "running DAG `{}` ({} stages, {lanes} lanes, seed {seed})...",
         dag.name,
         dag.stages.len(),
-        target.name()
     );
     print!("{}", pos::dag::viz::render_ascii(&dag, Some(&spec)));
     let dag_opts = pos::dag::DagOptions::new(lanes, seed);
-    match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, target.as_mut()) {
+    let mut target = pos::dag::InProcessTarget::new(seed, virtualized, site_replicas);
+    match pos::dag::run_dag(&dag, &spec, &run_opts, &dag_opts, &mut target) {
         Ok(out) => Ok(print_dag_outcome(&out)),
         Err(e) => checkpointed_or_error(e, resume_hint(&results).as_deref()),
     }
 }
 
 fn cmd_dag_viz(args: &[String]) -> Result<(), String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(args, "format seed")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos dag viz <dir> [--format ascii|dot] [--seed <n>]".into());
     };
@@ -1165,7 +1161,7 @@ fn cmd_scrub(args: &[String]) -> Result<Completion, String> {
         .cloned()
         .collect();
     let repair = rest.len() != args.len();
-    let (pos_args, opts) = parse_opts(&rest)?;
+    let (pos_args, opts) = parse_opts(&rest, "json")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos scrub <result-dir> [--repair] [--json <file>]".into());
     };
@@ -1216,7 +1212,7 @@ fn cmd_scrub(args: &[String]) -> Result<Completion, String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(args, "out")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos eval <result-dir> [--out <dir>]".into());
     };
@@ -1275,7 +1271,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_publish(args: &[String]) -> Result<(), String> {
-    let (pos_args, opts) = parse_opts(args)?;
+    let (pos_args, opts) = parse_opts(args, "out tar title")?;
     let [dir] = pos_args.as_slice() else {
         return Err("usage: pos publish <result-dir> [options]".into());
     };

@@ -16,7 +16,7 @@
 //! | [`testbed`] | `pos-testbed` | hosts, images, calendar, power control |
 //! | [`core`] | `pos-core` | the pos controller and methodology |
 //! | [`sched`] | `pos-sched` | parallel campaign scheduler and admission queue |
-//! | [`dag`] | `pos-dag` | experiment DAGs: scatter/gather stages, execution targets |
+//! | [`dag`] | `pos-dag` | experiment DAGs: scatter/gather stages on in-process lanes |
 //! | [`serve`] | `pos-serve` | crash-surviving multi-tenant campaign daemon |
 //! | [`eval`] | `pos-eval` | parsers, statistics, plots |
 //! | [`publish`] | `pos-publish` | artifact bundling and website |

@@ -194,6 +194,31 @@ fn cli_errors_are_clean() {
     assert!(stderr.contains("already holds"));
 }
 
+/// A mistyped flag is an error before any work starts, not a silent
+/// default: `--seeed 9` must not run on the default seed.
+#[test]
+fn cli_unknown_flags_exit_1_before_any_work() {
+    let dir = TempDir::new("cli-unknown-flags");
+    let (ok, _, stderr) = run(&dir, &["dag", "init", "exp"]);
+    assert!(ok, "dag init failed: {stderr}");
+    for args in [
+        &["run", "exp", "--seeed", "9"][..],
+        &["run", "exp", "--lanse", "2"],
+        &["dag", "run", "exp", "--target", "sim-batch"],
+        &["dag", "run", "exp", "--partition", "3"],
+        &["eval", "exp", "--seed", "9"],
+    ] {
+        let (code, _, stderr) = run_code(&dir, args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{args:?} must name {flag}:\n{stderr}"
+        );
+    }
+    assert!(!dir.join("results").exists(), "no result tree was started");
+}
+
 #[test]
 fn cli_table1_prints_matrix() {
     let dir = TempDir::new("cli-t1");
@@ -838,7 +863,7 @@ fn cli_resume_hint_names_the_youngest_tree() {
     assert!(stderr.contains("campaign journal error"), "{stderr}");
 }
 
-/// A DAG tree carries its seed, testbed and target in its journal:
+/// A DAG tree carries its seed and testbed in its journal:
 /// `pos dag resume` and `pos resume` both pick it up with no flags.
 #[test]
 fn cli_dag_resumes_from_its_journal_alone() {
@@ -867,8 +892,6 @@ fn cli_dag_resumes_from_its_journal_alone() {
             "9",
             "--testbed",
             "vpos",
-            "--target",
-            "sim-batch",
         ],
     );
     assert!(ok, "dag run failed: {stderr}");

@@ -1,8 +1,7 @@
 //! The DAG executor's determinism contract, end to end:
 //!
-//! * the linux-router DAG executed with `--lanes 4` on the in-process
-//!   target, with `--lanes 2`, and on the simulated batch target all
-//!   leave a result tree **byte-identical** (journals excepted) to the
+//! * the linux-router DAG executed with `--lanes 4` and with `--lanes 2`
+//!   leaves a result tree **byte-identical** (journals excepted) to the
 //!   sequential `--lanes 1` execution;
 //! * a DAG killed at *every* DAG-journal record boundary — cleanly and
 //!   with a torn final frame — and then resumed converges to that same
@@ -10,13 +9,14 @@
 //! * a crash *inside* a sweep stage's own campaign journal is a
 //!   checkpoint too: `resume_dag` routes it through the parallel
 //!   scheduler's resume and still converges;
-//! * resume refuses identity drift (wrong seed, wrong target).
+//! * resume refuses identity drift (wrong seed), resumes a tree the
+//!   retired `sim-batch` target wrote, and refuses an unknown target.
 
 use pos::core::controller::RunOptions;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
-use pos::core::journal::{Journal, JOURNAL_FILE};
-use pos::dag::{fsck_dag, linux_router_dag, InProcessTarget, SimBatchTarget};
-use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec, ExecutionTarget};
+use pos::core::journal::{encode_frame, Journal, JOURNAL_FILE};
+use pos::dag::{fsck_dag, linux_router_dag, InProcessTarget, Resumable};
+use pos::dag::{resume_dag, run_dag, DagError, DagOptions, DagSpec};
 use pos_testutil::{tree, TempDir};
 use std::collections::BTreeMap;
 use std::fs;
@@ -75,7 +75,7 @@ fn reference_tree() -> Reference {
 }
 
 #[test]
-fn lane_counts_and_targets_are_artifact_interchangeable() {
+fn lane_counts_are_artifact_interchangeable() {
     let (want, _) = reference();
 
     for lanes in [2usize, 4] {
@@ -90,27 +90,6 @@ fn lane_counts_and_targets_are_artifact_interchangeable() {
         .unwrap_or_else(|e| panic!("--lanes {lanes} failed: {e}"));
         tree::assert_tree_matches(want, &out.dag_dir, &format!("--lanes {lanes}"));
     }
-
-    // The simulated batch target queues jobs and clamps lanes to its
-    // partition width, but the merged artifacts must not know that.
-    let root = TempDir::new("dag-batch");
-    let mut batch = SimBatchTarget::new(SEED, true, 2);
-    let out = run_dag(
-        &dag(),
-        &small_spec(),
-        &RunOptions::new(&root),
-        &DagOptions::new(4, SEED),
-        &mut batch,
-    )
-    .expect("batch target DAG succeeds");
-    tree::assert_tree_matches(want, &out.dag_dir, "sim-batch target");
-    let report = batch.report();
-    assert_eq!(report.target, "sim-batch");
-    assert!(
-        report.jobs.iter().any(|j| j.lanes_granted == 2),
-        "partition width clamps the grant: {}",
-        report.render()
-    );
 }
 
 /// The single `vt-*` DAG dir created under a fresh root.
@@ -250,6 +229,7 @@ fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
 
 #[test]
 fn resume_refuses_identity_drift() {
+    let (want, _) = reference();
     let root = TempDir::new("dag-drift");
     let mut dopts = DagOptions::new(1, SEED);
     dopts.dag_crash_after = Some(3);
@@ -274,17 +254,25 @@ fn resume_refuses_identity_drift() {
         "wrong seed must be refused: {wrong_seed:?}"
     );
 
-    let mut batch = SimBatchTarget::new(SEED, true, 2);
-    let wrong_target = resume_dag(
-        &dag_dir,
-        &RunOptions::new(&root),
-        &DagOptions::new(1, SEED),
-        &mut batch,
-    );
-    assert!(
-        matches!(wrong_target, Err(DagError::Resume { .. })),
-        "target swap mid-campaign must be refused: {wrong_target:?}"
-    );
+    // Trees are target-invariant: a tree the retired simulated batch
+    // target started completes in-process, to the reference tree.
+    let (batch_root, batch_dir) = crashed_dag_on_target("dag-legacy-batch", "sim-batch");
+    let Resumable::Dag(tree) = Resumable::open(&batch_dir).expect("a sim-batch tree opens") else {
+        panic!("a DAG tree opens as a DAG");
+    };
+    let out = tree
+        .resume(&RunOptions::new(&batch_root), 2)
+        .expect("a sim-batch tree resumes in-process");
+    tree::assert_tree_matches(want, &out.dag_dir, "resumed sim-batch tree");
+    let report = fsck_dag(&out.dag_dir).unwrap();
+    assert!(report.is_clean(), "fsck not clean:\n{}", report.render());
+
+    // A target no version of pos knew is refused, by name.
+    let (_slurm_root, slurm_dir) = crashed_dag_on_target("dag-unknown-target", "slurm");
+    match Resumable::open(&slurm_dir) {
+        Err(DagError::Resume { reason }) => assert!(reason.contains("`slurm`"), "{reason}"),
+        other => panic!("an unknown target must be refused: {other:?}"),
+    }
 
     // The original identity still resumes fine.
     resume_dag(
@@ -294,4 +282,28 @@ fn resume_refuses_identity_drift() {
         &mut in_process(),
     )
     .expect("original identity resumes");
+}
+
+/// A crashed DAG (journaled on vpos, the testbed `in_process` boots)
+/// whose `DagStarted` frame is rewritten to name `target`, with a valid
+/// checksum.
+fn crashed_dag_on_target(tag: &str, target: &str) -> (TempDir, PathBuf) {
+    let root = TempDir::new(tag);
+    let mut opts = RunOptions::new(&root);
+    opts.testbed_flavor = "vpos".into();
+    let mut dopts = DagOptions::new(1, SEED);
+    dopts.dag_crash_after = Some(3);
+    run_dag(&dag(), &small_spec(), &opts, &dopts, &mut in_process()).expect_err("DAG must abort");
+    let dag_dir = find_dag_dir(&root);
+    let path = dag_dir.join(JOURNAL_FILE);
+    let journal = fs::read_to_string(&path).unwrap();
+    let (first, rest) = journal.split_once('\n').unwrap();
+    let json = first.splitn(4, ' ').nth(3).unwrap();
+    assert!(json.contains(r#""target":"in-process""#), "{json}");
+    let json = json.replace(
+        r#""target":"in-process""#,
+        &format!(r#""target":"{target}""#),
+    );
+    fs::write(&path, encode_frame(&json) + rest).unwrap();
+    (root, dag_dir)
 }
