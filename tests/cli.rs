@@ -192,15 +192,9 @@ fn cli_errors_are_clean() {
     let (ok, _, stderr) = run(&dir, &["init", "exp"]);
     assert!(!ok);
     assert!(stderr.contains("already holds"));
-}
 
-/// A mistyped flag is an error before any work starts, not a silent
-/// default: `--seeed 9` must not run on the default seed.
-#[test]
-fn cli_unknown_flags_exit_1_before_any_work() {
-    let dir = TempDir::new("cli-unknown-flags");
-    let (ok, _, stderr) = run(&dir, &["dag", "init", "exp"]);
-    assert!(ok, "dag init failed: {stderr}");
+    // A mistyped flag is an error before any work starts, not a silent
+    // default: `--seeed 9` must not run on the default seed.
     for args in [
         &["run", "exp", "--seeed", "9"][..],
         &["run", "exp", "--lanse", "2"],
