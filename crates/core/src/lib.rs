@@ -35,7 +35,7 @@
 //! * [`vfs`] — the durable-I/O layer all of the above write through,
 //!   with deterministic storage-fault injection (ENOSPC, torn writes,
 //!   fsync failures, bit rot) as a replayable plan.
-//! * [`scrub`] — bit-rot detection and self-healing repair of result
+//! * [`scrub`](mod@scrub) — bit-rot detection and self-healing repair of result
 //!   trees (`pos scrub`).
 
 #![warn(missing_docs)]

@@ -355,12 +355,15 @@ fn critical_path(dag: &DagSpec, finish: &BTreeMap<String, u64>) -> Vec<String> {
 
 /// Executes a DAG from scratch on `target`'s lanes.
 ///
-/// Creates the DAG result tree under `opts.result_root` and hands it to
-/// [`resume_dag`], whose empty-journal branch starts the journal: a
-/// fresh DAG is a resumed one with nothing durable yet. Stages dispatch
-/// in deterministic topological order. The virtual schedule honors the
-/// ready sets: a stage starts at the latest finish of its dependencies,
-/// so independent stages overlap on the reported makespan.
+/// `target` must boot the seed and testbed that `dopts` and `opts`
+/// journal; otherwise the DAG is refused before its tree exists
+/// ([`DagError::TargetMismatch`]). Creates the DAG result tree under
+/// `opts.result_root` and hands it to [`resume_dag`], whose empty-journal
+/// branch starts the journal: a fresh DAG is a resumed one with nothing
+/// durable yet. Stages dispatch in deterministic topological order. The
+/// virtual schedule honors the ready sets: a stage starts at the latest
+/// finish of its dependencies, so independent stages overlap on the
+/// reported makespan.
 pub fn run_dag(
     dag: &DagSpec,
     exp: &ExperimentSpec,
@@ -371,6 +374,7 @@ pub fn run_dag(
     dag.validate()?;
     exp.validate()
         .map_err(pos_core::controller::ControllerError::Spec)?;
+    target.check(dopts.seed, &opts.testbed_flavor)?;
     let dag_dir = create_dag_tree(dag, exp, opts)?;
     resume_dag(&dag_dir, opts, dopts, target)
 }
@@ -400,9 +404,11 @@ fn create_dag_tree(
 /// match the stored specs and the options' seed and testbed — a DAG
 /// resumed under different identity would not replay the recorded
 /// timeline, so the mismatch is refused ([`crate::DagIdentity::check`]),
-/// not papered over. A tree whose journal holds no record (missing, or
-/// only a torn first frame) starts the DAG from its first stage; that is
-/// how [`run_dag`] executes a fresh tree.
+/// not papered over; so is a `target` that boots another seed or
+/// testbed than the options name ([`DagError::TargetMismatch`]). A
+/// tree whose journal holds no record (missing, or only a torn first
+/// frame) starts the DAG from its first stage; that is how [`run_dag`]
+/// executes a fresh tree.
 ///
 /// Stages dispatch in deterministic topological order, skipping the
 /// verified ones, journaling every transition and maintaining the
@@ -413,6 +419,7 @@ pub fn resume_dag(
     dopts: &DagOptions,
     target: &mut InProcessTarget,
 ) -> Result<DagOutcome, DagError> {
+    target.check(dopts.seed, &opts.testbed_flavor)?;
     let fold = match DagJournal::read(dag_dir) {
         Err(e) if is_not_found(&e) => DagJournal::default(),
         fold => fold?,

@@ -13,7 +13,7 @@
 //!   fan a sweep stage's parameter cross product across scheduler
 //!   lanes, **gather** edges make a stage consume *all* scatter
 //!   results of its sweep predecessors.
-//! * [`toposort`] — deterministic topological ordering and the
+//! * [`toposort`](mod@toposort) — deterministic topological ordering and the
 //!   ready-set waves the scheduler dispatches.
 //! * [`target`] — where stage work runs: [`InProcessTarget`] executes
 //!   sweeps on the in-process `pos-sched` lanes, leasing bare-metal
@@ -107,6 +107,16 @@ pub enum DagError {
         /// Why the resume was refused.
         reason: String,
     },
+    /// The target boots stages with a seed or testbed other than the
+    /// one the options journal, so a resume would boot the other one.
+    TargetMismatch {
+        /// The disagreeing setting: `seed` or `testbed`.
+        setting: &'static str,
+        /// The options' value, the one the journal records.
+        journaled: String,
+        /// The target's value, the one the stages would boot.
+        target: String,
+    },
     /// A gather stage could not evaluate its inputs.
     Eval {
         /// The gather stage.
@@ -151,6 +161,14 @@ impl fmt::Display for DagError {
             DagError::Journal(e) => write!(f, "{e}"),
             DagError::Io(e) => write!(f, "DAG I/O error: {e}"),
             DagError::Resume { reason } => write!(f, "cannot resume DAG: {reason}"),
+            DagError::TargetMismatch {
+                setting,
+                journaled,
+                target,
+            } => write!(
+                f,
+                "DAG journals {setting} {journaled} but its target boots {setting} {target}"
+            ),
             DagError::Eval { stage, reason } => {
                 write!(f, "gather stage `{stage}` failed to evaluate: {reason}")
             }

@@ -11,6 +11,7 @@
 //! tree does not depend on the lane count, nor on the leases the site
 //! granted.
 
+use crate::DagError;
 use pos_core::commands::case_study_testbed;
 use pos_core::controller::{ControllerError, RunOptions};
 use pos_core::experiment::ExperimentSpec;
@@ -62,6 +63,25 @@ impl InProcessTarget {
             clock: SimTime::ZERO,
             leases: Vec::new(),
         }
+    }
+
+    /// Refuses to run under `seed` and `testbed` (the values a DAG
+    /// journals) unless they are the ones this target boots its stages
+    /// from: a resume boots what the journal names.
+    pub(crate) fn check(&self, seed: u64, testbed: &str) -> Result<(), DagError> {
+        let booted = if self.virtualized { "vpos" } else { "pos" };
+        let (setting, journaled, target) = if seed != self.seed {
+            ("seed", seed.to_string(), self.seed.to_string())
+        } else if testbed != booted {
+            ("testbed", testbed.to_string(), booted.to_string())
+        } else {
+            return Ok(());
+        };
+        Err(DagError::TargetMismatch {
+            setting,
+            journaled,
+            target,
+        })
     }
 
     /// Builds (and discards) the study's testbed to capture its wiring —

@@ -96,12 +96,22 @@ impl GeneratorConfig {
     /// Departure time of packet `i` relative to measurement start.
     #[inline]
     pub fn departure(&self, i: u64) -> SimDuration {
-        // Multiply by the precomputed period instead of dividing per call:
-        // the quotient is loop-invariant in the burst send loop, so it
-        // hoists out entirely.
-        let period_ns = 1e9 / self.rate_pps;
-        SimDuration::from_nanos((i as f64 * period_ns).round() as u64)
+        departure(i, self.period_ns())
     }
+
+    /// Nanoseconds between departures.
+    #[inline]
+    fn period_ns(&self) -> f64 {
+        1e9 / self.rate_pps
+    }
+}
+
+/// [`GeneratorConfig::departure`] of packet `i` at `period_ns` between
+/// departures. The send loop divides once per burst: the compiler cannot
+/// hoist the division past the loop's calls on its own.
+#[inline]
+fn departure(i: u64, period_ns: f64) -> SimDuration {
+    SimDuration::from_nanos_rounded(i as f64 * period_ns)
 }
 
 /// The generator/receiver element.
@@ -240,11 +250,12 @@ impl MoonGen {
         let start = self.started_at.expect("send before start");
         let burst = if ctx.future_tx_capable(0) { BURST } else { 1 };
         let end = (self.next_packet + burst).min(self.total_packets);
+        let period_ns = self.config.period_ns();
         while self.next_packet < end {
             let i = self.next_packet;
             self.next_packet += 1;
             self.tx_attempted += 1;
-            let at = start + self.config.departure(i);
+            let at = start + departure(i, period_ns);
 
             // Stamp the probe into a pooled copy of the prebuilt template
             // (whose probe bytes are all zero) and patch the UDP checksum
@@ -297,7 +308,7 @@ impl MoonGen {
 
         // Schedule the next departure if the run is not over.
         if self.next_packet < self.total_packets {
-            let next_at = start + self.config.departure(self.next_packet);
+            let next_at = start + departure(self.next_packet, period_ns);
             let delay = next_at.saturating_duration_since(ctx.now());
             ctx.set_timer(delay, TOKEN_SEND);
         } else {

@@ -134,20 +134,66 @@ impl ServiceProfile {
         available / (self.mean_service_ns(len) * 1e-9)
     }
 
+    /// The `(mu, sigma)` of the service jitter, a lognormal with unit
+    /// mean: `exp(N(-sigma^2/2, sigma))`. `None` without jitter.
+    fn jitter(&self) -> Option<(f64, f64)> {
+        let sigma = self.jitter_sigma;
+        (sigma > 0.0).then(|| (-sigma * sigma / 2.0, sigma))
+    }
+
+    /// The service time of a frame of `len` bytes under the jitter
+    /// multiplier `m`, rounded to the nanosecond.
+    fn service_time(&self, len: usize, m: f64) -> SimDuration {
+        SimDuration::from_nanos_rounded(self.mean_service_ns(len) * m)
+    }
+
     /// Samples one service time.
     fn sample_service(&self, len: usize, rng: &mut SimRng) -> SimDuration {
-        let mean = self.mean_service_ns(len);
-        let t = if self.jitter_sigma > 0.0 {
-            // Lognormal with unit mean: exp(N(-sigma^2/2, sigma)).
-            let mu = -self.jitter_sigma * self.jitter_sigma / 2.0;
-            mean * rng.lognormal(mu, self.jitter_sigma)
-        } else {
-            mean
+        let m = match self.jitter() {
+            Some((mu, sigma)) => rng.lognormal(mu, sigma),
+            None => 1.0,
         };
-        // `t` is already in nanoseconds; rounding directly avoids the
-        // secs round-trip (an `as u64` cast saturates degenerate inputs
-        // to zero, matching `from_secs_f64`'s clamp).
-        SimDuration::from_nanos(t.round() as u64)
+        self.service_time(len, m)
+    }
+}
+
+/// Number of service multipliers a [`ServiceDraws`] block holds.
+const DRAW_BLOCK: usize = 16;
+
+/// The jitter multipliers of a router without preemption, drawn a block
+/// at a time with [`SimRng::fill_lognormal`] and used in order. Such a
+/// router draws nothing but service times from its RNG, so drawing ahead
+/// takes the same values in the same order as drawing per packet
+/// ([`ServiceProfile::sample_service`], which preempted routers keep:
+/// their preemption draws interleave with the service draws).
+#[derive(Debug)]
+struct ServiceDraws {
+    mu: f64,
+    sigma: f64,
+    block: [f64; DRAW_BLOCK],
+    /// Index of the next unused multiplier; `DRAW_BLOCK` when spent.
+    next: usize,
+}
+
+impl ServiceDraws {
+    fn new((mu, sigma): (f64, f64)) -> ServiceDraws {
+        ServiceDraws {
+            mu,
+            sigma,
+            block: [0.0; DRAW_BLOCK],
+            next: DRAW_BLOCK,
+        }
+    }
+
+    /// The next multiplier, refilling the block from `rng` when spent.
+    #[inline]
+    fn next(&mut self, rng: &mut SimRng) -> f64 {
+        if self.next == DRAW_BLOCK {
+            rng.fill_lognormal(self.mu, self.sigma, &mut self.block);
+            self.next = 0;
+        }
+        self.next += 1;
+        self.block[self.next - 1]
     }
 }
 
@@ -288,7 +334,7 @@ impl Agenda {
 /// * **Without preemption** the service timeline folds in closed form
 ///   (the `fold` module): a packet's completion is known at its arrival,
 ///   and its output leaves future-dated.
-/// * **With preemption** the timers go on a private [`Agenda`]. Each
+/// * **With preemption** the timers go on a private `Agenda`. Each
 ///   arrival first runs, at their own instants, the entries the queue
 ///   would have popped before it, then is admitted or tail-dropped as on
 ///   the timer path; one wake-up timer stays armed at or before the
@@ -314,6 +360,9 @@ pub struct LinuxRouter {
     /// The private timer agenda, used with preemption on all-cut-through
     /// ports; `None` otherwise.
     agenda: Option<Agenda>,
+    /// Service multipliers drawn ahead: a jittered profile without
+    /// preemption. `None` draws per packet.
+    draws: Option<ServiceDraws>,
     rng: SimRng,
     /// Observable statistics.
     pub stats: RouterStats,
@@ -334,6 +383,10 @@ impl LinuxRouter {
             deferred_completion: false,
             fold: Fold::default(),
             agenda: None,
+            draws: profile
+                .jitter()
+                .filter(|_| profile.preemption.is_none())
+                .map(ServiceDraws::new),
             rng,
             stats: RouterStats::default(),
         }
@@ -376,8 +429,17 @@ impl LinuxRouter {
         };
         let len = frame.bytes().len();
         self.serving = true;
-        let service = self.profile.sample_service(len, &mut self.rng);
+        let service = self.sample_service(len);
         self.set_timer(service, TOKEN_SERVICE_DONE, ctx);
+    }
+
+    /// Samples the service time of a frame of `len` bytes.
+    #[inline]
+    fn sample_service(&mut self, len: usize) -> SimDuration {
+        match &mut self.draws {
+            Some(draws) => self.profile.service_time(len, draws.next(&mut self.rng)),
+            None => self.profile.sample_service(len, &mut self.rng),
+        }
     }
 
     /// Arms a timer: on the agenda when the router keeps one, otherwise on
@@ -652,9 +714,7 @@ impl Element for LinuxRouter {
                 self.stats.ring_drops += 1;
                 return;
             }
-            let service = self
-                .profile
-                .sample_service(frame.bytes().len(), &mut self.rng);
+            let service = self.sample_service(frame.bytes().len());
             self.fold.begin(ctx.now(), service);
             self.forward(port, frame, ctx);
             self.fold.end();
@@ -1161,6 +1221,30 @@ mod tests {
         };
         assert!(host.matches(Ipv4Addr::new(10, 0, 0, 1)));
         assert!(!host.matches(Ipv4Addr::new(10, 0, 0, 2)));
+    }
+
+    /// Block-drawn service times are the per-packet draws, bit for bit,
+    /// across many block boundaries and mixed frame sizes.
+    #[test]
+    fn block_drawn_service_matches_on_demand() {
+        let profile = ServiceProfile::bare_metal();
+        let mut r = router(profile, 0xB10C);
+        assert!(
+            r.draws.is_some(),
+            "a jittered profile without preemption draws ahead"
+        );
+        let mut reference = r.rng.clone();
+        for i in 0..1_000_003usize {
+            let len = [64, 576, 1500][i % 3] - 4;
+            let want = profile.sample_service(len, &mut reference);
+            assert_eq!(r.sample_service(len), want, "draw {i} ({len} B)");
+        }
+        assert!(router(ServiceProfile::virtualized(), 1).draws.is_none());
+        let flat = ServiceProfile {
+            jitter_sigma: 0.0,
+            ..profile
+        };
+        assert!(router(flat, 1).draws.is_none());
     }
 
     #[test]

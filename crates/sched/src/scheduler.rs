@@ -29,7 +29,7 @@
 //! re-derive theirs under `"testbed/lane{k}"` so replica boot timings are
 //! independent draws of the same distribution.
 //!
-//! Dispatch runs under the [`crate::supervisor::LaneSupervisor`]: lanes
+//! Dispatch runs under the lane supervisor ([`crate::supervisor`]): lanes
 //! can die (watchdog overrun, injected fault, every host quarantined) and
 //! are then retired, their work redistributed or handed to a replacement
 //! lane, with poison runs quarantined — all without perturbing the

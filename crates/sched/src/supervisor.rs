@@ -3,7 +3,7 @@
 //! The scheduler in [`crate::scheduler`] treats worker lanes as immortal.
 //! Real replica testbeds are not: hosts wedge, management planes die,
 //! and occasionally a single pathological run reliably takes its machine
-//! down with it. This module adds a [`LaneSupervisor`] that drives the
+//! down with it. This module adds a `LaneSupervisor` that drives the
 //! dispatch loop under failure:
 //!
 //! * **Watchdog** — each completed run is checked against a deadline of

@@ -9,7 +9,7 @@
 //!
 //! ## The journal-before-ack invariant
 //!
-//! Every transition appends to the [ledger](crate::ledger) *first* and
+//! Every transition appends to the [ledger] *first* and
 //! acknowledges *second*. The consequence that makes the restart matrix
 //! tractable: at any crash point, the set of acknowledged transitions is
 //! exactly the set of durable ledger records. An accepted-but-unlogged

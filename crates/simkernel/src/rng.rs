@@ -177,14 +177,24 @@ impl SimRng {
             return f64::from_bits(bits);
         }
         loop {
-            let u = 2.0 * self.uniform_f64() - 1.0;
-            let v = 2.0 * self.uniform_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                self.spare_normal = Some((v * f).to_bits());
-                return u * f;
+            let c = self.polar_candidate();
+            if c.accepted() {
+                let (z, spare) = c.normals();
+                self.spare_normal = Some(spare.to_bits());
+                return z;
             }
+        }
+    }
+
+    /// One candidate point of the polar method.
+    #[inline]
+    fn polar_candidate(&mut self) -> PolarCandidate {
+        let u = 2.0 * self.uniform_f64() - 1.0;
+        let v = 2.0 * self.uniform_f64() - 1.0;
+        PolarCandidate {
+            u,
+            v,
+            s: u * u + v * v,
         }
     }
 
@@ -200,10 +210,89 @@ impl SimRng {
         self.normal_with(mu, sigma).exp()
     }
 
+    /// Fills `out` with lognormal deviates: bit for bit the values of
+    /// `out.len()` calls of [`SimRng::lognormal`], in order, leaving the
+    /// generator (cached normal included) as those calls would.
+    ///
+    /// It collects the polar method's accepted points without a branch
+    /// per candidate, turns them into normals, then exponentiates those
+    /// in a last pass, where the `ln` and `exp` calls depend on nothing
+    /// but their argument and so overlap; a block costs less than as
+    /// many single draws.
+    pub fn fill_lognormal(&mut self, mu: f64, sigma: f64, out: &mut [f64]) {
+        let start = match (self.spare_normal.take(), out.first_mut()) {
+            (Some(bits), Some(first)) => {
+                *first = mu + sigma * f64::from_bits(bits);
+                1
+            }
+            (spare, _) => {
+                self.spare_normal = spare;
+                0
+            }
+        };
+        let mut pairs = out[start..].chunks_exact_mut(2);
+        loop {
+            // Up to a batch of accepted candidates, in draw order; the
+            // acceptance test moves the cursor instead of branching.
+            let want = pairs.len().min(POLAR_BATCH);
+            if want == 0 {
+                break;
+            }
+            let mut batch = [PolarCandidate::default(); POLAR_BATCH];
+            let mut accepted = 0;
+            while accepted < want {
+                let c = self.polar_candidate();
+                batch[accepted] = c;
+                accepted += usize::from(c.accepted());
+            }
+            // `batch` leads the zip, so it stops without taking a pair.
+            for (c, pair) in batch[..want].iter().zip(&mut pairs) {
+                let (z0, z1) = c.normals();
+                pair[0] = mu + sigma * z0;
+                pair[1] = mu + sigma * z1;
+            }
+        }
+        for x in pairs.into_remainder() {
+            *x = self.normal_with(mu, sigma);
+        }
+        for x in out {
+            *x = x.exp();
+        }
+    }
+
     /// An exponential deviate with the given mean (`mean = 1/lambda`).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         // Avoid ln(0): uniform_f64 is in [0,1), so 1-u is in (0,1].
         -mean * (1.0 - self.uniform_f64()).ln()
+    }
+}
+
+/// Accepted candidates [`SimRng::fill_lognormal`] collects before it
+/// turns them into normals.
+const POLAR_BATCH: usize = 8;
+
+/// A point `(u, v)` drawn uniformly from the square `[-1, 1)²` for the
+/// polar method, with `s = u² + v²`.
+#[derive(Debug, Clone, Copy, Default)]
+struct PolarCandidate {
+    u: f64,
+    v: f64,
+    s: f64,
+}
+
+impl PolarCandidate {
+    /// Whether the point lies inside the unit circle (and off its
+    /// centre), where it yields a pair of normals.
+    #[inline]
+    fn accepted(&self) -> bool {
+        self.s > 0.0 && self.s < 1.0
+    }
+
+    /// The pair of independent standard normals an accepted point yields.
+    #[inline]
+    fn normals(&self) -> (f64, f64) {
+        let f = (-2.0 * self.s.ln() / self.s).sqrt();
+        (self.u * f, self.v * f)
     }
 }
 
@@ -390,6 +479,29 @@ mod tests {
             let mut r = SimRng::new(seed);
             for _ in 0..100 {
                 prop_assert!(r.lognormal(0.0, 1.0) > 0.0);
+            }
+        }
+
+        #[test]
+        fn prop_fill_lognormal_matches_single_draws(
+            seed: u64,
+            spare: bool,
+            lens in proptest::collection::vec(0usize..40, 1..8),
+            mu in -1.0f64..1.0,
+            sigma in 0.0f64..1.0,
+        ) {
+            let mut block = SimRng::new(seed);
+            if spare {
+                block.normal(); // leaves a cached deviate for the fill
+            }
+            let mut single = block.clone();
+            for len in lens {
+                let mut out = vec![0.0; len];
+                block.fill_lognormal(mu, sigma, &mut out);
+                for x in out {
+                    prop_assert_eq!(x.to_bits(), single.lognormal(mu, sigma).to_bits());
+                }
+                prop_assert_eq!(&block, &single);
             }
         }
 

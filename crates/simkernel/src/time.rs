@@ -138,7 +138,28 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration::from_nanos_rounded(s * 1e9)
+    }
+
+    /// Creates a duration from a float number of nanoseconds, rounded to
+    /// the nearest one, half away from zero: bit for bit
+    /// `SimDuration::from_nanos(ns.round() as u64)`, so negative and NaN
+    /// inputs give zero and huge ones saturate.
+    ///
+    /// `f64::round` is a library call on baseline x86-64, which has no
+    /// rounding instruction, and the packet path rounds a service or
+    /// departure time per packet. Below 2⁵² the whole part fits an `i64`
+    /// and `ns - whole` is exact, so one comparison rounds; the rest of
+    /// the range keeps the library call.
+    #[inline]
+    pub fn from_nanos_rounded(ns: f64) -> Self {
+        const EXACT: f64 = (1u64 << 52) as f64;
+        if (0.0..EXACT).contains(&ns) {
+            let whole = ns as i64;
+            SimDuration((whole + i64::from(ns - whole as f64 >= 0.5)) as u64)
+        } else {
+            SimDuration(ns.round() as u64)
+        }
     }
 
     /// The duration in nanoseconds.
@@ -301,6 +322,7 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -346,6 +368,75 @@ mod tests {
             SimDuration::from_secs_f64(67.2e-9),
             SimDuration::from_nanos(67)
         );
+    }
+
+    /// The reference: what every caller computed before the helper.
+    fn library_round(ns: f64) -> SimDuration {
+        SimDuration::from_nanos(ns.round() as u64)
+    }
+
+    #[test]
+    fn from_nanos_rounded_edge_cases() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            -0.49999999999999994,
+            -1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            two52,
+            two52 - 0.5,
+            two52 + 1.0,
+            ((1u64 << 53) + 1) as f64,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+        ];
+        cases.extend((0..64).map(|k| f64::from(k) + 0.5));
+        cases.extend((0..52).map(|e| 2f64.powi(e) + 0.5));
+        cases.extend((1..52).map(|e| f64::from_bits((2f64.powi(e) + 0.5).to_bits() - 1)));
+        for x in cases {
+            assert_eq!(
+                SimDuration::from_nanos_rounded(x),
+                library_round(x),
+                "{x:e}"
+            );
+        }
+        assert_eq!(
+            SimDuration::from_nanos_rounded(0.49999999999999994),
+            SimDuration::ZERO
+        );
+        assert_eq!(
+            SimDuration::from_nanos_rounded(2.5),
+            SimDuration::from_nanos(3)
+        );
+        assert_eq!(
+            SimDuration::from_nanos_rounded(2f64.powi(64)).as_nanos(),
+            u64::MAX
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn prop_from_nanos_rounded_matches_library_round(bits: u64) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(SimDuration::from_nanos_rounded(x), library_round(x));
+        }
+
+        #[test]
+        fn prop_from_nanos_rounded_matches_near_halves(whole in 0u64..1 << 52, ulps in -2i64..=2) {
+            // Arbitrary bit patterns rarely land next to a half; these do.
+            let half = whole as f64 + 0.5;
+            let x = f64::from_bits(half.to_bits().wrapping_add_signed(ulps));
+            prop_assert_eq!(SimDuration::from_nanos_rounded(x), library_round(x));
+        }
     }
 
     #[test]

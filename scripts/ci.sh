@@ -20,6 +20,9 @@ cargo fmt --check $FIRST_PARTY
 echo "==> clippy (deny warnings, first-party crates)"
 cargo clippy $FIRST_PARTY --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings, workspace)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> build (release, workspace)"
 cargo build --release --workspace
 
@@ -41,6 +44,16 @@ cargo test -q -p pos-loadgen --test fast_vs_eventful
 # by name so the gate stays loud if someone filters tests.
 echo "==> fast-vs-eventful random chains"
 cargo test -q -p pos-loadgen --test fast_vs_eventful random_chains_match_eventful_reference
+
+# The router's service draws have two paths too: a router without
+# preemption draws its jitter multipliers a block at a time, every other
+# one per packet, and both round through `SimDuration::from_nanos_rounded`
+# in place of `f64::round`. Each fast path is checked against its
+# reference, bit for bit; repeated by name like the oracle above.
+echo "==> service-draw oracles (block draws, fill_lognormal, from_nanos_rounded)"
+cargo test -q -p pos-netsim --lib block_drawn_service_matches_on_demand
+cargo test -q -p pos-simkernel --lib fill_lognormal
+cargo test -q -p pos-simkernel --lib from_nanos_rounded
 
 # The oracle compares two paths of one build; the golden pins the case
 # study's output across versions (router stats, TX/RX frames, interval

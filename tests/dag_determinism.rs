@@ -10,7 +10,9 @@
 //!   checkpoint too: `resume_dag` routes it through the parallel
 //!   scheduler's resume and still converges;
 //! * resume refuses identity drift (wrong seed), resumes a tree the
-//!   retired `sim-batch` target wrote, and refuses an unknown target.
+//!   retired `sim-batch` target wrote, and refuses an unknown target;
+//! * a run or resume whose target boots another seed or testbed than
+//!   its options journal is refused.
 
 use pos::core::controller::RunOptions;
 use pos::core::experiment::{linux_router_experiment, ExperimentSpec};
@@ -35,8 +37,18 @@ fn dag() -> DagSpec {
     linux_router_dag()
 }
 
+/// Boots vpos from `SEED`, so every lane runs the same testbed however
+/// many the site grants: what [`run_options`] and
+/// `DagOptions::new(_, SEED)` journal.
 fn in_process() -> InProcessTarget {
     InProcessTarget::new(SEED, true, 2)
+}
+
+/// Run options under `root` that journal the testbed `in_process` boots.
+fn run_options(root: &TempDir) -> RunOptions {
+    let mut opts = RunOptions::new(root);
+    opts.testbed_flavor = "vpos".into();
+    opts
 }
 
 /// The uninterrupted reference: tree snapshot plus journal facts.
@@ -54,7 +66,7 @@ fn reference_tree() -> Reference {
     let out = run_dag(
         &dag(),
         &small_spec(),
-        &RunOptions::new(&root),
+        &run_options(&root),
         &DagOptions::new(1, SEED),
         &mut in_process(),
     )
@@ -83,7 +95,7 @@ fn lane_counts_are_artifact_interchangeable() {
         let out = run_dag(
             &dag(),
             &small_spec(),
-            &RunOptions::new(&root),
+            &run_options(&root),
             &DagOptions::new(lanes, SEED),
             &mut in_process(),
         )
@@ -125,7 +137,7 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
             let err = run_dag(
                 &dag(),
                 &small_spec(),
-                &RunOptions::new(&root),
+                &run_options(&root),
                 &dopts,
                 &mut in_process(),
             )
@@ -138,7 +150,7 @@ fn kill_at_every_dag_journal_boundary_then_resume_converges() {
             let dag_dir = find_dag_dir(&root);
             let out = resume_dag(
                 &dag_dir,
-                &RunOptions::new(&root),
+                &run_options(&root),
                 &DagOptions::new(2, SEED),
                 &mut in_process(),
             )
@@ -166,7 +178,7 @@ fn resume_fast_forwards_digest_verified_nodes() {
     run_dag(
         &dag(),
         &small_spec(),
-        &RunOptions::new(&root),
+        &run_options(&root),
         &dopts,
         &mut in_process(),
     )
@@ -174,7 +186,7 @@ fn resume_fast_forwards_digest_verified_nodes() {
     let dag_dir = find_dag_dir(&root);
     let out = resume_dag(
         &dag_dir,
-        &RunOptions::new(&root),
+        &run_options(&root),
         &DagOptions::new(1, SEED),
         &mut in_process(),
     )
@@ -193,7 +205,7 @@ fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
     // at the NodeStarted(rate-sweep) record.
     for crash_after in [0, 6] {
         let root = TempDir::new("dag-inner");
-        let mut opts = RunOptions::new(&root);
+        let mut opts = run_options(&root);
         opts.journal_crash_after = Some(crash_after);
         let err = run_dag(
             &dag(),
@@ -211,7 +223,7 @@ fn inner_sweep_crash_is_a_checkpoint_and_dag_resume_converges() {
         let dag_dir = find_dag_dir(&root);
         let out = resume_dag(
             &dag_dir,
-            &RunOptions::new(&root),
+            &run_options(&root),
             &DagOptions::new(2, SEED),
             &mut in_process(),
         )
@@ -236,7 +248,7 @@ fn resume_refuses_identity_drift() {
     run_dag(
         &dag(),
         &small_spec(),
-        &RunOptions::new(&root),
+        &run_options(&root),
         &dopts,
         &mut in_process(),
     )
@@ -245,9 +257,9 @@ fn resume_refuses_identity_drift() {
 
     let wrong_seed = resume_dag(
         &dag_dir,
-        &RunOptions::new(&root),
+        &run_options(&root),
         &DagOptions::new(1, SEED + 1),
-        &mut in_process(),
+        &mut InProcessTarget::new(SEED + 1, true, 2),
     );
     assert!(
         matches!(wrong_seed, Err(DagError::Resume { .. })),
@@ -261,7 +273,7 @@ fn resume_refuses_identity_drift() {
         panic!("a DAG tree opens as a DAG");
     };
     let out = tree
-        .resume(&RunOptions::new(&batch_root), 2)
+        .resume(&run_options(&batch_root), 2)
         .expect("a sim-batch tree resumes in-process");
     tree::assert_tree_matches(want, &out.dag_dir, "resumed sim-batch tree");
     let report = fsck_dag(&out.dag_dir).unwrap();
@@ -277,20 +289,67 @@ fn resume_refuses_identity_drift() {
     // The original identity still resumes fine.
     resume_dag(
         &dag_dir,
-        &RunOptions::new(&root),
+        &run_options(&root),
         &DagOptions::new(1, SEED),
         &mut in_process(),
     )
     .expect("original identity resumes");
 }
 
-/// A crashed DAG (journaled on vpos, the testbed `in_process` boots)
-/// whose `DagStarted` frame is rewritten to name `target`, with a valid
-/// checksum.
+#[test]
+fn a_target_that_boots_other_than_the_journal_is_refused() {
+    // A fresh DAG is refused before its tree exists, naming both values.
+    let root = TempDir::new("dag-target-mismatch");
+    let refusals = [
+        (RunOptions::new(&root), SEED, "testbed pos", "testbed vpos"),
+        (run_options(&root), SEED + 1, "seed 24302", "seed 24301"),
+    ];
+    for (opts, seed, journaled, booted) in refusals {
+        let err = run_dag(
+            &dag(),
+            &small_spec(),
+            &opts,
+            &DagOptions::new(1, seed),
+            &mut in_process(),
+        )
+        .expect_err("a disagreeing target must be refused");
+        assert!(
+            matches!(err, DagError::TargetMismatch { .. }),
+            "unexpected error {err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains(journaled) && msg.contains(booted),
+            "the refusal names both values: {msg}"
+        );
+    }
+    assert_eq!(
+        fs::read_dir(&root).unwrap().count(),
+        0,
+        "a refused DAG leaves no tree"
+    );
+
+    // A resume through a disagreeing target is refused the same way.
+    let (root, dag_dir) = crashed_dag_on_target("dag-target-mismatch-resume", "in-process");
+    let err = resume_dag(
+        &dag_dir,
+        &run_options(&root),
+        &DagOptions::new(1, SEED),
+        &mut InProcessTarget::new(SEED, false, 2),
+    )
+    .expect_err("a resume of a vpos DAG through a pos target must be refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("testbed vpos") && msg.contains("testbed pos"),
+        "{msg}"
+    );
+}
+
+/// A crashed DAG whose `DagStarted` frame is rewritten to name
+/// `target`, with a valid checksum.
 fn crashed_dag_on_target(tag: &str, target: &str) -> (TempDir, PathBuf) {
     let root = TempDir::new(tag);
-    let mut opts = RunOptions::new(&root);
-    opts.testbed_flavor = "vpos".into();
+    let opts = run_options(&root);
     let mut dopts = DagOptions::new(1, SEED);
     dopts.dag_crash_after = Some(3);
     run_dag(&dag(), &small_spec(), &opts, &dopts, &mut in_process()).expect_err("DAG must abort");
